@@ -9,8 +9,14 @@ for rank 1 and 2. All integral values are carried as logarithms end to
 end; node sums are accumulated with a max-shift so nothing overflows even
 when the integrand peaks at exp(tau |mu+rho|^2) with tau in the hundreds.
 
+With H = r u for unit directions u, one kernel evaluates the log weight
+factored into radial, angular and r-linear parts plus a bounded remainder,
+the only part that needs a transcendental at every node. exp(2 mu(H)) joins
+the r-linear part, so exponential integrands need no grid of points.
+
 Quadrature is composite Gauss-Legendre with panel doubling until two
-successive refinements agree in log value to the requested tolerance.
+successive refinements agree in log value to the requested tolerance; at
+rank 2 on a tensor grid in polar coordinates over the chamber sector.
 Gauss nodes are open, so the integrable wall zeros of the chamber weight
 (square-root type for odd multiplicities) never produce a -inf sample.
 """
@@ -88,24 +94,38 @@ def _panel_nodes(lo: float, hi: float, n_panels: int):
     return pts, wts
 
 
-def _logsum(log_vals: np.ndarray, weights: np.ndarray) -> float:
+def _logsum(log_vals: np.ndarray, weights: np.ndarray,
+            col_weights: np.ndarray | None = None) -> float:
+    # log of sum_i w_i e^(v_i), or of sum_ij w_i e^(v_ij) w'_j for a grid
+    # of values; overwrites log_vals
     m = float(np.max(log_vals))
     if not math.isfinite(m):
         return -math.inf
-    s = float(np.sum(weights * np.exp(log_vals - m)))
+    log_vals -= m
+    e = np.exp(log_vals, out=log_vals)
+    s = float(weights @ e if col_weights is None else weights @ e @ col_weights)
     if s <= 0:
         return -math.inf
     return m + math.log(s)
 
 
-def _adaptive_1d(log_f, lo: float, hi: float, cfg: QuadratureConfig) -> float:
+def _adaptive(log_f, lo: float, hi: float, cfg: QuadratureConfig,
+              sector: tuple[float, float] | None = None) -> float:
+    """Log of the integral of exp(log_f) over [lo, hi]. With ``sector`` the
+    domain is the polar region [lo, hi] x sector, on a tensor grid with half
+    as many angular panels; log_f(r, theta) returns the (n_r, n_theta) grid
+    without the jacobian r."""
     if hi <= lo:
         return -math.inf
     prev = None
     n = 4
     for level in range(cfg.max_refinements + 1):
         pts, wts = _panel_nodes(lo, hi, n)
-        val = _logsum(log_f(pts), wts)
+        if sector is None:
+            val = _logsum(log_f(pts), wts)
+        else:
+            th, th_wts = _panel_nodes(*sector, n // 2)
+            val = _logsum(log_f(pts, th), wts * pts, th_wts)
         if prev is not None and level >= 2:
             if val == -math.inf and prev == -math.inf:
                 return val
@@ -113,29 +133,6 @@ def _adaptive_1d(log_f, lo: float, hi: float, cfg: QuadratureConfig) -> float:
                 return val
         prev = val
         n *= 2
-    raise RuntimeError(
-        f"quadrature did not converge to rel_tol={cfg.rel_tol} "
-        f"within {cfg.max_refinements} refinements"
-    )
-
-
-def _adaptive_polar(log_f, r_hi: float, th_lo: float, th_hi: float,
-                    cfg: QuadratureConfig) -> float:
-    # tensor-product panels over radius x angle; log_f(r, theta) operates on
-    # a meshgrid and must include no jacobian (the factor r is added here)
-    prev = None
-    n_r, n_t = 4, 2
-    for level in range(cfg.max_refinements + 1):
-        r_pts, r_wts = _panel_nodes(0.0, r_hi, n_r)
-        t_pts, t_wts = _panel_nodes(th_lo, th_hi, n_t)
-        lv = log_f(r_pts[:, None], t_pts[None, :]) + np.log(r_pts)[:, None]
-        w = r_wts[:, None] * t_wts[None, :]
-        val = _logsum(lv.ravel(), w.ravel())
-        if prev is not None and level >= 2 and abs(val - prev) <= cfg.rel_tol:
-            return val
-        prev = val
-        n_r *= 2
-        n_t *= 2
     raise RuntimeError(
         f"quadrature did not converge to rel_tol={cfg.rel_tol} "
         f"within {cfg.max_refinements} refinements"
@@ -190,16 +187,41 @@ def chamber_weight(rs: RootSystem, H) -> float:
         raise ValueError("H lies outside the closed Weyl chamber")
     if np.any(vals <= 0):
         return 0.0
-    log_w = float(np.sum(rs.mults * 0.5 * (np.log(vals) + _log_sinh(2.0 * vals))))
-    return math.exp(log_w)
+    r = np.linalg.norm(as_vector(H, rs.rank))
+    return math.exp(float(_log_chamber_weight(rs, np.array([r]), vals / r)[0]))
 
 
-def _log_chamber_weight_1d(rs: RootSystem, u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # t: positive chamber coordinates along unit direction u
-    au = rs.roots @ u
-    vals = au[:, None] * t[None, :]
-    return np.sum(rs.mults[:, None] * 0.5 * (np.log(vals) + _log_sinh(2.0 * vals)),
-                  axis=0)
+def _log_chamber_weight(rs: RootSystem, r: np.ndarray, c: np.ndarray,
+                        drift=0.0) -> np.ndarray:
+    """Log chamber weight sum_a (m_a/2) log(r c_a sinh(2 r c_a)) plus
+    r * drift at radii ``r`` along unit directions u with root pairings
+    ``c = roots @ u``: (n_roots,) for one direction, giving (n_r,), or
+    (n_roots, n_dir), giving (n_r, n_dir). Evaluated, with M = sum_a m_a, as
+
+        (M/2)(log r - log 2) + sum_a (m_a/2) log c_a + r sum_a m_a c_a
+        + sum_m (m/2) log prod_{a: m_a = m} (1 - exp(-4 r c_a)),
+
+    so the grid needs one expm1 per root and one log per multiplicity.
+    """
+    mults = rs.mults
+    classes = {}
+    for i, m in enumerate(mults.tolist()):
+        classes.setdefault(m, []).append(i)
+    rates = -4.0 * c
+    lw = np.add.outer(0.5 * math.fsum(mults.tolist()) * np.log(0.5 * r),
+                      0.5 * mults @ np.log(c))
+    buf, prod = np.empty_like(lw), np.empty_like(lw)
+    lw += np.multiply.outer(r, mults @ c + drift, out=buf)
+    for m, roots in classes.items():
+        np.expm1(np.multiply.outer(r, rates[roots[0]], out=prod), out=prod)
+        for i in roots[1:]:
+            prod *= np.expm1(np.multiply.outer(r, rates[i], out=buf), out=buf)
+        if len(roots) % 2:  # every expm1 factor is negative
+            np.negative(prod, out=prod)
+        np.log(prod, out=prod)
+        prod *= 0.5 * m
+        lw += prod
+    return lw
 
 
 # ---------------------------------------------------------------------------
@@ -213,34 +235,28 @@ def _truncation_radius(rs: RootSystem, tau: float, growth: np.ndarray,
     return float(peak + cfg.truncation_sigma * math.sqrt(tau))
 
 
-def _q_log_direct(rs: RootSystem, log_f_arr, tau: float, cfg: QuadratureConfig,
-                  growth: np.ndarray) -> float:
+def _q_log_direct(rs: RootSystem, tau: float, cfg: QuadratureConfig,
+                  growth: np.ndarray, log_f_arr=None) -> float:
+    # log_f_arr maps an (N, rank) array of points H to log f(H). Without it
+    # f = exp(2 <growth, H>): linear in the radius along each direction, so
+    # it goes into the weight kernel and no grid of points is built.
     R = _truncation_radius(rs, tau, growth, cfg)
-    if rs.rank == 1:
-        u = _chamber_direction(rs)
+    ray = _chamber_direction(rs) if rs.rank == 1 else None
+    sector = _sector_angles(rs) if rs.rank == 2 else None
 
-        def integrand(t):
-            H = t[:, None] * u[None, :]
-            return -t * t / tau + log_f_arr(H) + _log_chamber_weight_1d(rs, u, t)
+    def integrand(r, th=None):
+        # unit directions: the chamber ray at rank 1, one per angle at rank 2
+        u = ray if th is None else np.stack([np.cos(th), np.sin(th)])
+        if log_f_arr is None:
+            lv = _log_chamber_weight(rs, r, rs.roots @ u, 2.0 * (growth @ u))
+        else:
+            lv = _log_chamber_weight(rs, r, rs.roots @ u)
+            H = np.multiply.outer(r, u.T).reshape(-1, rs.rank)
+            lv += log_f_arr(H).reshape(lv.shape)
+        lv.T[...] -= r * r / tau  # the radius is the first axis
+        return lv
 
-        return _adaptive_1d(integrand, 0.0, R, cfg)
-
-    th_lo, th_hi = _sector_angles(rs)
-
-    def integrand_rt(r, th):
-        ux = np.cos(th)
-        uy = np.sin(th)
-        # alpha(H) on the grid, per root
-        log_w = 0.0
-        for i in range(rs.n_roots):
-            vals = r * (rs.roots[i, 0] * ux + rs.roots[i, 1] * uy)
-            log_w = log_w + rs.mults[i] * 0.5 * (np.log(vals) + _log_sinh(2.0 * vals))
-        H = np.stack(np.broadcast_arrays(r * ux, r * uy), axis=-1)
-        flat = H.reshape(-1, 2)
-        log_f = log_f_arr(flat).reshape(H.shape[:-1])
-        return -r * r / tau + log_f + log_w
-
-    return _adaptive_polar(integrand_rt, R, th_lo, th_hi, cfg)
+    return _adaptive(integrand, 0.0, R, cfg, sector)
 
 
 def q_tau(rs: RootSystem, f, tau: float, cfg: QuadratureConfig | None = None,
@@ -269,20 +285,12 @@ def q_tau(rs: RootSystem, f, tau: float, cfg: QuadratureConfig | None = None,
             out[i] = math.log(v)
         return out
 
-    return _q_log_direct(rs, log_f_arr, tau, cfg, g)
+    return _q_log_direct(rs, tau, cfg, g, log_f_arr)
 
 
 # ---------------------------------------------------------------------------
 # exponential integrands and the large-tau normal form
 # ---------------------------------------------------------------------------
-
-
-def _log_I_direct(rs: RootSystem, mu: np.ndarray, tau: float,
-                  cfg: QuadratureConfig) -> float:
-    def log_f_arr(H):
-        return 2.0 * (H @ mu)
-
-    return _q_log_direct(rs, log_f_arr, tau, cfg, mu)
 
 
 def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
@@ -298,37 +306,26 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
     lr = mu + rho(rs)
     a = float(lr @ u)
     rate = float(lr @ lr)
-    m = dimension(rs)
     sig = cfg.truncation_sigma
     lo = max(-math.sqrt(tau) * a, -sig)
     hi = sig
     if lo >= hi:
         return -math.inf
     au = rs.roots @ u
-    pair = rs.roots @ lr
+    # 2 mu(H) and the weight's linear part t sum_a m_a c_a = 2 rho(H) add up
+    # to 2 a t, and t = sqrt(tau) y + tau a turns -t^2/tau + 2 a t into
+    # tau a^2 - y^2; so drift cancels the kernel's linear part exactly
+    drift = -(rs.mults @ au)
 
     def integrand(y):
         t = math.sqrt(tau) * y + tau * a  # original chamber coordinate
-        log_root = np.zeros_like(y)
-        for i in range(rs.n_roots):
-            base = au[i] * y / math.sqrt(tau) + pair[i]
-            log_root += rs.mults[i] * 0.5 * (
-                np.log(base) + np.log1p(-np.exp(-4.0 * au[i] * t))
-            )
-        lv = -y * y + log_root
+        lv = _log_chamber_weight(rs, t, au, drift) - y * y
         if log_phi is not None:
             lv = lv + log_phi(t)
         return lv
 
-    log_j = _adaptive_1d(integrand, lo, hi, cfg)
-    # prefactor 2^{(r-m)/2}: each sinh(2 alpha) factors as e^{2 alpha}
-    # (1 - e^{-4 alpha})/2 and carries the exponent m_alpha/2
-    return (
-        0.5 * m * math.log(tau)
-        + tau * rate
-        + 0.5 * (rs.rank - m) * _LOG2
-        + log_j
-    )
+    # dt = sqrt(tau) dy
+    return tau * rate + 0.5 * math.log(tau) + _adaptive(integrand, lo, hi, cfg)
 
 
 def log_I_mu(rs: RootSystem, mu, tau: float,
@@ -344,7 +341,7 @@ def log_I_mu(rs: RootSystem, mu, tau: float,
     mu = as_vector(mu, rs.rank)
     if rs.rank == 1 and tau >= 2.0:
         return _rank1_transformed(rs, mu, tau, cfg)
-    return _log_I_direct(rs, mu, tau, cfg)
+    return _q_log_direct(rs, tau, cfg, mu)
 
 
 def leading_infinity(rs: RootSystem, mu) -> tuple[float, float, float]:
@@ -543,7 +540,7 @@ def _log_q_delta(rs: RootSystem, n: int, tau: float, cfg: QuadratureConfig) -> f
     def log_f_arr(H):
         return log_f_of_t(H @ u)
 
-    return _q_log_direct(rs, log_f_arr, tau, cfg, growth=lam)
+    return _q_log_direct(rs, tau, cfg, lam, log_f_arr)
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,9 @@ def run_flatness(catalog: Catalog, space_name: str, max_coeff: int,
                  tol: float) -> QInvarianceReport:
     """Sweep all dominant weights with coordinates up to max_coeff and test
     constancy of Q at the given tolerance."""
+    if max_coeff < 1:
+        raise ValueError("max_coeff must be at least 1: a single weight cannot "
+                         "show whether Q is constant")
     entry = catalog.get(space_name)
     rs = entry.to_root_system()
     weights = rootsys.dominant_weights(rs, max_coeff)
@@ -611,6 +614,8 @@ def _cmd_cfun(catalog, args, out) -> int:
 
 
 def _cmd_probe_f(args, out) -> int:
+    if args.zmax < 0:
+        raise ValueError("--zmax must be nonnegative")
     out.write("z,F,F_over_2_pow_d\r\n")
     for z in range(0, args.zmax + 1):
         val = hcfun.f_factor(float(z), args.a, args.b, args.c, args.d)
@@ -622,7 +627,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out, err = sys.stdout, sys.stderr
     try:
-        catalog = load_catalog(args.catalog) if args.catalog else default_catalog()
+        catalog = load_catalog(Path(args.catalog)) if args.catalog else default_catalog()
         if args.command == "catalog":
             for name in catalog.names():
                 e = catalog.get(name)
@@ -646,8 +651,8 @@ def main(argv=None) -> int:
         err.write(f"error: {exc}\n")
         return 2
     except RuntimeError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
+        err.write(f"error: numerical failure: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -78,6 +78,17 @@ def rank1_chamber_log_integral(rs, log_f_of_t, tau: float, radius: float,
     return simpson_log(log_g, 1e-12, radius, n)
 
 
+def chamber_weight_product(rs, H) -> float:
+    """The chamber weight as the plain product over positive roots of
+    (a(H) sinh(2 a(H)))^(m_a/2), one root at a time. Moderate H only:
+    sinh overflows past a(H) of about 350."""
+    total = 1.0
+    for a, m in zip(rs.roots, rs.mults):
+        v = float(a @ H)
+        total *= (v * np.sinh(2.0 * v)) ** (0.5 * m)
+    return total
+
+
 # log Gamma reference values (40-digit arithmetic, rounded to double).
 LOG_GAMMA_REFS = (
     (0.001, 6.907178885383853),

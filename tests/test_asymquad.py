@@ -88,6 +88,40 @@ def test_chamber_weight_outside_chamber_raises():
         chamber_weight(S3, -u)
 
 
+@pytest.mark.parametrize(
+    "type_label, rank, mults",
+    [
+        ("A", 1, {"all": 1}),
+        ("BC", 1, {"short": 2.5, "long": 1}),
+        ("A", 2, {"all": 0.75}),
+        ("B", 2, {"short": 2, "long": 1}),
+        ("BC", 2, {"short": 2, "long": 2, "double": 1}),
+        ("G2", 2, {"short": 1, "long": 1}),
+    ],
+    ids=["A1", "BC1", "A2", "B2", "BC2", "G2"],
+)
+def test_chamber_weight_matches_per_root_product(type_label, rank, mults):
+    rs = build_root_system(type_label, rank, mults)
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 20:
+        H = rng.uniform(-3.0, 3.0, rank)
+        vals = rs.roots @ H
+        if vals.min() < 0.05 or vals.max() > 6.0:
+            continue
+        want = oracles.chamber_weight_product(rs, H)
+        assert chamber_weight(rs, H) == pytest.approx(want, rel=1e-13, abs=0.0)
+        checked += 1
+
+
+def test_chamber_weight_zero_on_walls():
+    # a point on the first simple wall, nudged a rounding step outside it
+    a = SU3.simple_roots()[0]
+    u = unit_chamber_dir(SU3)
+    H = u - (a @ u) / (a @ a) * a - 1e-14 * a
+    assert chamber_weight(SU3, H) == 0.0
+
+
 # -- rank-1 quadrature against the brute-force oracle ---------------------------
 
 
@@ -233,7 +267,7 @@ def test_log_I_mu_transform_consistency():
         mus = [np.zeros(1), spherical_weight(rs, [1]).vector]
         for mu in mus:
             for tau in (0.5, 1.0, 2.0, 5.0):
-                d = aq._log_I_direct(rs, mu, tau, CFG)
+                d = aq._q_log_direct(rs, tau, CFG, mu)
                 t = aq._rank1_transformed(rs, mu, tau, CFG)
                 assert abs(d - t) <= 10.0 * CFG.rel_tol
 
@@ -252,6 +286,50 @@ def test_log_I_mu_rank2_exponential_weight():
     # grows with tau at rate |mu+rho|^2
     got2 = log_I_mu(SU3, mu, 2.5, CFG)
     assert got2 > got
+
+
+RANK2_WEIGHTS = ((0, 0), (1, 0), (0, 1), (2, 1))
+LARGE_TAUS = (10.0, 50.0, 200.0, 800.0)
+
+
+def _gap_to_leading(rs, mu, tau):
+    log_c, power, rate = leading_infinity(rs, mu)
+    lead = log_c + power * math.log(tau) + rate * tau
+    return log_I_mu(rs, mu, tau, CFG) - lead, lead
+
+
+@pytest.mark.parametrize(
+    "type_label, mults",
+    [("A", {"all": 2}), ("B", {"short": 2, "long": 2}), ("G2", {"short": 2, "long": 2})],
+    ids=["SU3", "SO5", "G2"],
+)
+def test_log_I_mu_rank2_group_manifold_is_exact(type_label, mults):
+    # with m = 2 the chamber weight is an alternating sum of exponentials, so
+    # beyond tau of about 10 the integral equals its leading term to rounding
+    rs = build_root_system(type_label, 2, mults)
+    for coeffs in RANK2_WEIGHTS:
+        mu = spherical_weight(rs, coeffs).vector
+        for tau in LARGE_TAUS:
+            gap, lead = _gap_to_leading(rs, mu, tau)
+            assert abs(gap) <= 1e-12 * abs(lead), (coeffs, tau)
+
+
+@pytest.mark.parametrize(
+    "type_label, mults",
+    [
+        ("A", {"all": 1}),
+        ("A", {"all": 4}),
+        ("BC", {"short": 2, "long": 2, "double": 1}),
+        ("G2", {"short": 1, "long": 1}),
+    ],
+    ids=["SU3_SO3", "SU6_Sp3", "BC2", "G2_SO4"],
+)
+def test_log_I_mu_rank2_gap_to_leading_term_shrinks(type_label, mults):
+    rs = build_root_system(type_label, 2, mults)
+    for coeffs in ((0, 0), (2, 1)):
+        mu = spherical_weight(rs, coeffs).vector
+        gaps = [abs(_gap_to_leading(rs, mu, tau)[0]) for tau in LARGE_TAUS]
+        assert all(g1 <= g0 for g0, g1 in zip(gaps, gaps[1:])), (coeffs, gaps)
 
 
 def test_leading_infinity_sphere2():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from chamberq import cli, hcfun, rootsys
+import chamberq
+from chamberq import asymquad, cli, hcfun, rootsys
 from chamberq.cli import (
     Catalog,
     CatalogError,
@@ -337,3 +342,70 @@ def test_cli_bad_catalog_file(tmp_path, capsys):
     code, _, err = run_cli(["--catalog", str(p), "catalog", "list"], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_cli_catalog_path_containing_equals_sign(tmp_path, capsys):
+    d = tmp_path / "run=1"
+    d.mkdir()
+    p = d / "mini.txt"
+    p.write_text(
+        "name = MyS3\nroot_type = A\nrank = 1\nmult.short = 2\ndim = 3\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(["--catalog", str(p), "catalog", "list"], capsys)
+    assert code == 0, err
+    assert out == "MyS3\tA1\tdim=3\n"
+
+
+def test_cli_missing_catalog_file(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["--catalog", str(tmp_path / "absent.txt"), "catalog", "list"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("space", ["S2", "SU3"])
+@pytest.mark.parametrize("max_coeff", ["0", "-1"])
+def test_cli_flatness_rejects_single_weight_box(space, max_coeff, capsys):
+    code, out, err = run_cli(["flatness", space, "--max-coeff", max_coeff], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_coeff must be at least 1")
+    assert err.count("\n") == 1
+
+
+def test_cli_probe_f_rejects_negative_zmax(capsys):
+    code, out, err = run_cli(
+        ["probe-F", "--a", "1", "--b", "1", "--c", "1", "--d", "0", "--zmax", "-1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --zmax must be nonnegative\n"
+
+
+def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(
+        asymquad, "_DEFAULT_CFG",
+        asymquad.QuadratureConfig(max_refinements=1, rel_tol=1e-300),
+    )
+    code, out, err = run_cli(["asym", "S3", "--regime", "zero"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: numerical failure: quadrature did not converge")
+    assert err.count("\n") == 1
+
+
+def test_python_m_chamberq_runs_cleanly():
+    src = str(Path(chamberq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chamberq", "catalog", "list"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "S2\tA1\tdim=2" in proc.stdout
