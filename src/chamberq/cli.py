@@ -8,8 +8,8 @@ orbits). Optional: metric_scale, source.
 
 Reports serialize to JSON (objects with a fixed key order) or CSV
 (RFC 4180), floats printed with 17 significant digits so equal inputs give
-byte-identical output. Exit codes: 0 agreement/pass, 1 disagreement/fail,
-2 input error.
+byte-identical output; inf and nan are quoted strings. Exit codes: 0
+agreement/pass, 1 disagreement/fail, 2 input error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -377,6 +377,8 @@ def run_flatness(catalog: Catalog, space_name: str, max_coeff: int,
     if max_coeff < 1:
         raise ValueError("max_coeff must be at least 1: a single weight cannot "
                          "show whether Q is constant")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     entry = catalog.get(space_name)
     rs = entry.to_root_system()
     weights = rootsys.dominant_weights(rs, max_coeff)
@@ -404,30 +406,37 @@ def run_asym(catalog: Catalog, space_name: str, regime: str, n: int,
 
 
 def _fnum(x: float) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return '"-inf"' if x < 0 else '"inf"'
-    return format(float(x), ".17g")
+    x = float(x)
+    if not math.isfinite(x):
+        return f'"{x}"'  # JSON has no inf or nan literal
+    return format(x, ".17g")
 
 
-def _jbool(b: bool) -> str:
-    return "true" if b else "false"
+def _json(v) -> str:
+    """Deterministic JSON: dict keys in insertion order, floats via _fnum."""
+    if isinstance(v, dict):
+        items = (f"{json.dumps(k)}: {_json(x)}" for k, x in v.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_json(x) for x in v) + "]"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return json.dumps(v)
+    return _fnum(v)
 
 
-def _emit_q_report_json(r: QInvarianceReport) -> str:
-    weights = ", ".join(
-        "[" + ", ".join(str(c) for c in w.coeffs) + "]" for w in r.weights
-    )
-    qvals = ", ".join(_fnum(v) for v in r.q_values)
-    return (
-        "{"
-        f'"weights": [{weights}], '
-        f'"q_values": [{qvals}], '
-        f'"max_rel_deviation": {_fnum(r.max_rel_deviation)}, '
-        f'"tol": {_fnum(r.tol)}, '
-        f'"is_constant": {_jbool(r.is_constant)}, '
-        f'"group_manifold_predicted": {_jbool(r.group_manifold_predicted)}'
-        "}"
-    )
+def _q_report_doc(r: QInvarianceReport) -> dict:
+    return {
+        "weights": [w.coeffs for w in r.weights],
+        "q_values": r.q_values,
+        "max_rel_deviation": r.max_rel_deviation,
+        "tol": r.tol,
+        "is_constant": r.is_constant,
+        "group_manifold_predicted": r.group_manifold_predicted,
+    }
 
 
 def _emit_q_report_csv(r: QInvarianceReport) -> str:
@@ -439,22 +448,20 @@ def _emit_q_report_csv(r: QInvarianceReport) -> str:
     return buf.getvalue()
 
 
-def _emit_asym_json(r: AsymptoticReport) -> str:
-    return (
-        "{"
-        f'"regime": {json.dumps(r.regime)}, '
-        f'"space": {json.dumps(r.space)}, '
-        f'"weight_coeff": {r.weight_coeff}, '
-        f'"tau_grid": [{", ".join(_fnum(t) for t in r.tau_grid)}], '
-        f'"log_q": [{", ".join(_fnum(v) for v in r.log_q)}], '
-        f'"log_predicted": [{", ".join(_fnum(v) for v in r.log_predicted)}], '
-        f'"fitted_A": {_fnum(r.fitted_A)}, '
-        f'"fitted_B": {_fnum(r.fitted_B)}, '
-        f'"predicted_A": {_fnum(r.predicted_A)}, '
-        f'"predicted_B": {_fnum(r.predicted_B)}, '
-        f'"passed": {_jbool(r.passed)}'
-        "}"
-    )
+def _asym_doc(r: AsymptoticReport) -> dict:
+    return {
+        "regime": r.regime,
+        "space": r.space,
+        "weight_coeff": r.weight_coeff,
+        "tau_grid": r.tau_grid,
+        "log_q": r.log_q,
+        "log_predicted": r.log_predicted,
+        "fitted_A": r.fitted_A,
+        "fitted_B": r.fitted_B,
+        "predicted_A": r.predicted_A,
+        "predicted_B": r.predicted_B,
+        "passed": r.passed,
+    }
 
 
 def _emit_asym_csv(r: AsymptoticReport) -> str:
@@ -465,24 +472,19 @@ def _emit_asym_csv(r: AsymptoticReport) -> str:
     return buf.getvalue()
 
 
-def _emit_catalog_json(cat: Catalog) -> str:
-    items = []
-    for e in cat.entries:
-        mults = ", ".join(
-            f"{json.dumps(k)}: {_fnum(v)}" for k, v in sorted(e.multiplicities.items())
-        )
-        items.append(
-            "{"
-            f'"name": {json.dumps(e.name)}, '
-            f'"root_type": {json.dumps(e.root_type)}, '
-            f'"rank": {e.rank}, '
-            f'"multiplicities": {{{mults}}}, '
-            f'"dim": {e.dim_m}, '
-            f'"metric_scale": {_fnum(e.metric_scale)}, '
-            f'"source": {json.dumps(e.source)}'
-            "}"
-        )
-    return '{"entries": [' + ", ".join(items) + "]}"
+def _catalog_doc(cat: Catalog) -> dict:
+    return {"entries": [
+        {
+            "name": e.name,
+            "root_type": e.root_type,
+            "rank": e.rank,
+            "multiplicities": dict(sorted(e.multiplicities.items())),
+            "dim": e.dim_m,
+            "metric_scale": e.metric_scale,
+            "source": e.source,
+        }
+        for e in cat.entries
+    ]}
 
 
 def _emit_catalog_text(cat: Catalog) -> str:
@@ -513,19 +515,19 @@ def emit(report, fmt: str = "json") -> str:
     """
     if isinstance(report, QInvarianceReport):
         if fmt == "json":
-            return _emit_q_report_json(report)
+            return _json(_q_report_doc(report))
         if fmt == "csv":
             return _emit_q_report_csv(report)
         raise ValueError(f"unsupported format {fmt!r} for a Q-invariance report")
     if isinstance(report, AsymptoticReport):
         if fmt == "json":
-            return _emit_asym_json(report)
+            return _json(_asym_doc(report))
         if fmt == "csv":
             return _emit_asym_csv(report)
         raise ValueError(f"unsupported format {fmt!r} for an asymptotic report")
     if isinstance(report, Catalog):
         if fmt == "json":
-            return _emit_catalog_json(report)
+            return _json(_catalog_doc(report))
         if fmt == "text":
             return _emit_catalog_text(report)
         raise ValueError(f"unsupported format {fmt!r} for a catalog")
@@ -602,24 +604,24 @@ def _cmd_cfun(catalog, args, out) -> int:
         raise CatalogError(f"bad weight {args.weight!r}: expected integers")
     w = rootsys.spherical_weight(rs, coeffs)
     c = hcfun.c_function(rs, w)
-    parts = [
-        f'"space": {json.dumps(args.name)}',
-        f'"weight": [{", ".join(str(i) for i in coeffs)}]',
-        f'"c": {_fnum(c)}',
-    ]
+    doc = {"space": args.name, "weight": coeffs, "c": c}
     if hcfun.classify_group_manifold(rs):
-        parts.append(f'"c_closed_form": {_fnum(hcfun.group_c_closed_form(rs, w))}')
-    out.write("{" + ", ".join(parts) + "}\n")
+        doc["c_closed_form"] = hcfun.group_c_closed_form(rs, w)
+    out.write(_json(doc) + "\n")
     return 0
 
 
 def _cmd_probe_f(args, out) -> int:
     if args.zmax < 0:
         raise ValueError("--zmax must be nonnegative")
-    out.write("z,F,F_over_2_pow_d\r\n")
+    for name in ("a", "b", "c", "d"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name} must be finite")
+    rows = ["z,F,F_over_2_pow_d\r\n"]
     for z in range(0, args.zmax + 1):
         val = hcfun.f_factor(float(z), args.a, args.b, args.c, args.d)
-        out.write(f"{z},{_fnum(val)},{_fnum(val / 2.0 ** args.d)}\r\n")
+        rows.append(f"{z},{_fnum(val)},{_fnum(val / 2.0 ** args.d)}\r\n")
+    out.write("".join(rows))
     return 0
 
 
@@ -650,7 +652,7 @@ def main(argv=None) -> int:
     except (CatalogError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         err.write(f"error: numerical failure: {exc}\n")
         return 3
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rootsys import (
-    RootSystem,
-    SphericalWeight,
-    fundamental_spherical_weights,
-    indivisible_positive,
-    is_reduced,
-    rho,
-)
+from .rootsys import RootSystem, SphericalWeight, is_reduced
 
 __all__ = [
     "log_gamma",
@@ -43,8 +36,8 @@ __all__ = [
 
 # Lanczos approximation, g = 7, 9 coefficients (Godfrey's table). Absolute
 # error of log Gamma stays below 1e-13 for arguments up to ~1e2 and the
-# relative error below ~1e-14 over (0, 1e6]; fixed coefficients keep the
-# output bit-reproducible across platforms.
+# relative error below ~1e-14 over [1e-300, 1e6]; fixed coefficients keep
+# the output bit-reproducible across platforms.
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
     0.99999999999980993,
@@ -64,6 +57,11 @@ def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for positive real arguments."""
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"log_gamma requires a positive argument, got {x}")
+    if x < 0.01:
+        # the first series term 1/((x - 1) + 1) loses the low digits of a
+        # small x (and divides by zero below about 1e-16); log Gamma is flat
+        # near 1, so Gamma(x) = Gamma(x + 1) / x keeps full relative accuracy
+        return log_gamma(x + 1.0) - math.log(x)
     s = _LANCZOS_COEF[0]
     for k in range(1, len(_LANCZOS_COEF)):
         s += _LANCZOS_COEF[k] / (x - 1.0 + k)
@@ -78,33 +76,19 @@ def log_gamma(x: float) -> float:
 
 def _pairing_x(rs: RootSystem, weight_vec: np.ndarray) -> list[tuple[float, float, float]]:
     """(x, m, m2) per indivisible root, x = <weight + rho, alpha>/<alpha,alpha>."""
-    rv = rho(rs)
-    out = []
-    for a, m, m2 in indivisible_positive(rs):
-        x = float((weight_vec + rv) @ a) / float(a @ a)
-        out.append((x, m, m2))
-    return out
+    v = weight_vec + rs.rho
+    return [(float(v @ a) / float(a @ a), m, m2) for a, m, m2 in rs.indivisible]
 
 
-def _log_q_factor(x: float, m: float, m2: float) -> float:
+def _log_c_factor(x: float, m: float, m2: float, power: float = 0.0) -> float:
+    # unnormalized Gindikin-Karpelevic factor, duplication formula applied,
+    # times x**power; Q takes power (m + m2)/2, the c-function 0
     if x <= 0:
         raise ValueError("nonpositive pairing: weight is not dominant")
     return (
         log_gamma(0.25 * m + 0.5 * x)
         + log_gamma(x)
-        + 0.5 * (m + m2) * math.log(x)
-        - log_gamma(0.5 * m + x)
-        - log_gamma(0.25 * m + 0.5 * m2 + 0.5 * x)
-    )
-
-
-def _log_c_factor(x: float, m: float, m2: float) -> float:
-    # unnormalized Gindikin-Karpelevic factor, duplication formula applied
-    if x <= 0:
-        raise ValueError("nonpositive pairing: weight is not dominant")
-    return (
-        log_gamma(0.25 * m + 0.5 * x)
-        + log_gamma(x)
+        + power * math.log(x)
         - log_gamma(0.5 * m + x)
         - log_gamma(0.25 * m + 0.5 * m2 + 0.5 * x)
     )
@@ -129,26 +113,26 @@ def _weight_vec(rs: RootSystem, weight) -> np.ndarray:
     return np.asarray(weight, dtype=float)
 
 
+def _log_c(rs: RootSystem, lam: np.ndarray, factor) -> float:
+    """Sum of factor(x, m, m2) over the indivisible roots at lam, minus the
+    same sum at the zero weight."""
+    log_c = sum(factor(x, m, m2) for x, m, m2 in _pairing_x(rs, lam))
+    log_c -= sum(factor(x, m, m2) for x, m, m2 in _pairing_x(rs, np.zeros(rs.rank)))
+    return log_c
+
+
 def c_function(rs: RootSystem, weight) -> float:
     """Harish-Chandra c-function at the shifted weight, via the
     Gindikin-Karpelevic product over indivisible roots, normalized so the
     zero weight maps to exactly 1."""
-    lam = _weight_vec(rs, weight)
-    zero = np.zeros(rs.rank)
-    log_c = sum(_log_c_factor(x, m, m2) for x, m, m2 in _pairing_x(rs, lam))
-    log_c -= sum(_log_c_factor(x, m, m2) for x, m, m2 in _pairing_x(rs, zero))
-    return math.exp(log_c)
+    return math.exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factor))
 
 
 def c_function_duplicated(rs: RootSystem, weight) -> float:
     """Same value as :func:`c_function` but computed from the product form
     with half-argument Gammas, i.e. without applying the duplication
     formula. Used to cross-validate the two algebraic routes."""
-    lam = _weight_vec(rs, weight)
-    zero = np.zeros(rs.rank)
-    log_c = sum(_log_c_factor_raw(x, m, m2) for x, m, m2 in _pairing_x(rs, lam))
-    log_c -= sum(_log_c_factor_raw(x, m, m2) for x, m, m2 in _pairing_x(rs, zero))
-    return math.exp(log_c)
+    return math.exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factor_raw))
 
 
 def group_c_closed_form(rs: RootSystem, weight) -> float:
@@ -158,7 +142,7 @@ def group_c_closed_form(rs: RootSystem, weight) -> float:
     if not classify_group_manifold(rs):
         raise ValueError("closed form requires reduced roots with multiplicity 2")
     lam = _weight_vec(rs, weight)
-    rv = rho(rs)
+    rv = rs.rho
     log_val = 0.0
     for a in rs.roots:
         num = float(rv @ a)
@@ -171,7 +155,9 @@ def group_c_closed_form(rs: RootSystem, weight) -> float:
 
 def log_q_of_weight(rs: RootSystem, weight) -> float:
     mu = _weight_vec(rs, weight)
-    return sum(_log_q_factor(x, m, m2) for x, m, m2 in _pairing_x(rs, mu))
+    return sum(
+        _log_c_factor(x, m, m2, 0.5 * (m + m2)) for x, m, m2 in _pairing_x(rs, mu)
+    )
 
 
 def q_of_weight(rs: RootSystem, weight) -> float:
@@ -230,15 +216,15 @@ def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
     equals Q(n * mu_j) up to roots with vanishing pairing, so constancy of
     the sequence is the numeric shadow of Q-invariance along the ray.
     """
-    mus = fundamental_spherical_weights(rs)
+    mus = rs.fundamental_weights
     if not 0 <= j < len(mus):
         raise IndexError(f"basis index {j} out of range")
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     mu_j = mus[j]
-    rv = rho(rs)
+    rv = rs.rho
     params = []
-    for a, m, m2 in indivisible_positive(rs):
+    for a, m, m2 in rs.indivisible:
         aa = float(a @ a)
         c = 0.5 * float(mu_j @ a) / aa
         if c <= 1e-12:
@@ -307,10 +293,8 @@ def predicted_constants(rs: RootSystem, weight) -> tuple[float, float]:
     metric normalization.
     """
     lam = _weight_vec(rs, weight)
-    rv = rho(rs)
-    zero = np.zeros(rs.rank)
-    log_a = sum(_log_c_factor(x, m, m2) for x, m, m2 in _pairing_x(rs, lam))
-    log_a -= sum(_log_c_factor(x, m, m2) for x, m, m2 in _pairing_x(rs, zero))
+    rv = rs.rho
+    log_a = _log_c(rs, lam, _log_c_factor)
     for i, a in enumerate(rs.roots):
         num = float((lam + rv) @ a)
         den = float(rv @ a)

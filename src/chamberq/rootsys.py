@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,12 +62,11 @@ def as_vector(coords, rank: int | None = None) -> np.ndarray:
     return v
 
 
-def _find_row(rows: np.ndarray, v: np.ndarray) -> int:
-    """Index of the row equal to v within tolerance, or -1."""
-    if rows.size == 0:
-        return -1
-    hits = np.nonzero(np.all(np.abs(rows - v) <= _MATCH_TOL, axis=1))[0]
-    return int(hits[0]) if hits.size else -1
+def _match(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """For each query vector (the last axis), the index of the first row
+    equal to it within tolerance, or -1."""
+    hit = np.all(np.abs(rows - queries[..., None, :]) <= _MATCH_TOL, axis=-1)
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,10 +98,8 @@ class RootSystem:
             raise ValueError("zero vector listed as a root")
         if np.any(mults <= 0):
             raise ValueError("multiplicities must be positive")
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if np.all(np.abs(roots[i] - roots[j]) <= _MATCH_TOL):
-                    raise ValueError("duplicate positive root")
+        if np.any(_match(roots, roots) != np.arange(len(roots))):
+            raise ValueError("duplicate positive root")
         roots = roots.copy()
         mults = mults.copy()
         roots.flags.writeable = False
@@ -114,37 +112,25 @@ class RootSystem:
 
     def _validate_structure(self):
         roots, mults = self.roots, self.mults
-        for i, a in enumerate(roots):
-            has_half = _find_row(roots, 0.5 * a) >= 0
-            has_double = _find_row(roots, 2.0 * a) >= 0
-            if has_half and has_double:
-                raise ValueError("root has both its half and its double in the system")
-            if self.geometric:
-                m = mults[i]
-                if abs(m - round(m)) > _MATCH_TOL:
-                    raise ValueError("geometric multiplicities must be integers")
-                if int(round(m)) % 2 == 1 and has_double:
-                    raise ValueError(
-                        "odd multiplicity on a root whose double is present"
-                    )
+        half = _match(roots, 0.5 * roots)
+        double = _match(roots, 2.0 * roots)
+        if np.any((half >= 0) & (double >= 0)):
+            raise ValueError("root has both its half and its double in the system")
+        if self.geometric:
+            if np.any(np.abs(mults - np.round(mults)) > _MATCH_TOL):
+                raise ValueError("geometric multiplicities must be integers")
+            if np.any((np.round(mults) % 2 == 1) & (double >= 0)):
+                raise ValueError("odd multiplicity on a root whose double is present")
+        object.__setattr__(self, "_half", half)
+        object.__setattr__(self, "_double", double)
         object.__setattr__(self, "_simple_idx", self._detect_simple())
         self._check_weyl_invariance()
 
     def _detect_simple(self) -> tuple[int, ...]:
         # simple = positive root not expressible as a sum of two positive roots
         roots = self.roots
-        simple = []
-        for i, a in enumerate(roots):
-            is_sum = False
-            for j in range(len(roots)):
-                for k in range(j, len(roots)):
-                    if np.all(np.abs(roots[j] + roots[k] - a) <= _MATCH_TOL):
-                        is_sum = True
-                        break
-                if is_sum:
-                    break
-            if not is_sum:
-                simple.append(i)
+        simple = [i for i, a in enumerate(roots)
+                  if np.all(_match(roots, a - roots) < 0)]
         # deterministic order: lexicographic on rounded coordinates
         simple.sort(key=lambda i: tuple(np.round(roots[i], 9)))
         return tuple(simple)
@@ -155,20 +141,52 @@ class RootSystem:
         roots, mults = self.roots, self.mults
         for j in self._simple_idx:
             s = roots[j]
-            ss = float(s @ s)
-            for i, a in enumerate(roots):
-                refl = a - (2.0 * float(a @ s) / ss) * s
-                k = _find_row(roots, refl)
-                if k < 0:
-                    k = _find_row(roots, -refl)
-                if k < 0:
-                    if self.geometric:
-                        raise ValueError(
-                            "geometric system not closed under a simple reflection"
-                        )
-                    continue
-                if abs(mults[k] - mults[i]) > _MATCH_TOL * max(1.0, mults[i]):
-                    raise ValueError("multiplicity is not Weyl invariant")
+            refl = roots - np.outer(2.0 * (roots @ s) / float(s @ s), s)
+            k = _match(roots, refl)
+            neg = k < 0
+            k[neg] = _match(roots, -refl[neg])
+            found = k >= 0
+            if self.geometric and not np.all(found):
+                raise ValueError(
+                    "geometric system not closed under a simple reflection"
+                )
+            m, mk = mults[found], mults[k[found]]
+            if np.any(np.abs(mk - m) > _MATCH_TOL * np.maximum(1.0, m)):
+                raise ValueError("multiplicity is not Weyl invariant")
+
+    def _double_mult(self, i: int) -> float:
+        """Multiplicity of twice root i, or 0 when it is not a root."""
+        k = self._double[i]
+        return float(self.mults[k]) if k >= 0 else 0.0
+
+    # -- derived data, computed on first use ---------------------------------
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return as_vector(0.5 * (self.mults @ self.roots), self.rank)
+
+    @cached_property
+    def indivisible(self) -> tuple[tuple[np.ndarray, float, float], ...]:
+        return tuple(
+            (as_vector(a, self.rank), float(self.mults[i]), self._double_mult(i))
+            for i, a in enumerate(self.roots) if self._half[i] < 0
+        )
+
+    @cached_property
+    def fundamental_weights(self) -> tuple[np.ndarray, ...]:
+        # lazy: only this value needs the simple roots to form a basis
+        idx = list(self._simple_idx)
+        if len(idx) != self.rank:
+            raise ValueError("simple roots do not form a basis of the ambient space")
+        simple = self.roots[idx]
+        B = np.where((self._double[idx] >= 0)[:, None], 2.0 * simple, simple)
+        norms = np.einsum("ij,ij->i", B, B)
+        try:
+            # rows of the solution: mu_j with B @ mu_j = delta_jk * |beta_k|^2
+            M = np.linalg.solve(B, np.diag(norms)).T
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("singular Gram matrix: degenerate root basis") from exc
+        return tuple(as_vector(M[j], self.rank) for j in range(self.rank))
 
     # -- convenience queries ------------------------------------------------
 
@@ -180,16 +198,8 @@ class RootSystem:
         """Simple positive roots as rows, in a deterministic order."""
         return self.roots[list(self._simple_idx)]
 
-    def simple_mult(self, j: int) -> float:
-        return float(self.mults[self._simple_idx[j]])
-
     def index_of(self, v: np.ndarray) -> int:
-        return _find_row(self.roots, np.asarray(v, dtype=float))
-
-    def double_mult(self, v: np.ndarray) -> float:
-        """Multiplicity of 2*v, or 0 when 2*v is not a root."""
-        k = _find_row(self.roots, 2.0 * np.asarray(v, dtype=float))
-        return float(self.mults[k]) if k >= 0 else 0.0
+        return int(_match(self.roots, np.asarray(v, dtype=float)))
 
     def pairings(self, H) -> np.ndarray:
         """alpha(H) for every positive root alpha, as an array."""
@@ -198,7 +208,7 @@ class RootSystem:
 
 def is_reduced(rs: RootSystem) -> bool:
     """True when no positive root has its double in the system."""
-    return all(_find_row(rs.roots, 2.0 * a) < 0 for a in rs.roots)
+    return bool(np.all(rs._double < 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +316,7 @@ def _resolve_mults(labels, classes, roots, multiplicities) -> list[float]:
         # a two-class system whose long roots are doubles (BC rank 1) may
         # label the top class "double"
         top = classes[1]
-        if all(_find_row(roots, 0.5 * roots[i]) >= 0 for i in top):
+        if np.all(_match(roots, 0.5 * roots[top]) >= 0):
             aliases["double"] = "long"
     given = dict(multiplicities)
     resolved: list[float] = []
@@ -394,7 +404,7 @@ def build_root_system(
 
 def rho(rs: RootSystem) -> np.ndarray:
     """Half the multiplicity-weighted sum of the positive roots."""
-    return as_vector(0.5 * (rs.mults @ rs.roots), rs.rank)
+    return rs.rho
 
 
 def dimension(rs: RootSystem) -> float:
@@ -409,20 +419,14 @@ def fundamental_spherical_weights(rs: RootSystem) -> list[np.ndarray]:
     2*alpha_j otherwise, the weights satisfy <mu_j, beta_k>/<beta_k,beta_k>
     = delta_jk.
     """
-    simple = rs.simple_roots()
-    if simple.shape[0] != rs.rank:
-        raise ValueError("simple roots do not form a basis of the ambient space")
-    beta = []
-    for a in simple:
-        beta.append(2.0 * a if _find_row(rs.roots, 2.0 * a) >= 0 else a)
-    B = np.array(beta)
-    norms = np.einsum("ij,ij->i", B, B)
-    try:
-        # rows of the solution: mu_j with B @ mu_j = delta_jk * |beta_k|^2
-        M = np.linalg.solve(B, np.diag(norms)).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular Gram matrix: degenerate root basis") from exc
-    return [as_vector(M[j], rs.rank) for j in range(rs.rank)]
+    return list(rs.fundamental_weights)
+
+
+def _realize(mus, coeffs) -> SphericalWeight:
+    vec = np.zeros(len(mus))
+    for n, mu in zip(coeffs, mus):
+        vec = vec + n * mu
+    return SphericalWeight(coeffs=tuple(coeffs), vector=vec)
 
 
 def spherical_weight(rs: RootSystem, coeffs: Sequence[int]) -> SphericalWeight:
@@ -436,25 +440,16 @@ def spherical_weight(rs: RootSystem, coeffs: Sequence[int]) -> SphericalWeight:
         if c < 0:
             raise ValueError("weight coefficients must be nonnegative")
         ints.append(int(c))
-    mus = fundamental_spherical_weights(rs)
-    vec = np.zeros(rs.rank)
-    for n, mu in zip(ints, mus):
-        vec = vec + n * mu
-    return SphericalWeight(coeffs=tuple(ints), vector=vec)
+    return _realize(rs.fundamental_weights, ints)
 
 
 def dominant_weights(rs: RootSystem, max_coeff: int) -> list[SphericalWeight]:
     """All dominant weights with coordinates in {0, ..., max_coeff}."""
     if max_coeff < 0:
         raise ValueError("max_coeff must be nonnegative")
-    mus = fundamental_spherical_weights(rs)
-    out = []
-    for coeffs in itertools.product(range(max_coeff + 1), repeat=rs.rank):
-        vec = np.zeros(rs.rank)
-        for n, mu in zip(coeffs, mus):
-            vec = vec + n * mu
-        out.append(SphericalWeight(coeffs=tuple(coeffs), vector=vec))
-    return out
+    mus = rs.fundamental_weights
+    return [_realize(mus, c)
+            for c in itertools.product(range(max_coeff + 1), repeat=rs.rank)]
 
 
 def rho_pairing_identity(rs: RootSystem, j: int) -> tuple[float, float]:
@@ -465,22 +460,16 @@ def rho_pairing_identity(rs: RootSystem, j: int) -> tuple[float, float]:
     """
     if not 0 <= j < len(rs._simple_idx):
         raise IndexError(f"simple root index {j} out of range")
-    a = rs.roots[rs._simple_idx[j]]
-    m = rs.mults[rs._simple_idx[j]]
-    m2 = rs.double_mult(a)
-    lhs = float(rho(rs) @ a)
-    rhs = (0.5 * m + m2) * float(a @ a)
+    i = rs._simple_idx[j]
+    a = rs.roots[i]
+    lhs = float(rs.rho @ a)
+    rhs = (0.5 * rs.mults[i] + rs._double_mult(i)) * float(a @ a)
     return lhs, rhs
 
 
 def indivisible_positive(rs: RootSystem) -> list[tuple[np.ndarray, float, float]]:
     """Positive roots alpha with alpha/2 absent, as (alpha, m_alpha, m_2alpha)."""
-    out = []
-    for i, a in enumerate(rs.roots):
-        if _find_row(rs.roots, 0.5 * a) >= 0:
-            continue
-        out.append((as_vector(a, rs.rank), float(rs.mults[i]), rs.double_mult(a)))
-    return out
+    return list(rs.indivisible)
 
 
 def rescale(rs: RootSystem, c: float) -> RootSystem:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately primitive: composite Simpson rules on
 uniform grids (in log space where the integrand spans many orders of
-magnitude) and frozen high-precision reference values. None of it shares
-code with the package's Gauss-Legendre panel machinery.
+magnitude), root-system data found by one-vector-at-a-time searches, and
+frozen high-precision reference values. None of it shares code with the
+package's Gauss-Legendre panel machinery or its vectorized root matching.
 """
 
 import math
@@ -87,6 +88,83 @@ def chamber_weight_product(rs, H) -> float:
         v = float(a @ H)
         total *= (v * np.sinh(2.0 * v)) ** (0.5 * m)
     return total
+
+
+_ROOT_TOL = 1e-9
+
+
+def _find_row(rows, v) -> int:
+    """Index of the row equal to v within tolerance, or -1."""
+    hits = np.nonzero(np.all(np.abs(rows - v) <= _ROOT_TOL, axis=1))[0]
+    return int(hits[0]) if hits.size else -1
+
+
+def root_data_by_loops(roots, mults) -> dict:
+    """Derived data of a positive root system, one root at a time.
+
+    Simple roots are the positive roots that are not a sum of two positive
+    roots (searched over all pairs), sorted lexicographically on rounded
+    coordinates. Returns the simple-root indices, rho, the indivisible
+    (alpha, m_alpha, m_2alpha) triples, the fundamental spherical weights
+    (None when the simple roots are not a basis), and whether every simple
+    reflection maps the roots onto +-roots with equal multiplicity.
+    """
+    roots = np.asarray(roots, dtype=float)
+    mults = np.asarray(mults, dtype=float)
+    n, rank = roots.shape
+    simple = []
+    for i, a in enumerate(roots):
+        is_sum = False
+        for j in range(n):
+            for k in range(j, n):
+                if np.all(np.abs(roots[j] + roots[k] - a) <= _ROOT_TOL):
+                    is_sum = True
+                    break
+            if is_sum:
+                break
+        if not is_sum:
+            simple.append(i)
+    simple.sort(key=lambda i: tuple(np.round(roots[i], 9)))
+
+    def m_double(a):
+        k = _find_row(roots, 2.0 * a)
+        return float(mults[k]) if k >= 0 else 0.0
+
+    rho = np.zeros(rank)
+    for a, m in zip(roots, mults):
+        rho = rho + 0.5 * m * a
+    indivisible = [
+        (roots[i], float(mults[i]), m_double(roots[i]))
+        for i in range(n)
+        if _find_row(roots, 0.5 * roots[i]) < 0
+    ]
+
+    weyl_closed = True
+    for j in simple:
+        s = roots[j]
+        for i, a in enumerate(roots):
+            refl = a - (2.0 * float(a @ s) / float(s @ s)) * s
+            k = _find_row(roots, refl)
+            if k < 0:
+                k = _find_row(roots, -refl)
+            if k < 0 or abs(mults[k] - mults[i]) > _ROOT_TOL * max(1.0, mults[i]):
+                weyl_closed = False
+
+    fundamental = None
+    if len(simple) == rank:
+        # mu_j = |beta_j|^2 times column j of B^-1, where the rows of B are
+        # beta_k = 2 alpha_k when 2 alpha_k is a root and alpha_k otherwise
+        betas = np.array([2.0 * roots[j] if m_double(roots[j]) > 0 else roots[j]
+                          for j in simple])
+        inv = np.linalg.inv(betas)
+        fundamental = [float(betas[j] @ betas[j]) * inv[:, j] for j in range(rank)]
+    return {
+        "simple": simple,
+        "rho": rho,
+        "indivisible": indivisible,
+        "fundamental": fundamental,
+        "weyl_closed": weyl_closed,
+    }
 
 
 # log Gamma reference values (40-digit arithmetic, rounded to double).

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -396,6 +398,83 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: numerical failure: quadrature did not converge")
     assert err.count("\n") == 1
+
+
+def test_cli_probe_f_overflow_is_numerical_failure(capsys):
+    # F / 2**d with d = 2000: 2.0 ** 2000 overflows
+    code, out, err = run_cli(
+        ["probe-F", "--a", "1", "--b", "0", "--c", "1", "--d", "2000"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: numerical failure: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_probe_f_tiny_a(capsys):
+    # with b = 0, F = Gamma(w) (2w)^d / Gamma(w + d) = 2 at d = 1 for every w
+    code, out, err = run_cli(
+        ["probe-F", "--a", "1e-300", "--b", "0", "--c", "1", "--d", "1", "--zmax", "3"],
+        capsys,
+    )
+    assert code == 0, err
+    lines = out.strip().split("\r\n")
+    assert len(lines) == 5
+    for line in lines[1:]:
+        _, _, ratio = line.split(",")
+        assert float(ratio) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b", "--c", "--d"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_probe_f_rejects_non_finite(flag, value, capsys):
+    params = {"--a": "1", "--b": "0.5", "--c": "1", "--d": "0"}
+    params[flag] = value
+    argv = ["probe-F"] + [tok for kv in params.items() for tok in kv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be finite\n"
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_cli_flatness_rejects_non_finite_tol(tol, capsys):
+    # an infinite tolerance would call every sweep constant
+    code, out, err = run_cli(["flatness", "S2", "--tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: tol must be positive and finite\n"
+
+
+def test_emit_quotes_non_finite_floats(catalog):
+    def reject(name):
+        raise ValueError(f"bare {name} in JSON output")
+
+    q_rep = dataclasses.replace(
+        run_flatness(catalog, "S2", 2, 1e-6),
+        q_values=(math.nan, math.inf, -math.inf),
+        max_rel_deviation=math.nan,
+    )
+    doc = json.loads(emit(q_rep), parse_constant=reject)
+    assert doc["q_values"] == ["nan", "inf", "-inf"]
+    assert doc["max_rel_deviation"] == "nan"
+    a_rep = dataclasses.replace(run_asym(catalog, "S3", "zero", 1), fitted_B=math.nan)
+    assert json.loads(emit(a_rep), parse_constant=reject)["fitted_B"] == "nan"
+
+
+# stdout and exit code of each README example that uses the built-in
+# catalog, recorded from the CLI; an intended change to the output has to
+# re-record the file
+GOLDEN_CLI = json.loads(
+    Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN_CLI, ids=[c["command"] for c in GOLDEN_CLI])
+def test_readme_examples_stdout_unchanged(case, capsys):
+    code, out, _ = run_cli(case["command"].split(), capsys)
+    assert out == case["stdout"]
+    assert code == case["exit"]
 
 
 def test_python_m_chamberq_runs_cleanly():

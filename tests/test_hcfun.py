@@ -56,6 +56,16 @@ def test_log_gamma_rejects_nonpositive():
             log_gamma(bad)
 
 
+def test_log_gamma_small_arguments_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = [float(x) for x in np.logspace(-300, -2, 599)]
+    xs += [1e-17, 1e-10, 1e-6, math.nextafter(0.01, 0.0), 0.01]
+    with mpmath.workdps(30):
+        for x in xs:
+            ref = float(mpmath.loggamma(x))
+            assert abs(log_gamma(x) - ref) <= 1e-14 * abs(ref), f"x={x!r}"
+
+
 def test_log_gamma_functional_equation():
     for x in (0.3, 1.7, 9.25, 40.0):
         assert log_gamma(x + 1.0) == pytest.approx(

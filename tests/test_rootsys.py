@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from chamberq import rootsys
 from chamberq.rootsys import (
     RootSystem,
@@ -332,3 +333,61 @@ def test_fundamental_weights_degenerate_basis():
     )
     with pytest.raises(ValueError):
         fundamental_spherical_weights(rs)
+
+
+# -- derived data against the one-root-at-a-time oracle ------------------------
+
+
+ORACLE_SYSTEMS = [
+    *[("A", r, {"all": 2}) for r in range(1, 7)],
+    ("B", 2, {"short": 1, "long": 1}),
+    ("B", 3, {"short": 2, "long": 1}),
+    ("B", 4, {"short": 1, "long": 2}),
+    ("C", 2, {"short": 2, "long": 1}),
+    ("C", 3, {"short": 1, "long": 1}),
+    ("C", 4, {"short": 4, "long": 3}),
+    ("D", 4, {"all": 1}),
+    ("BC", 1, {"short": 2, "long": 1}),
+    ("BC", 2, {"short": 2, "long": 2, "double": 1}),
+    ("BC", 3, {"short": 4, "long": 4, "double": 3}),
+    ("G2", 2, {"short": 1, "long": 1}),
+    ("F4", 4, {"short": 2, "long": 1}),
+    ("BC", 2, {"short": 2.5, "long": 1.5, "double": 0.5}),
+    ("A", 12, {"all": 2}),  # 78 roots
+]
+
+
+@pytest.mark.parametrize(
+    "label,rank,mults", ORACLE_SYSTEMS,
+    ids=[f"{t}{r}-{sorted(m.values())}" for t, r, m in ORACLE_SYSTEMS],
+)
+def test_derived_data_matches_loop_oracle(label, rank, mults):
+    rs = build_root_system(label, rank, mults)
+    want = oracles.root_data_by_loops(rs.roots, rs.mults)
+    np.testing.assert_array_equal(rs.simple_roots(), rs.roots[want["simple"]])
+    np.testing.assert_allclose(rho(rs), want["rho"], rtol=1e-13, atol=1e-13)
+    got = indivisible_positive(rs)
+    assert len(got) == len(want["indivisible"])
+    for (a, m, m2), (wa, wm, wm2) in zip(got, want["indivisible"]):
+        np.testing.assert_array_equal(a, wa)
+        assert (m, m2) == (wm, wm2)
+    assert is_reduced(rs) == all(m2 == 0.0 for _, _, m2 in want["indivisible"])
+    for mu, wmu in zip(fundamental_spherical_weights(rs), want["fundamental"],
+                       strict=True):
+        np.testing.assert_allclose(mu, wmu, rtol=1e-12, atol=1e-12)
+    assert want["weyl_closed"]
+
+
+@pytest.mark.parametrize(
+    "roots,mults",
+    [
+        # reflecting e1 + e2 in e1 gives -e1 + e2, which is missing
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0]),
+        # A2 with a multiplicity that is not constant on the Weyl orbit
+        ([[1.0, 0.0], [-0.5, 0.75**0.5], [0.5, 0.75**0.5]], [1.0, 2.0, 1.0]),
+    ],
+)
+def test_weyl_check_matches_loop_oracle(roots, mults):
+    assert not oracles.root_data_by_loops(roots, mults)["weyl_closed"]
+    with pytest.raises(ValueError):
+        RootSystem(rank=2, roots=np.array(roots), mults=np.array(mults), geometric=True)
