@@ -29,16 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hcfun
-from .rootsys import (
-    RootSystem,
-    SphericalWeight,
-    as_vector,
-    dimension,
-    fundamental_spherical_weights,
-    indivisible_positive,
-    rho,
-    spherical_weight,
-)
+from .rootsys import RootSystem, as_vector, dimension, spherical_weight
 
 __all__ = [
     "QuadratureConfig",
@@ -150,8 +141,7 @@ def _log_sinh(y: np.ndarray) -> np.ndarray:
 
 
 def _chamber_direction(rs: RootSystem) -> np.ndarray:
-    rv = rho(rs)
-    u = rv / np.linalg.norm(rv)
+    u = rs.rho / np.linalg.norm(rs.rho)
     if np.any(rs.roots @ u <= 0):
         raise ValueError("empty Weyl chamber: roots are not one sided")
     return u
@@ -159,7 +149,7 @@ def _chamber_direction(rs: RootSystem) -> np.ndarray:
 
 def _sector_angles(rs: RootSystem) -> tuple[float, float]:
     # rank-2 chamber is the angular sector cut out by the simple-root walls
-    rv = rho(rs)
+    rv = rs.rho
     th_mid = math.atan2(rv[1], rv[0])
     lo, hi = th_mid - math.pi, th_mid + math.pi
     for a in rs.simple_roots():
@@ -231,7 +221,7 @@ def _log_chamber_weight(rs: RootSystem, r: np.ndarray, c: np.ndarray,
 
 def _truncation_radius(rs: RootSystem, tau: float, growth: np.ndarray,
                        cfg: QuadratureConfig) -> float:
-    peak = tau * np.linalg.norm(growth + rho(rs))
+    peak = tau * np.linalg.norm(growth + rs.rho)
     return float(peak + cfg.truncation_sigma * math.sqrt(tau))
 
 
@@ -303,7 +293,7 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
     the original variable and defaults to 0 (phi identically 1).
     """
     u = _chamber_direction(rs)
-    lr = mu + rho(rs)
+    lr = mu + rs.rho
     a = float(lr @ u)
     rate = float(lr @ lr)
     sig = cfg.truncation_sigma
@@ -328,6 +318,30 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
     return tau * rate + 0.5 * math.log(tau) + _adaptive(integrand, lo, hi, cfg)
 
 
+def _rank1_log_integrals(rs: RootSystem, mu: np.ndarray, taus,
+                         cfg: QuadratureConfig, log_f=None) -> list[float]:
+    """Log of the rank-1 chamber integral at each tau in ``taus``: of
+    exp(2 mu(H)), or, given ``log_f``, of the f with log f = log_f(t) at
+    chamber coordinates t, which grows like exp(2 mu(H)).
+
+    tau >= 2 takes the transformed route, whose integrand stays bounded at
+    any tau; smaller tau the direct log-space quadrature.
+    """
+    log_phi = log_f_arr = None
+    if log_f is not None:
+        u = _chamber_direction(rs)
+        slope = 2.0 * float(mu @ u)
+
+        def log_phi(t):
+            return log_f(t) - slope * t
+
+        def log_f_arr(H):
+            return log_f(H @ u)
+
+    return [_rank1_transformed(rs, mu, t, cfg, log_phi) if t >= 2.0
+            else _q_log_direct(rs, t, cfg, mu, log_f_arr) for t in taus]
+
+
 def log_I_mu(rs: RootSystem, mu, tau: float,
              cfg: QuadratureConfig | None = None) -> float:
     """Log of the chamber integral with f = exp(2 mu(H)).
@@ -339,8 +353,8 @@ def log_I_mu(rs: RootSystem, mu, tau: float,
         raise ValueError("chamber quadrature is implemented for rank <= 2")
     cfg = cfg or _DEFAULT_CFG
     mu = as_vector(mu, rs.rank)
-    if rs.rank == 1 and tau >= 2.0:
-        return _rank1_transformed(rs, mu, tau, cfg)
+    if rs.rank == 1:
+        return _rank1_log_integrals(rs, mu, (tau,), cfg)[0]
     return _q_log_direct(rs, tau, cfg, mu)
 
 
@@ -353,7 +367,7 @@ def leading_infinity(rs: RootSystem, mu) -> tuple[float, float, float]:
     leading coefficient, and a ValueError is raised.
     """
     mu = as_vector(mu, rs.rank)
-    lr = mu + rho(rs)
+    lr = mu + rs.rho
     pair = rs.roots @ lr
     if np.any(pair <= 1e-12 * np.linalg.norm(lr)):
         raise ValueError("mu + rho is not strictly inside the chamber")
@@ -391,15 +405,18 @@ def spherical_rank1(m_beta: int, m_half: int, n: int, u: float) -> float:
     -sinh(u)^2 with parameters fixed by the multiplicities; normalized to 1
     at u = 0.
     """
-    a = 0.5 * m_half + m_beta + n
-    c = 0.5 * (m_half + m_beta + 1)
+    a, c = _hyper_params(m_beta, m_half, n)
     return hypergeometric_poly(a, n, c, -math.sinh(u) ** 2)
+
+
+def _hyper_params(m_beta: float, m_half: float, n: int) -> tuple[float, float]:
+    # (a, c) of the degree-n spherical polynomial 2F1(a, -n; c; -sinh(u)^2)
+    return 0.5 * m_half + m_beta + n, 0.5 * (m_half + m_beta + 1)
 
 
 def _spherical_log_coeffs(m_beta: float, m_half: float, n: int) -> np.ndarray:
     # coefficients of the degree-n polynomial in s = sinh(u)^2; all positive
-    a = 0.5 * m_half + m_beta + n
-    c = 0.5 * (m_half + m_beta + 1)
+    a, c = _hyper_params(m_beta, m_half, n)
     logs = [0.0]
     for k in range(n):
         logs.append(
@@ -419,8 +436,7 @@ def b_delta_rank1(m_beta: int, m_half: int, n: int,
     coefficient and the shifted-norm expression 2(|lam+rho|^2-|rho|^2)/m."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    a = 0.5 * m_half + m_beta + n
-    c = 0.5 * (m_half + m_beta + 1)
+    a, c = _hyper_params(m_beta, m_half, n)
     series = (a * n / c) * root_norm_sq
     m = 1.0 + m_half + m_beta
     rho_c = 0.25 * m_half + 0.5 * m_beta  # coefficient of beta in rho
@@ -503,25 +519,24 @@ def _coerce_rank1(space):
 
 def _rank1_params(rs: RootSystem):
     """(beta, m_beta, m_half) with beta the unmultipliable positive root."""
-    indiv = indivisible_positive(rs)
-    if len(indiv) != 1:
+    if len(rs.indivisible) != 1:
         raise ValueError("rank-1 system must have a single indivisible root")
-    alpha, m_a, m_2a = indiv[0]
+    alpha, m_a, m_2a = rs.indivisible[0]
     if m_2a > 0:
         return 2.0 * alpha, m_2a, m_a
     return alpha, m_a, 0.0
 
 
-def _log_q_delta(rs: RootSystem, n: int, tau: float, cfg: QuadratureConfig) -> float:
-    """Log of the chamber integral against the degree-n spherical function."""
+def _spherical_log_integrals(rs: RootSystem, n: int, taus: np.ndarray,
+                             cfg: QuadratureConfig) -> np.ndarray:
+    """Log of the chamber integral against the degree-n spherical function
+    at each tau in ``taus``."""
     beta, m_beta, m_half = _rank1_params(rs)
-    u = _chamber_direction(rs)
-    bu = float(beta @ u)
+    bu = float(beta @ _chamber_direction(rs))
     log_ck = _spherical_log_coeffs(m_beta, m_half, n)
     ks = np.arange(len(log_ck), dtype=float)
-    lam = float(n) * beta  # rank-1 fundamental weight is beta itself
 
-    def log_f_of_t(t):
+    def log_f(t):
         # log F(-sinh^2(beta(H))) at chamber coordinates t, via the positive
         # coefficient expansion; stable for arbitrarily large t
         log_s = 2.0 * _log_sinh(bu * t)
@@ -529,18 +544,8 @@ def _log_q_delta(rs: RootSystem, n: int, tau: float, cfg: QuadratureConfig) -> f
         mx = np.max(mat, axis=1)
         return mx + np.log(np.sum(np.exp(mat - mx[:, None]), axis=1))
 
-    if tau >= 2.0:
-        pair_lam = 2.0 * float(n) * bu
-
-        def log_phi(t):
-            return log_f_of_t(t) - pair_lam * t
-
-        return _rank1_transformed(rs, lam, tau, cfg, log_phi=log_phi)
-
-    def log_f_arr(H):
-        return log_f_of_t(H @ u)
-
-    return _q_log_direct(rs, tau, cfg, lam, log_f_arr)
+    # the rank-1 fundamental weight is beta itself
+    return np.array(_rank1_log_integrals(rs, float(n) * beta, taus, cfg, log_f))
 
 
 @dataclass(frozen=True)
@@ -571,15 +576,43 @@ class AsymptoticReport:
             raise ValueError("fitted_A must be positive")
 
 
-def _fit_log_ratio(taus: np.ndarray, log_ratio: np.ndarray) -> tuple[float, float]:
-    # ordinary least squares for log ratio = log A + B tau
-    design = np.vstack([np.ones_like(taus), taus]).T
-    coef, *_ = np.linalg.lstsq(design, log_ratio, rcond=None)
-    return math.exp(float(coef[0])), float(coef[1])
-
-
 _ZERO_GRID = tuple(round(0.01 * k, 10) for k in range(1, 11))
 _INF_GRID = (25.0, 50.0, 100.0, 200.0)
+
+
+def _verify_setup(space, n: int, cfg, tau_grid, default_grid):
+    rs, name = _coerce_rank1(space)
+    if n < 0:
+        raise ValueError("weight coefficient must be nonnegative")
+    taus = np.array(default_grid if tau_grid is None else tuple(tau_grid))
+    return rs, name, cfg or _DEFAULT_CFG, taus
+
+
+def _measure(rs: RootSystem, n: int, taus: np.ndarray, cfg: QuadratureConfig):
+    """(log q_n, log q_0, fitted A, fitted B) on the grid, with A and B the
+    least-squares fit of log(q_n / q_0) = log A + B tau."""
+    log_qn = _spherical_log_integrals(rs, n, taus, cfg)
+    log_q0 = log_qn if n == 0 else _spherical_log_integrals(rs, 0, taus, cfg)
+    design = np.vstack([np.ones_like(taus), taus]).T
+    coef, *_ = np.linalg.lstsq(design, log_qn - log_q0, rcond=None)
+    return log_qn, log_q0, math.exp(float(coef[0])), float(coef[1])
+
+
+def _report(regime, name, n, taus, log_q, log_pred, fitted_a, fitted_b,
+            predicted_a, predicted_b, passed) -> AsymptoticReport:
+    return AsymptoticReport(
+        regime=regime,
+        space=name,
+        weight_coeff=n,
+        tau_grid=tuple(float(t) for t in taus),
+        log_q=tuple(float(v) for v in log_q),
+        log_predicted=tuple(float(v) for v in log_pred),
+        fitted_A=fitted_a,
+        fitted_B=fitted_b,
+        predicted_A=predicted_a,
+        predicted_B=predicted_b,
+        passed=bool(passed),
+    )
 
 
 def verify_tau_zero(space, n: int, cfg: QuadratureConfig | None = None,
@@ -587,47 +620,21 @@ def verify_tau_zero(space, n: int, cfg: QuadratureConfig | None = None,
     """Fit log(q_n / q_0) = log A + B tau on a small-tau grid and compare
     against the predicted constants A = 1, B = (m/2) b, with b the quadratic
     spherical coefficient (both closed forms, which must agree exactly)."""
-    cfg = cfg or _DEFAULT_CFG
-    rs, name = _coerce_rank1(space)
-    if n < 0:
-        raise ValueError("weight coefficient must be nonnegative")
-    taus = np.array(_ZERO_GRID if tau_grid is None else tuple(tau_grid))
+    rs, name, cfg, taus = _verify_setup(space, n, cfg, tau_grid, _ZERO_GRID)
     beta, m_beta, m_half = _rank1_params(rs)
-    m = dimension(rs)
-
     series, weight_form = b_delta_rank1(
         int(round(m_beta)), int(round(m_half)), n, float(beta @ beta)
     )
     if abs(series - weight_form) > 1e-12 * max(1.0, abs(weight_form)):
         raise AssertionError("quadratic coefficient closed forms disagree")
-    b_pred = 0.0 if n == 0 else series
-    a_pred, bb_pred = 1.0, 0.5 * m * b_pred
+    a_pred, b_pred = 1.0, 0.5 * dimension(rs) * series  # series is 0 at n = 0
 
-    log_qd = np.array([_log_q_delta(rs, n, t, cfg) for t in taus])
-    log_q0 = np.array([_log_q_delta(rs, 0, t, cfg) for t in taus])
-    fitted_a, fitted_b = _fit_log_ratio(taus, log_qd - log_q0)
-    log_pred = log_q0 + math.log(a_pred) + bb_pred * taus
-
-    if n == 0:
-        ok = abs(fitted_a - 1.0) <= 1e-2 and abs(fitted_b) <= 1e-8
-    else:
-        ok = (
-            abs(fitted_a - 1.0) <= 1e-2
-            and abs(fitted_b - bb_pred) <= 0.02 * abs(bb_pred)
-        )
-    return AsymptoticReport(
-        regime="zero",
-        space=name,
-        weight_coeff=n,
-        tau_grid=tuple(float(t) for t in taus),
-        log_q=tuple(float(v) for v in log_qd),
-        log_predicted=tuple(float(v) for v in log_pred),
-        fitted_A=fitted_a,
-        fitted_B=fitted_b,
-        predicted_A=a_pred,
-        predicted_B=bb_pred,
-        passed=bool(ok),
-    )
+    log_qn, log_q0, fitted_a, fitted_b = _measure(rs, n, taus, cfg)
+    log_pred = log_q0 + b_pred * taus  # log A = 0
+    b_ok = (abs(fitted_b) <= 1e-8 if n == 0
+            else abs(fitted_b - b_pred) <= 0.02 * abs(b_pred))
+    return _report("zero", name, n, taus, log_qn, log_pred, fitted_a, fitted_b,
+                   a_pred, b_pred, abs(fitted_a - 1.0) <= 1e-2 and b_ok)
 
 
 def verify_tau_infinity(space, n: int, cfg: QuadratureConfig | None = None,
@@ -638,37 +645,15 @@ def verify_tau_infinity(space, n: int, cfg: QuadratureConfig | None = None,
     Passes when the absolute gap is non-increasing along the grid (within
     quadrature noise) and at most 0.02 at the last point.
     """
-    cfg = cfg or _DEFAULT_CFG
-    rs, name = _coerce_rank1(space)
-    if n < 0:
-        raise ValueError("weight coefficient must be nonnegative")
-    taus = np.array(_INF_GRID if tau_grid is None else tuple(tau_grid))
+    rs, name, cfg, taus = _verify_setup(space, n, cfg, tau_grid, _INF_GRID)
     lam_w = spherical_weight(rs, [n])
     c_val = hcfun.c_function(rs, lam_w)
     log_coeff, power, rate = leading_infinity(rs, lam_w.vector)
 
-    log_qd = np.array([_log_q_delta(rs, n, t, cfg) for t in taus])
+    log_qn, _, fitted_a, fitted_b = _measure(rs, n, taus, cfg)
     log_pred = math.log(c_val) + log_coeff + power * np.log(taus) + rate * taus
-    gaps = np.abs(log_qd - log_pred)
-
+    gaps = np.abs(log_qn - log_pred)
     slack = max(10.0 * cfg.rel_tol, 1e-10)
-    ok = bool(
-        np.all(gaps[1:] <= gaps[:-1] + slack) and gaps[-1] <= 0.02
-    )
-
-    log_q0 = np.array([_log_q_delta(rs, 0, t, cfg) for t in taus])
-    fitted_a, fitted_b = _fit_log_ratio(taus, log_qd - log_q0)
-    a_pred, b_pred = hcfun.predicted_constants(rs, lam_w)
-    return AsymptoticReport(
-        regime="infinity",
-        space=name,
-        weight_coeff=n,
-        tau_grid=tuple(float(t) for t in taus),
-        log_q=tuple(float(v) for v in log_qd),
-        log_predicted=tuple(float(v) for v in log_pred),
-        fitted_A=fitted_a,
-        fitted_B=fitted_b,
-        predicted_A=a_pred,
-        predicted_B=b_pred,
-        passed=ok,
-    )
+    ok = np.all(gaps[1:] <= gaps[:-1] + slack) and gaps[-1] <= 0.02
+    return _report("infinity", name, n, taus, log_qn, log_pred, fitted_a, fitted_b,
+                   *hcfun.predicted_constants(rs, lam_w), ok)

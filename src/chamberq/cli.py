@@ -4,18 +4,21 @@ The catalog is a flat, line-oriented text format: blocks separated by blank
 lines, one `key = value` pair per line, `#` starts a comment line. Required
 keys per block: name, root_type, rank, dim, and the per-orbit multiplicity
 keys mult.short (plus mult.long / mult.double where the type has more
-orbits). Optional: metric_scale, source.
+orbits). Optional: metric_scale, source. The JSON that emit writes for a
+catalog loads too: each entry becomes the same key -> value mapping, its
+multiplicities under mult.<class>, and one validator checks both syntaxes.
 
-Reports serialize to JSON (objects with a fixed key order) or CSV
-(RFC 4180), floats printed with 17 significant digits so equal inputs give
-byte-identical output; inf and nan are quoted strings. Exit codes: 0
-agreement/pass, 1 disagreement/fail, 2 input error, 3 numerical failure.
+Reports serialize to JSON (their dataclass fields in declaration order) or
+CSV (RFC 4180, CRLF line ends), floats printed with 17 significant digits
+so equal inputs give byte-identical output; inf and nan are quoted
+strings. Exit codes: 0 agreement/pass, 1 disagreement/fail, 2 input error,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import dataclasses
 import json
 import math
 import sys
@@ -225,62 +228,42 @@ source = SU(6)/Sp(3)
 # ---------------------------------------------------------------------------
 
 
-def _parse_block(lines: list[tuple[int, str]]) -> SpaceDescriptor:
-    fields: dict[str, str] = {}
-    for ln, text in lines:
-        if "=" not in text:
-            raise CatalogError(f"line {ln}: expected 'key = value', got {text!r}")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise CatalogError(f"line {ln}: empty key")
-        if key in fields:
-            raise CatalogError(f"line {ln}: duplicate key {key!r}")
-        fields[key] = value
-    first_line = lines[0][0]
+def _entry(fields: dict, where: str) -> SpaceDescriptor:
+    """Validate one catalog entry given as ``key -> value`` text, with the
+    multiplicities under ``mult.<class>``; ``where`` locates it in errors."""
+    fields = dict(fields)
 
-    def take(key, conv=str, required=True, default=None):
+    def take(key, conv=str, default=None):
         if key not in fields:
-            if required:
-                raise CatalogError(
-                    f"block at line {first_line}: missing required key {key!r}"
-                )
+            if default is None:
+                raise CatalogError(f"{where}: missing required key {key!r}")
             return default
         raw = fields.pop(key)
         try:
             return conv(raw)
         except ValueError as exc:
-            raise CatalogError(
-                f"block at line {first_line}: bad value for {key!r}: {raw!r}"
-            ) from exc
+            raise CatalogError(f"{where}: bad value for {key!r}: {raw!r}") from exc
 
     name = take("name")
     root_type = take("root_type")
     rank = take("rank", int)
     dim_m = take("dim", int)
-    metric_scale = take("metric_scale", float, required=False, default=1.0)
-    source = take("source", required=False, default="")
+    metric_scale = take("metric_scale", float, default=1.0)
+    source = take("source", default="")
     mults = {}
     for k in list(fields):
         if k.startswith("mult."):
             label = k[len("mult."):]
             if label not in _MULT_KEYS:
-                raise CatalogError(
-                    f"block at line {first_line}: unknown multiplicity class {label!r}"
-                )
+                raise CatalogError(f"{where}: unknown multiplicity class {label!r}")
             try:
                 mults[label] = float(fields.pop(k))
             except ValueError as exc:
-                raise CatalogError(
-                    f"block at line {first_line}: bad multiplicity {k!r}"
-                ) from exc
+                raise CatalogError(f"{where}: bad multiplicity {k!r}") from exc
     if fields:
-        raise CatalogError(
-            f"block at line {first_line}: unknown keys {sorted(fields)!r}"
-        )
+        raise CatalogError(f"{where}: unknown keys {sorted(fields)!r}")
     if not mults:
-        raise CatalogError(f"block at line {first_line}: no multiplicities given")
+        raise CatalogError(f"{where}: no multiplicities given")
     try:
         return SpaceDescriptor(
             name=name,
@@ -297,44 +280,61 @@ def _parse_block(lines: list[tuple[int, str]]) -> SpaceDescriptor:
         raise CatalogError(f"entry {name!r}: {exc}") from exc
 
 
-def _parse_catalog_text(text: str) -> Catalog:
-    entries = []
+def _text_entries(text: str):
+    """(fields, where) of each block of a text catalog."""
     block: list[tuple[int, str]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            if block:
-                entries.append(_parse_block(block))
-                block = []
-            continue
-        block.append((ln, stripped))
-    if block:
-        entries.append(_parse_block(block))
-    return Catalog(entries=tuple(entries))
+    for ln, raw in enumerate(text.splitlines() + [""], start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            block.append((ln, line))
+        elif block:
+            yield _block_fields(block), f"block at line {block[0][0]}"
+            block = []
 
 
-def _catalog_from_json(text: str) -> Catalog:
+def _block_fields(block: list[tuple[int, str]]) -> dict[str, str]:
+    fields: dict[str, str] = {}
+    for ln, line in block:
+        if "=" not in line:
+            raise CatalogError(f"line {ln}: expected 'key = value', got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if not key:
+            raise CatalogError(f"line {ln}: empty key")
+        if key in fields:
+            raise CatalogError(f"line {ln}: duplicate key {key!r}")
+        fields[key] = value
+    return fields
+
+
+def _json_entries(text: str):
+    """(fields, where) of each entry of a JSON catalog, the shape that
+    :func:`emit` writes; non-string values keep their JSON spelling."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"bad JSON catalog: line {exc.lineno}: {exc.msg}") from exc
-    entries = []
-    for item in doc.get("entries", []):
-        try:
-            entries.append(
-                SpaceDescriptor(
-                    name=item["name"],
-                    root_type=item["root_type"],
-                    rank=int(item["rank"]),
-                    multiplicities={k: float(v) for k, v in item["multiplicities"].items()},
-                    dim_m=int(item["dim"]),
-                    metric_scale=float(item.get("metric_scale", 1.0)),
-                    source=item.get("source", ""),
-                )
-            )
-        except KeyError as exc:
-            raise CatalogError(f"JSON catalog entry missing key {exc}") from exc
-    return Catalog(entries=tuple(entries))
+    items = doc.get("entries", []) if isinstance(doc, dict) else None
+    if not isinstance(items, list):
+        raise CatalogError('bad JSON catalog: expected {"entries": [...]}')
+    for i, item in enumerate(items, start=1):
+        where = f"JSON catalog entry {i}"
+        mults = item.get("multiplicities", {}) if isinstance(item, dict) else None
+        if not isinstance(mults, dict):
+            raise CatalogError(f"{where}: expected an object with a "
+                               "'multiplicities' object")
+        fields = {k: v for k, v in item.items() if k != "multiplicities"}
+        for k, v in mults.items():
+            if f"mult.{k}" in fields:
+                raise CatalogError(f"{where}: duplicate key {'mult.' + k!r}")
+            fields[f"mult.{k}"] = v
+        yield {k: v if isinstance(v, str) else json.dumps(v)
+               for k, v in fields.items()}, where
+
+
+def _parse_catalog(text: str) -> Catalog:
+    json_syntax = text.lstrip()[:1] in ("{", "[")
+    pairs = _json_entries(text) if json_syntax else _text_entries(text)
+    return Catalog(entries=tuple(_entry(f, where) for f, where in pairs))
 
 
 def load_catalog(source) -> Catalog:
@@ -356,13 +356,11 @@ def load_catalog(source) -> Catalog:
             text = p.read_text(encoding="utf-8")
         except OSError as exc:
             raise CatalogError(f"cannot read catalog {source!r}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        return _catalog_from_json(text)
-    return _parse_catalog_text(text)
+    return _parse_catalog(text)
 
 
 def default_catalog() -> Catalog:
-    return _parse_catalog_text(DEFAULT_CATALOG_TEXT)
+    return _parse_catalog(DEFAULT_CATALOG_TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -428,48 +426,20 @@ def _json(v) -> str:
     return _fnum(v)
 
 
-def _q_report_doc(r: QInvarianceReport) -> dict:
-    return {
-        "weights": [w.coeffs for w in r.weights],
-        "q_values": r.q_values,
-        "max_rel_deviation": r.max_rel_deviation,
-        "tol": r.tol,
-        "is_constant": r.is_constant,
-        "group_manifold_predicted": r.group_manifold_predicted,
-    }
+def _csv(header: tuple[str, ...], rows) -> str:
+    """CSV with CRLF line ends; str cells as they are, numbers via _fnum."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else _fnum(v) for v in row)
+              for row in rows]
+    return "".join(line + "\r\n" for line in lines)
 
 
-def _emit_q_report_csv(r: QInvarianceReport) -> str:
-    buf = io.StringIO()
-    buf.write("weight,q_value\r\n")
-    for w, q in zip(r.weights, r.q_values):
-        label = " ".join(str(c) for c in w.coeffs)
-        buf.write(f"{label},{_fnum(q)}\r\n")
-    return buf.getvalue()
-
-
-def _asym_doc(r: AsymptoticReport) -> dict:
-    return {
-        "regime": r.regime,
-        "space": r.space,
-        "weight_coeff": r.weight_coeff,
-        "tau_grid": r.tau_grid,
-        "log_q": r.log_q,
-        "log_predicted": r.log_predicted,
-        "fitted_A": r.fitted_A,
-        "fitted_B": r.fitted_B,
-        "predicted_A": r.predicted_A,
-        "predicted_B": r.predicted_B,
-        "passed": r.passed,
-    }
-
-
-def _emit_asym_csv(r: AsymptoticReport) -> str:
-    buf = io.StringIO()
-    buf.write("tau,log_q,log_predicted\r\n")
-    for t, q, p in zip(r.tau_grid, r.log_q, r.log_predicted):
-        buf.write(f"{_fnum(t)},{_fnum(q)},{_fnum(p)}\r\n")
-    return buf.getvalue()
+def _report_doc(r) -> dict:
+    # the report's fields in declaration order, weights as coefficient lists
+    doc = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+    if isinstance(r, QInvarianceReport):
+        doc["weights"] = [w.coeffs for w in r.weights]
+    return doc
 
 
 def _catalog_doc(cat: Catalog) -> dict:
@@ -514,24 +484,24 @@ def emit(report, fmt: str = "json") -> str:
     byte-identical output.
     """
     if isinstance(report, QInvarianceReport):
-        if fmt == "json":
-            return _json(_q_report_doc(report))
-        if fmt == "csv":
-            return _emit_q_report_csv(report)
-        raise ValueError(f"unsupported format {fmt!r} for a Q-invariance report")
-    if isinstance(report, AsymptoticReport):
-        if fmt == "json":
-            return _json(_asym_doc(report))
-        if fmt == "csv":
-            return _emit_asym_csv(report)
-        raise ValueError(f"unsupported format {fmt!r} for an asymptotic report")
-    if isinstance(report, Catalog):
+        labels = (" ".join(str(c) for c in w.coeffs) for w in report.weights)
+        header, rows = ("weight", "q_value"), zip(labels, report.q_values)
+    elif isinstance(report, AsymptoticReport):
+        header = ("tau", "log_q", "log_predicted")
+        rows = zip(report.tau_grid, report.log_q, report.log_predicted)
+    elif isinstance(report, Catalog):
         if fmt == "json":
             return _json(_catalog_doc(report))
         if fmt == "text":
             return _emit_catalog_text(report)
         raise ValueError(f"unsupported format {fmt!r} for a catalog")
-    raise TypeError(f"cannot emit object of type {type(report).__name__}")
+    else:
+        raise TypeError(f"cannot emit object of type {type(report).__name__}")
+    if fmt == "json":
+        return _json(_report_doc(report))
+    if fmt == "csv":
+        return _csv(header, rows)
+    raise ValueError(f"unsupported format {fmt!r} for a report")
 
 
 # ---------------------------------------------------------------------------
@@ -550,27 +520,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("catalog", help="catalog operations")
     pc.add_argument("action", choices=["list"])
+    pc.set_defaults(run=_cmd_catalog)
 
     ps = sub.add_parser("space", help="space operations")
     ps.add_argument("action", choices=["show"])
     ps.add_argument("name")
+    ps.set_defaults(run=_cmd_space)
 
     pf = sub.add_parser("flatness", help="Q-invariance sweep for one space")
     pf.add_argument("name")
     pf.add_argument("--max-coeff", type=int, default=5)
     pf.add_argument("--tol", type=float, default=1e-6)
     pf.add_argument("--format", choices=["json", "csv"], default="json")
+    pf.set_defaults(run=_cmd_flatness)
 
     pa = sub.add_parser("asym", help="asymptotic regime verification (rank 1)")
     pa.add_argument("name")
     pa.add_argument("--regime", choices=["zero", "infinity"], required=True)
     pa.add_argument("--weight", type=int, default=1)
     pa.add_argument("--format", choices=["json", "csv"], default="json")
+    pa.set_defaults(run=_cmd_asym)
 
     pcf = sub.add_parser("cfun", help="evaluate the c-function at a weight")
     pcf.add_argument("name")
     pcf.add_argument("--weight", required=True,
                      help="comma separated coefficients, e.g. 1,0")
+    pcf.set_defaults(run=_cmd_cfun)
 
     pp = sub.add_parser("probe-F", help="evaluate the Gamma-ratio factor F")
     pp.add_argument("--a", type=float, required=True)
@@ -578,7 +553,19 @@ def _build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--c", type=float, required=True)
     pp.add_argument("--d", type=float, required=True)
     pp.add_argument("--zmax", type=int, default=10)
+    pp.set_defaults(run=_cmd_probe_f)
     return p
+
+
+def _cmd_catalog(catalog, args, out) -> int:
+    for e in catalog.entries:
+        out.write(f"{e.name}\t{e.root_type}{e.rank}\tdim={e.dim_m}\n")
+    return 0
+
+
+def _cmd_space(catalog, args, out) -> int:
+    out.write(_emit_catalog_text(Catalog(entries=(catalog.get(args.name),))))
+    return 0
 
 
 def _cmd_flatness(catalog, args, out) -> int:
@@ -611,49 +598,33 @@ def _cmd_cfun(catalog, args, out) -> int:
     return 0
 
 
-def _cmd_probe_f(args, out) -> int:
+def _cmd_probe_f(catalog, args, out) -> int:
     if args.zmax < 0:
         raise ValueError("--zmax must be nonnegative")
     for name in ("a", "b", "c", "d"):
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite")
-    rows = ["z,F,F_over_2_pow_d\r\n"]
-    for z in range(0, args.zmax + 1):
-        val = hcfun.f_factor(float(z), args.a, args.b, args.c, args.d)
-        rows.append(f"{z},{_fnum(val)},{_fnum(val / 2.0 ** args.d)}\r\n")
-    out.write("".join(rows))
+    zs = range(args.zmax + 1)
+    vals = [hcfun.f_factor(float(z), args.a, args.b, args.c, args.d) for z in zs]
+    try:
+        scale = 2.0 ** args.d
+    except OverflowError:
+        raise OverflowError(f"2**d overflows a float at d = {args.d:g}") from None
+    rows = ((str(z), v, v / scale) for z, v in zip(zs, vals))
+    out.write(_csv(("z", "F", "F_over_2_pow_d"), rows))
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out, err = sys.stdout, sys.stderr
     try:
         catalog = load_catalog(Path(args.catalog)) if args.catalog else default_catalog()
-        if args.command == "catalog":
-            for name in catalog.names():
-                e = catalog.get(name)
-                out.write(f"{name}\t{e.root_type}{e.rank}\tdim={e.dim_m}\n")
-            return 0
-        if args.command == "space":
-            e = catalog.get(args.name)
-            sub = Catalog(entries=(e,))
-            out.write(_emit_catalog_text(sub))
-            return 0
-        if args.command == "flatness":
-            return _cmd_flatness(catalog, args, out)
-        if args.command == "asym":
-            return _cmd_asym(catalog, args, out)
-        if args.command == "cfun":
-            return _cmd_cfun(catalog, args, out)
-        if args.command == "probe-F":
-            return _cmd_probe_f(args, out)
-        raise CatalogError(f"unknown command {args.command!r}")
+        return args.run(catalog, args, sys.stdout)
     except (CatalogError, ValueError) as exc:
-        err.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {exc}\n")
         return 2
     except (RuntimeError, ArithmeticError) as exc:
-        err.write(f"error: numerical failure: {exc}\n")
+        sys.stderr.write(f"error: numerical failure: {exc}\n")
         return 3
 
 

@@ -362,14 +362,10 @@ def build_root_system(
     raw, d = _positive_roots_standard(t, rank)
     roots = np.array(raw, dtype=float)
     if d > rank:
-        # isometric coordinates on the span (type A lives on a hyperplane)
-        q, _ = np.linalg.qr(roots[: rank + 1].T)  # some spanning columns
-        basis = q[:, :rank]
-        # guard: make sure the basis really spans the root space
-        if np.linalg.matrix_rank(roots @ basis, tol=1e-9) < rank:
-            q, _ = np.linalg.qr(roots.T)
-            basis = q[:, :rank]
-        roots = roots @ basis
+        # isometric coordinates on the span: only type A has d > rank, and
+        # its first roots e0 - ej span the sum-zero hyperplane
+        q, _ = np.linalg.qr(roots[: rank + 1].T)
+        roots = roots @ q[:, :rank]
         # canonical column signs (QR sign conventions vary)
         for k in range(rank):
             col = roots[:, k]

@@ -139,6 +139,50 @@ metric_scale = 2.0
     assert b_scaled == pytest.approx(2.0 * b_base, rel=1e-12)
 
 
+# one entry in both catalog syntaxes: the text block and the JSON object
+_ENTRY = {"name": "X", "root_type": "A", "rank": 1,
+          "multiplicities": {"short": 2}, "dim": 3}
+
+
+def _as_text(entry):
+    lines = [f"{k} = {v}" for k, v in entry.items() if k != "multiplicities"]
+    lines += [f"mult.{k} = {v}" for k, v in entry.get("multiplicities", {}).items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"entries": 5},
+    {"entries": [1]},
+    {"entries": [{**_ENTRY, "multiplicities": [1]}]},
+    {"entries": [{**_ENTRY, "rank": None}]},
+    {"entries": [{**_ENTRY, "rank": 1.5}]},
+    {"entries": [{**_ENTRY, "color": "blue"}]},
+    {"entries": [{**_ENTRY, "mult.short": 1}]},
+], ids=["non-object", "entries-5", "non-object-entry", "multiplicities-list",
+        "rank-null", "rank-1.5", "unknown-key", "multiplicity-twice"])
+def test_cli_rejects_malformed_json_catalog(doc, tmp_path, capsys):
+    p = tmp_path / "cat.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["--catalog", str(p), "catalog", "list"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"color": "blue"}, "unknown keys ['color']"),
+    ({"dim": None}, "missing required key 'dim'"),
+    ({"rank": 1.5}, "bad value for 'rank': '1.5'"),
+], ids=["unknown-key", "missing-dim", "rank-1.5"])
+def test_text_and_json_catalogs_reject_the_same_entry(change, message):
+    entry = {k: v for k, v in {**_ENTRY, **change}.items() if v is not None}
+    for text in (_as_text(entry), json.dumps({"entries": [entry]})):
+        with pytest.raises(CatalogError) as info:
+            load_catalog(text)
+        assert str(info.value).endswith(": " + message)
+
+
 # -- round trips and determinism ------------------------------------------------
 
 
@@ -174,6 +218,17 @@ def test_emit_q_report_schema(catalog):
     lines = csv_text.split("\r\n")
     assert lines[0] == "weight,q_value"
     assert len(lines) == 2 + len(rep.weights)  # header + rows + trailing empty
+
+
+def test_emit_q_report_csv_bytes(catalog):
+    # space-joined weight labels, 17 significant digits, CRLF line ends
+    assert emit(run_flatness(catalog, "SU3", 1, 1e-10), "csv") == (
+        "weight,q_value\r\n"
+        "0 0,0.99999999999999656\r\n"
+        "0 1,0.99999999999999722\r\n"
+        "1 0,1.0000000000000016\r\n"
+        "1 1,1.0000000000000024\r\n"
+    )
 
 
 def test_emit_asym_schema(catalog):
@@ -407,8 +462,13 @@ def test_cli_probe_f_overflow_is_numerical_failure(capsys):
     )
     assert code == 3
     assert out == ""
-    assert err.startswith("error: numerical failure: ")
-    assert err.count("\n") == 1
+    assert err == "error: numerical failure: 2**d overflows a float at d = 2000\n"
+    # parameters are still checked first: a bad a is an input error
+    code, out, err = run_cli(
+        ["probe-F", "--a", "-1", "--b", "0", "--c", "1", "--d", "2000"], capsys
+    )
+    assert code == 2
+    assert out == ""
 
 
 def test_cli_probe_f_tiny_a(capsys):
