@@ -33,7 +33,6 @@ from .hcfun import (
 )
 from .asymquad import (
     AsymptoticReport,
-    QuadratureConfig,
     b_delta_rank1,
     chamber_weight,
     gaussian_cone_moment,
@@ -54,6 +53,7 @@ from .cli import (
     default_catalog,
     emit,
     load_catalog,
+    parse_catalog,
     run_asym,
     run_flatness,
 )

@@ -15,7 +15,7 @@ the only part that needs a transcendental at every node. exp(2 mu(H)) joins
 the r-linear part, so exponential integrands need no grid of points.
 
 Quadrature is composite Gauss-Legendre with panel doubling until two
-successive refinements agree in log value to the requested tolerance; at
+successive refinements agree in log value to one fixed tolerance; at
 rank 2 on a tensor grid in polar coordinates over the chamber sector.
 Gauss nodes are open, so the integrable wall zeros of the chamber weight
 (square-root type for odd multiplicities) never produce a -inf sample.
@@ -32,7 +32,6 @@ from . import hcfun
 from .rootsys import RootSystem, as_vector, dimension, spherical_weight
 
 __all__ = [
-    "QuadratureConfig",
     "AsymptoticReport",
     "chamber_weight",
     "q_tau",
@@ -52,23 +51,12 @@ _GAUSS_ORDER = 32
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 _LOG2 = math.log(2.0)
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-8
-    max_refinements: int = 14
-    truncation_sigma: float = 8.0
-
-    def __post_init__(self):
-        if not 0 < self.rel_tol <= 1e-2:
-            raise ValueError("rel_tol must lie in (0, 1e-2]")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be a positive integer")
-        if self.truncation_sigma < 6:
-            raise ValueError("truncation_sigma must be at least 6")
-
-
-_DEFAULT_CFG = QuadratureConfig()
+# The one quadrature policy: panel counts double from 8 until two successive
+# log values agree to _REL_TOL, over at most _MAX_REFINEMENTS grids (8 to
+# 65536 panels); windows reach _SIGMA Gaussian widths sqrt(tau) past the peak.
+_REL_TOL = 1e-8
+_MAX_REFINEMENTS = 14
+_SIGMA = 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +88,7 @@ def _logsum(log_vals: np.ndarray, weights: np.ndarray,
     return m + math.log(s)
 
 
-def _adaptive(log_f, lo: float, hi: float, cfg: QuadratureConfig,
+def _adaptive(log_f, lo: float, hi: float,
               sector: tuple[float, float] | None = None) -> float:
     """Log of the integral of exp(log_f) over [lo, hi]. With ``sector`` the
     domain is the polar region [lo, hi] x sector, on a tensor grid with half
@@ -109,24 +97,24 @@ def _adaptive(log_f, lo: float, hi: float, cfg: QuadratureConfig,
     if hi <= lo:
         return -math.inf
     prev = None
-    n = 4
-    for level in range(cfg.max_refinements + 1):
+    n = 8
+    for _ in range(_MAX_REFINEMENTS):
         pts, wts = _panel_nodes(lo, hi, n)
         if sector is None:
             val = _logsum(log_f(pts), wts)
         else:
             th, th_wts = _panel_nodes(*sector, n // 2)
             val = _logsum(log_f(pts, th), wts * pts, th_wts)
-        if prev is not None and level >= 2:
+        if prev is not None:
             if val == -math.inf and prev == -math.inf:
                 return val
-            if abs(val - prev) <= cfg.rel_tol:
+            if abs(val - prev) <= _REL_TOL:
                 return val
         prev = val
         n *= 2
     raise RuntimeError(
-        f"quadrature did not converge to rel_tol={cfg.rel_tol} "
-        f"within {cfg.max_refinements} refinements"
+        f"quadrature did not converge to rel_tol={_REL_TOL} "
+        f"within {_MAX_REFINEMENTS} refinements"
     )
 
 
@@ -219,18 +207,17 @@ def _log_chamber_weight(rs: RootSystem, r: np.ndarray, c: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _truncation_radius(rs: RootSystem, tau: float, growth: np.ndarray,
-                       cfg: QuadratureConfig) -> float:
+def _truncation_radius(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
     peak = tau * np.linalg.norm(growth + rs.rho)
-    return float(peak + cfg.truncation_sigma * math.sqrt(tau))
+    return float(peak + _SIGMA * math.sqrt(tau))
 
 
-def _q_log_direct(rs: RootSystem, tau: float, cfg: QuadratureConfig,
-                  growth: np.ndarray, log_f_arr=None) -> float:
+def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray,
+                  log_f_arr=None) -> float:
     # log_f_arr maps an (N, rank) array of points H to log f(H). Without it
     # f = exp(2 <growth, H>): linear in the radius along each direction, so
     # it goes into the weight kernel and no grid of points is built.
-    R = _truncation_radius(rs, tau, growth, cfg)
+    R = _truncation_radius(rs, tau, growth)
     ray = _chamber_direction(rs) if rs.rank == 1 else None
     sector = _sector_angles(rs) if rs.rank == 2 else None
 
@@ -246,11 +233,10 @@ def _q_log_direct(rs: RootSystem, tau: float, cfg: QuadratureConfig,
         lv.T[...] -= r * r / tau  # the radius is the first axis
         return lv
 
-    return _adaptive(integrand, 0.0, R, cfg, sector)
+    return _adaptive(integrand, 0.0, R, sector)
 
 
-def q_tau(rs: RootSystem, f, tau: float, cfg: QuadratureConfig | None = None,
-          growth=None) -> float:
+def q_tau(rs: RootSystem, f, tau: float, growth=None) -> float:
     """Log of the chamber integral of exp(-|H|^2/tau) f(H) times the
     chamber weight, for rank 1 and 2.
 
@@ -263,7 +249,6 @@ def q_tau(rs: RootSystem, f, tau: float, cfg: QuadratureConfig | None = None,
         raise ValueError("chamber quadrature is implemented for rank <= 2")
     if not tau > 0:
         raise ValueError("tau must be positive")
-    cfg = cfg or _DEFAULT_CFG
     g = np.zeros(rs.rank) if growth is None else as_vector(growth, rs.rank)
 
     def log_f_arr(H):
@@ -275,7 +260,7 @@ def q_tau(rs: RootSystem, f, tau: float, cfg: QuadratureConfig | None = None,
             out[i] = math.log(v)
         return out
 
-    return _q_log_direct(rs, tau, cfg, g, log_f_arr)
+    return _q_log_direct(rs, tau, g, log_f_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +269,7 @@ def q_tau(rs: RootSystem, f, tau: float, cfg: QuadratureConfig | None = None,
 
 
 def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
-                       cfg: QuadratureConfig, log_phi=None) -> float:
+                       log_phi=None) -> float:
     """Log of q(tau, phi * exp(2 mu(H))) through the affine change of
     coordinates centered at the shifted Gaussian peak tau * (mu + rho).
 
@@ -296,9 +281,8 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
     lr = mu + rs.rho
     a = float(lr @ u)
     rate = float(lr @ lr)
-    sig = cfg.truncation_sigma
-    lo = max(-math.sqrt(tau) * a, -sig)
-    hi = sig
+    lo = max(-math.sqrt(tau) * a, -_SIGMA)
+    hi = _SIGMA
     if lo >= hi:
         return -math.inf
     au = rs.roots @ u
@@ -315,11 +299,11 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
         return lv
 
     # dt = sqrt(tau) dy
-    return tau * rate + 0.5 * math.log(tau) + _adaptive(integrand, lo, hi, cfg)
+    return tau * rate + 0.5 * math.log(tau) + _adaptive(integrand, lo, hi)
 
 
 def _rank1_log_integrals(rs: RootSystem, mu: np.ndarray, taus,
-                         cfg: QuadratureConfig, log_f=None) -> list[float]:
+                         log_f=None) -> list[float]:
     """Log of the rank-1 chamber integral at each tau in ``taus``: of
     exp(2 mu(H)), or, given ``log_f``, of the f with log f = log_f(t) at
     chamber coordinates t, which grows like exp(2 mu(H)).
@@ -338,12 +322,11 @@ def _rank1_log_integrals(rs: RootSystem, mu: np.ndarray, taus,
         def log_f_arr(H):
             return log_f(H @ u)
 
-    return [_rank1_transformed(rs, mu, t, cfg, log_phi) if t >= 2.0
-            else _q_log_direct(rs, t, cfg, mu, log_f_arr) for t in taus]
+    return [_rank1_transformed(rs, mu, t, log_phi) if t >= 2.0
+            else _q_log_direct(rs, t, mu, log_f_arr) for t in taus]
 
 
-def log_I_mu(rs: RootSystem, mu, tau: float,
-             cfg: QuadratureConfig | None = None) -> float:
+def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
     """Log of the chamber integral with f = exp(2 mu(H)).
 
     For rank 1 and tau >= 2 the transformed bounded-integrand form is used
@@ -351,11 +334,10 @@ def log_I_mu(rs: RootSystem, mu, tau: float,
     """
     if rs.rank > 2:
         raise ValueError("chamber quadrature is implemented for rank <= 2")
-    cfg = cfg or _DEFAULT_CFG
     mu = as_vector(mu, rs.rank)
     if rs.rank == 1:
-        return _rank1_log_integrals(rs, mu, (tau,), cfg)[0]
-    return _q_log_direct(rs, tau, cfg, mu)
+        return _rank1_log_integrals(rs, mu, (tau,))[0]
+    return _q_log_direct(rs, tau, mu)
 
 
 def leading_infinity(rs: RootSystem, mu) -> tuple[float, float, float]:
@@ -503,7 +485,8 @@ def second_order_term(rs: RootSystem, b_delta: float, H) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_rank1(space):
+def _coerce_rank1(space, n: int):
+    """(root system, name) of a rank-1 space and a valid weight coefficient."""
     if isinstance(space, RootSystem):
         rs, name = space, "custom"
     elif hasattr(space, "to_root_system"):
@@ -514,6 +497,8 @@ def _coerce_rank1(space):
         raise ValueError(
             f"asymptotic verification requires a rank-1 space, got rank {rs.rank}"
         )
+    if n < 0:
+        raise ValueError("weight coefficient must be nonnegative")
     return rs, name
 
 
@@ -527,8 +512,8 @@ def _rank1_params(rs: RootSystem):
     return alpha, m_a, 0.0
 
 
-def _spherical_log_integrals(rs: RootSystem, n: int, taus: np.ndarray,
-                             cfg: QuadratureConfig) -> np.ndarray:
+def _spherical_log_integrals(rs: RootSystem, n: int,
+                             taus: np.ndarray) -> np.ndarray:
     """Log of the chamber integral against the degree-n spherical function
     at each tau in ``taus``."""
     beta, m_beta, m_half = _rank1_params(rs)
@@ -545,7 +530,7 @@ def _spherical_log_integrals(rs: RootSystem, n: int, taus: np.ndarray,
         return mx + np.log(np.sum(np.exp(mat - mx[:, None]), axis=1))
 
     # the rank-1 fundamental weight is beta itself
-    return np.array(_rank1_log_integrals(rs, float(n) * beta, taus, cfg, log_f))
+    return np.array(_rank1_log_integrals(rs, float(n) * beta, taus, log_f))
 
 
 @dataclass(frozen=True)
@@ -580,19 +565,11 @@ _ZERO_GRID = tuple(round(0.01 * k, 10) for k in range(1, 11))
 _INF_GRID = (25.0, 50.0, 100.0, 200.0)
 
 
-def _verify_setup(space, n: int, cfg, tau_grid, default_grid):
-    rs, name = _coerce_rank1(space)
-    if n < 0:
-        raise ValueError("weight coefficient must be nonnegative")
-    taus = np.array(default_grid if tau_grid is None else tuple(tau_grid))
-    return rs, name, cfg or _DEFAULT_CFG, taus
-
-
-def _measure(rs: RootSystem, n: int, taus: np.ndarray, cfg: QuadratureConfig):
+def _measure(rs: RootSystem, n: int, taus: np.ndarray):
     """(log q_n, log q_0, fitted A, fitted B) on the grid, with A and B the
     least-squares fit of log(q_n / q_0) = log A + B tau."""
-    log_qn = _spherical_log_integrals(rs, n, taus, cfg)
-    log_q0 = log_qn if n == 0 else _spherical_log_integrals(rs, 0, taus, cfg)
+    log_qn = _spherical_log_integrals(rs, n, taus)
+    log_q0 = log_qn if n == 0 else _spherical_log_integrals(rs, 0, taus)
     design = np.vstack([np.ones_like(taus), taus]).T
     coef, *_ = np.linalg.lstsq(design, log_qn - log_q0, rcond=None)
     return log_qn, log_q0, math.exp(float(coef[0])), float(coef[1])
@@ -615,12 +592,12 @@ def _report(regime, name, n, taus, log_q, log_pred, fitted_a, fitted_b,
     )
 
 
-def verify_tau_zero(space, n: int, cfg: QuadratureConfig | None = None,
-                    tau_grid=None) -> AsymptoticReport:
+def verify_tau_zero(space, n: int) -> AsymptoticReport:
     """Fit log(q_n / q_0) = log A + B tau on a small-tau grid and compare
     against the predicted constants A = 1, B = (m/2) b, with b the quadratic
     spherical coefficient (both closed forms, which must agree exactly)."""
-    rs, name, cfg, taus = _verify_setup(space, n, cfg, tau_grid, _ZERO_GRID)
+    rs, name = _coerce_rank1(space, n)
+    taus = np.array(_ZERO_GRID)
     beta, m_beta, m_half = _rank1_params(rs)
     series, weight_form = b_delta_rank1(
         int(round(m_beta)), int(round(m_half)), n, float(beta @ beta)
@@ -629,7 +606,7 @@ def verify_tau_zero(space, n: int, cfg: QuadratureConfig | None = None,
         raise AssertionError("quadratic coefficient closed forms disagree")
     a_pred, b_pred = 1.0, 0.5 * dimension(rs) * series  # series is 0 at n = 0
 
-    log_qn, log_q0, fitted_a, fitted_b = _measure(rs, n, taus, cfg)
+    log_qn, log_q0, fitted_a, fitted_b = _measure(rs, n, taus)
     log_pred = log_q0 + b_pred * taus  # log A = 0
     b_ok = (abs(fitted_b) <= 1e-8 if n == 0
             else abs(fitted_b - b_pred) <= 0.02 * abs(b_pred))
@@ -637,23 +614,22 @@ def verify_tau_zero(space, n: int, cfg: QuadratureConfig | None = None,
                    a_pred, b_pred, abs(fitted_a - 1.0) <= 1e-2 and b_ok)
 
 
-def verify_tau_infinity(space, n: int, cfg: QuadratureConfig | None = None,
-                        tau_grid=None) -> AsymptoticReport:
+def verify_tau_infinity(space, n: int) -> AsymptoticReport:
     """Compare log q_n against the predicted leading term (c-function times
     the shifted Gaussian normal form) on a large-tau grid.
 
     Passes when the absolute gap is non-increasing along the grid (within
     quadrature noise) and at most 0.02 at the last point.
     """
-    rs, name, cfg, taus = _verify_setup(space, n, cfg, tau_grid, _INF_GRID)
+    rs, name = _coerce_rank1(space, n)
+    taus = np.array(_INF_GRID)
     lam_w = spherical_weight(rs, [n])
     c_val = hcfun.c_function(rs, lam_w)
     log_coeff, power, rate = leading_infinity(rs, lam_w.vector)
 
-    log_qn, _, fitted_a, fitted_b = _measure(rs, n, taus, cfg)
+    log_qn, _, fitted_a, fitted_b = _measure(rs, n, taus)
     log_pred = math.log(c_val) + log_coeff + power * np.log(taus) + rate * taus
     gaps = np.abs(log_qn - log_pred)
-    slack = max(10.0 * cfg.rel_tol, 1e-10)
-    ok = np.all(gaps[1:] <= gaps[:-1] + slack) and gaps[-1] <= 0.02
+    ok = np.all(gaps[1:] <= gaps[:-1] + 10.0 * _REL_TOL) and gaps[-1] <= 0.02
     return _report("infinity", name, n, taus, log_qn, log_pred, fitted_a, fitted_b,
                    *hcfun.predicted_constants(rs, lam_w), ok)

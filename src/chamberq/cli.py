@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import asymquad, hcfun, rootsys
-from .asymquad import AsymptoticReport, QuadratureConfig
+from .asymquad import AsymptoticReport
 from .hcfun import QInvarianceReport
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "Catalog",
     "CatalogError",
     "load_catalog",
+    "parse_catalog",
     "default_catalog",
     "run_flatness",
     "run_asym",
@@ -331,36 +332,25 @@ def _json_entries(text: str):
                for k, v in fields.items()}, where
 
 
-def _parse_catalog(text: str) -> Catalog:
+def parse_catalog(text: str) -> Catalog:
+    """Parse catalog text: the line-oriented format, or the JSON that
+    :func:`emit` writes for a catalog."""
     json_syntax = text.lstrip()[:1] in ("{", "[")
     pairs = _json_entries(text) if json_syntax else _text_entries(text)
     return Catalog(entries=tuple(_entry(f, where) for f, where in pairs))
 
 
-def load_catalog(source) -> Catalog:
-    """Parse a catalog from text, from a file path, or from JSON emitted by
-    :func:`emit`."""
-    if isinstance(source, Path):
-        try:
-            text = source.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CatalogError(f"cannot read catalog {source}: {exc}") from exc
-    elif isinstance(source, str) and ("\n" in source or "=" in source or
-                                      source.lstrip().startswith("{")):
-        text = source
-    else:
-        p = Path(str(source))
-        if not p.exists():
-            raise CatalogError(f"catalog file not found: {source!r}")
-        try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CatalogError(f"cannot read catalog {source!r}: {exc}") from exc
-    return _parse_catalog(text)
+def load_catalog(path) -> Catalog:
+    """Read and parse the catalog file at ``path``, a str or a Path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
+    return parse_catalog(text)
 
 
 def default_catalog() -> Catalog:
-    return _parse_catalog(DEFAULT_CATALOG_TEXT)
+    return parse_catalog(DEFAULT_CATALOG_TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +373,8 @@ def run_flatness(catalog: Catalog, space_name: str, max_coeff: int,
     return hcfun.q_invariance_test(rs, weights, tol)
 
 
-def run_asym(catalog: Catalog, space_name: str, regime: str, n: int,
-             cfg: QuadratureConfig | None = None) -> AsymptoticReport:
+def run_asym(catalog: Catalog, space_name: str, regime: str,
+             n: int) -> AsymptoticReport:
     entry = catalog.get(space_name)
     if entry.rank != 1:
         raise CatalogError(
@@ -392,9 +382,9 @@ def run_asym(catalog: Catalog, space_name: str, regime: str, n: int,
             "verification requires rank 1"
         )
     if regime == "zero":
-        return asymquad.verify_tau_zero(entry, n, cfg)
+        return asymquad.verify_tau_zero(entry, n)
     if regime == "infinity":
-        return asymquad.verify_tau_infinity(entry, n, cfg)
+        return asymquad.verify_tau_infinity(entry, n)
     raise CatalogError(f"unknown regime {regime!r} (expected zero or infinity)")
 
 
@@ -618,7 +608,7 @@ def _cmd_probe_f(catalog, args, out) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        catalog = load_catalog(Path(args.catalog)) if args.catalog else default_catalog()
+        catalog = load_catalog(args.catalog) if args.catalog else default_catalog()
         return args.run(catalog, args, sys.stdout)
     except (CatalogError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

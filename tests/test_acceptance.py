@@ -13,7 +13,6 @@ import pytest
 import oracles
 from chamberq import asymquad, cli, hcfun, rootsys
 from chamberq.asymquad import (
-    QuadratureConfig,
     b_delta_rank1,
     log_I_mu,
     verify_tau_infinity,
@@ -225,8 +224,7 @@ def test_criterion_08_tau_infinity_regime():
 def test_criterion_09_highest_weight_dominance():
     rs = CATALOG.get("S2").to_root_system()
     lam = spherical_weight(rs, [1]).vector
-    cfg = QuadratureConfig()
-    log_ratio = log_I_mu(rs, np.zeros(1), 50.0, cfg) - log_I_mu(rs, lam, 50.0, cfg)
+    log_ratio = log_I_mu(rs, np.zeros(1), 50.0) - log_I_mu(rs, lam, 50.0)
     _report(
         9,
         "trivial-weight integral is exponentially dominated at tau=50",

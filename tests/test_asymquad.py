@@ -8,7 +8,6 @@ from chamberq import asymquad as aq
 from chamberq import hcfun
 from chamberq.asymquad import (
     AsymptoticReport,
-    QuadratureConfig,
     b_delta_rank1,
     chamber_weight,
     gaussian_cone_moment,
@@ -30,8 +29,6 @@ from chamberq.rootsys import (
     spherical_weight,
 )
 
-CFG = QuadratureConfig()
-
 S2 = build_root_system("A", 1, {"all": 1})
 S3 = build_root_system("A", 1, {"all": 2})
 CP2 = build_root_system("BC", 1, {"short": 2, "long": 1})
@@ -43,20 +40,6 @@ ABSTRACT = RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([2.0]))
 def unit_chamber_dir(rs):
     u = rho(rs) / np.linalg.norm(rho(rs))
     return u
-
-
-# -- config -----------------------------------------------------------------
-
-
-def test_quadrature_config_invariants():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.5)
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(truncation_sigma=3.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_refinements=0)
 
 
 # -- chamber weight -----------------------------------------------------------
@@ -128,7 +111,7 @@ def test_chamber_weight_zero_on_walls():
 @pytest.mark.parametrize("rs", [S2, S3, CP2], ids=["S2", "S3", "CP2"])
 @pytest.mark.parametrize("tau", [0.01, 1.0, 50.0, 200.0])
 def test_q_tau_oracle_equivalence_rank1(rs, tau):
-    got = q_tau(rs, lambda H: 1.0, tau, CFG)
+    got = q_tau(rs, lambda H: 1.0, tau)
     peak = tau * np.linalg.norm(rho(rs))
     radius = peak + 10.0 * math.sqrt(tau)
     want = oracles.rank1_chamber_log_integral(
@@ -152,18 +135,18 @@ def test_q_tau_small_tau_leading_coefficient():
             + math.log(ang)
             + 0.5 * m * math.log(1e-3)
         )
-        got = q_tau(rs, lambda H: 1.0, 1e-3, CFG)
+        got = q_tau(rs, lambda H: 1.0, 1e-3)
         assert math.exp(got - lead) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_q_tau_monotone_in_tau():
-    vals = [q_tau(S3, lambda H: 1.0, t, CFG) for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    vals = [q_tau(S3, lambda H: 1.0, t) for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_q_tau_rank2_against_cartesian_oracle():
     tau = 0.5
-    got = q_tau(SU3, lambda H: 1.0, tau, CFG)
+    got = q_tau(SU3, lambda H: 1.0, tau)
 
     def integrand(x, y):
         val = np.exp(-(x * x + y * y) / tau)
@@ -185,7 +168,7 @@ def test_q_tau_rank2_narrow_sector_against_oracle():
     # 30 degree chamber sector with two root lengths
     g2 = build_root_system("G2", 2, {"short": 1, "long": 1})
     tau = 0.3
-    got = q_tau(g2, lambda H: 1.0, tau, CFG)
+    got = q_tau(g2, lambda H: 1.0, tau)
 
     def integrand(x, y):
         val = np.exp(-(x * x + y * y) / tau)
@@ -210,23 +193,52 @@ def test_q_tau_growth_hint_matches_exponential_path():
     # dedicated exponential-integrand evaluation
     mu = spherical_weight(S3, [1]).vector
     tau = 1.5
-    got = q_tau(S3, lambda H: math.exp(2.0 * float(H @ mu)), tau, CFG, growth=mu)
-    want = log_I_mu(S3, mu, tau, CFG)
-    assert abs(got - want) <= 10.0 * CFG.rel_tol
+    got = q_tau(S3, lambda H: math.exp(2.0 * float(H @ mu)), tau, growth=mu)
+    want = log_I_mu(S3, mu, tau)
+    assert abs(got - want) <= 10.0 * aq._REL_TOL
 
 
 def test_q_tau_rejects_rank3_and_bad_tau():
     su4 = build_root_system("A", 3, {"all": 2})
     with pytest.raises(ValueError):
-        q_tau(su4, lambda H: 1.0, 1.0, CFG)
+        q_tau(su4, lambda H: 1.0, 1.0)
     with pytest.raises(ValueError):
-        q_tau(S3, lambda H: 1.0, -1.0, CFG)
+        q_tau(S3, lambda H: 1.0, -1.0)
 
 
-def test_q_tau_nonconvergence_raises():
-    cfg = QuadratureConfig(rel_tol=1e-10, max_refinements=1)
+def test_q_tau_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(aq, "_MAX_REFINEMENTS", 1)
     with pytest.raises(RuntimeError):
-        q_tau(S3, lambda H: 1.0, 1.0, cfg)
+        q_tau(S3, lambda H: 1.0, 1.0)
+
+
+def _count_panels(monkeypatch):
+    panels = []
+    panel_nodes = aq._panel_nodes
+
+    def counting(lo, hi, n_panels):
+        panels.append(n_panels)
+        return panel_nodes(lo, hi, n_panels)
+
+    monkeypatch.setattr(aq, "_panel_nodes", counting)
+    return panels
+
+
+def test_quadrature_stops_at_first_comparison(monkeypatch):
+    # S2 at tau = 1 agrees between 8 and 16 panels: 24 panels of 32 nodes
+    panels = _count_panels(monkeypatch)
+    log_I_mu(S2, [0.0], 1.0)
+    assert panels == [8, 16]
+    assert 32 * sum(panels) == 768
+
+
+def test_quadrature_refines_up_to_65536_panels(monkeypatch):
+    panels = _count_panels(monkeypatch)
+    with pytest.raises(RuntimeError) as info:
+        aq._adaptive(lambda r: np.full_like(r, float(len(r))), 0.0, 1.0)
+    assert panels == [8 * 2**k for k in range(14)]
+    assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
+                               "within 14 refinements")
 
 
 # -- exponential integrands ------------------------------------------------------
@@ -239,13 +251,13 @@ def test_log_I_mu_abstract_example():
     assert power == pytest.approx(1.5)
     assert rate == pytest.approx(1.0)
     tau = 50.0
-    got = log_I_mu(ABSTRACT, [0.0], tau, CFG)
+    got = log_I_mu(ABSTRACT, [0.0], tau)
     assert abs(got - (log_c + power * math.log(tau) + rate * tau)) <= 0.02
 
 
 def test_log_I_mu_matches_oracle():
     tau = 30.0
-    got = log_I_mu(ABSTRACT, [0.0], tau, CFG)
+    got = log_I_mu(ABSTRACT, [0.0], tau)
     want = oracles.rank1_chamber_log_integral(
         ABSTRACT, lambda t: np.zeros_like(t), tau, tau + 12 * math.sqrt(tau), 400_000
     )
@@ -257,7 +269,7 @@ def test_log_I_mu_wall_case_decays():
     # residual log I - (m/2) log tau - tau |mu+rho|^2 must decrease
     mu = -rho(S3)
     resid = [
-        log_I_mu(S3, mu, t, CFG) - 1.5 * math.log(t) for t in (25.0, 50.0, 100.0)
+        log_I_mu(S3, mu, t) - 1.5 * math.log(t) for t in (25.0, 50.0, 100.0)
     ]
     assert resid[0] > resid[1] > resid[2]
 
@@ -267,24 +279,24 @@ def test_log_I_mu_transform_consistency():
         mus = [np.zeros(1), spherical_weight(rs, [1]).vector]
         for mu in mus:
             for tau in (0.5, 1.0, 2.0, 5.0):
-                d = aq._q_log_direct(rs, tau, CFG, mu)
-                t = aq._rank1_transformed(rs, mu, tau, CFG)
-                assert abs(d - t) <= 10.0 * CFG.rel_tol
+                d = aq._q_log_direct(rs, tau, mu)
+                t = aq._rank1_transformed(rs, mu, tau)
+                assert abs(d - t) <= 10.0 * aq._REL_TOL
 
 
 def test_log_I_mu_rank2_zero_weight_matches_q_tau():
-    got = log_I_mu(SU3, np.zeros(2), 1.0, CFG)
-    want = q_tau(SU3, lambda H: 1.0, 1.0, CFG)
-    assert abs(got - want) <= 10.0 * CFG.rel_tol
+    got = log_I_mu(SU3, np.zeros(2), 1.0)
+    want = q_tau(SU3, lambda H: 1.0, 1.0)
+    assert abs(got - want) <= 10.0 * aq._REL_TOL
 
 
 def test_log_I_mu_rank2_exponential_weight():
     # rank-2 exponential integrand at moderate tau stays on the direct path
     mu = spherical_weight(SU3, [1, 0]).vector
-    got = log_I_mu(SU3, mu, 2.0, CFG)
+    got = log_I_mu(SU3, mu, 2.0)
     assert math.isfinite(got)
     # grows with tau at rate |mu+rho|^2
-    got2 = log_I_mu(SU3, mu, 2.5, CFG)
+    got2 = log_I_mu(SU3, mu, 2.5)
     assert got2 > got
 
 
@@ -295,7 +307,7 @@ LARGE_TAUS = (10.0, 50.0, 200.0, 800.0)
 def _gap_to_leading(rs, mu, tau):
     log_c, power, rate = leading_infinity(rs, mu)
     lead = log_c + power * math.log(tau) + rate * tau
-    return log_I_mu(rs, mu, tau, CFG) - lead, lead
+    return log_I_mu(rs, mu, tau) - lead, lead
 
 
 @pytest.mark.parametrize(
@@ -586,7 +598,7 @@ def test_verify_tau_infinity_trivial_weight():
 def test_highest_weight_dominance():
     lam = spherical_weight(S2, [1]).vector
     for tau in (25.0, 50.0):
-        log_ratio = log_I_mu(S2, np.zeros(1), tau, CFG) - log_I_mu(S2, lam, tau, CFG)
+        log_ratio = log_I_mu(S2, np.zeros(1), tau) - log_I_mu(S2, lam, tau)
         assert log_ratio <= -4.0 * tau * 0.9
 
 

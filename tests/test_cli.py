@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from chamberq.cli import (
     default_catalog,
     emit,
     load_catalog,
+    parse_catalog,
     run_asym,
     run_flatness,
 )
@@ -54,7 +56,7 @@ mult.long = 1
 dim = 5
 """
     with pytest.raises(CatalogError):
-        load_catalog(text)
+        parse_catalog(text)
 
 
 def test_reject_dimension_mismatch():
@@ -66,13 +68,13 @@ mult.short = 2
 dim = 7
 """
     with pytest.raises(CatalogError, match="bad"):
-        load_catalog(text)
+        parse_catalog(text)
 
 
 def test_parse_error_reports_line():
     text = "name = ok\nroot_type = A\nthis line has no equals sign\n"
     with pytest.raises(CatalogError, match="line 3"):
-        load_catalog(text)
+        parse_catalog(text)
 
 
 def test_reject_duplicate_names():
@@ -90,7 +92,7 @@ mult.short = 1
 dim = 2
 """
     with pytest.raises(CatalogError, match="duplicate"):
-        load_catalog(text)
+        parse_catalog(text)
 
 
 def test_reject_unknown_keys():
@@ -103,7 +105,7 @@ dim = 3
 color = blue
 """
     with pytest.raises(CatalogError, match="unknown keys"):
-        load_catalog(text)
+        parse_catalog(text)
 
 
 def test_load_catalog_from_file(tmp_path):
@@ -117,6 +119,16 @@ def test_load_catalog_from_file(tmp_path):
         load_catalog(str(tmp_path / "missing.txt"))
 
 
+def test_load_catalog_reads_any_str_as_a_path(tmp_path):
+    # a str path with '=' in it is still a path, and text is not one
+    p = tmp_path / "x=1" / "spaces.txt"
+    p.parent.mkdir()
+    p.write_text(cli.DEFAULT_CATALOG_TEXT, encoding="utf-8")
+    assert load_catalog(str(p)).names() == default_catalog().names()
+    with pytest.raises(CatalogError, match="cannot read catalog"):
+        load_catalog("name = S2")
+
+
 def test_metric_scale_entry():
     text = """
 name = S2_rescaled
@@ -126,7 +138,7 @@ mult.short = 1
 dim = 2
 metric_scale = 2.0
 """
-    entry = load_catalog(text).get("S2_rescaled")
+    entry = parse_catalog(text).get("S2_rescaled")
     rs = entry.to_root_system()
     base = default_catalog().get("S2").to_root_system()
     w = rootsys.spherical_weight(rs, [1])
@@ -179,7 +191,7 @@ def test_text_and_json_catalogs_reject_the_same_entry(change, message):
     entry = {k: v for k, v in {**_ENTRY, **change}.items() if v is not None}
     for text in (_as_text(entry), json.dumps({"entries": [entry]})):
         with pytest.raises(CatalogError) as info:
-            load_catalog(text)
+            parse_catalog(text)
         assert str(info.value).endswith(": " + message)
 
 
@@ -188,13 +200,13 @@ def test_text_and_json_catalogs_reject_the_same_entry(change, message):
 
 def test_catalog_round_trip_json(catalog):
     text = emit(catalog, "json")
-    again = load_catalog(text)
+    again = parse_catalog(text)
     assert again == catalog
 
 
 def test_catalog_round_trip_text(catalog):
     text = emit(catalog, "text")
-    again = load_catalog(text)
+    again = parse_catalog(text)
     assert again == catalog
 
 
@@ -307,7 +319,7 @@ def test_cli_catalog_list(capsys):
 def test_cli_space_show_round_trip(capsys):
     code, out, _ = run_cli(["space", "show", "CP2"], capsys)
     assert code == 0
-    entry = load_catalog(out).get("CP2")
+    entry = parse_catalog(out).get("CP2")
     assert entry == default_catalog().get("CP2")
 
 
@@ -444,10 +456,7 @@ def test_cli_probe_f_rejects_negative_zmax(capsys):
 
 
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(
-        asymquad, "_DEFAULT_CFG",
-        asymquad.QuadratureConfig(max_refinements=1, rel_tol=1e-300),
-    )
+    monkeypatch.setattr(asymquad, "_MAX_REFINEMENTS", 1)
     code, out, err = run_cli(["asym", "S3", "--regime", "zero"], capsys)
     assert code == 3
     assert out == ""
@@ -535,6 +544,20 @@ def test_readme_examples_stdout_unchanged(case, capsys):
     code, out, _ = run_cli(case["command"].split(), capsys)
     assert out == case["stdout"]
     assert code == case["exit"]
+
+
+def test_package_reexports_every_module_export():
+    exported = {}
+    for mod in (rootsys, hcfun, asymquad, cli):
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ lists {name!r}"
+            exported[name] = getattr(mod, name)
+    del exported["main"]  # the console entry point stays in cli
+    public = {k for k, v in vars(chamberq).items()
+              if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == set(exported)
+    for name, obj in exported.items():
+        assert getattr(chamberq, name) is obj
 
 
 def test_python_m_chamberq_runs_cleanly():
