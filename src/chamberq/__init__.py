@@ -15,6 +15,7 @@ from .rootsys import (
     rescale,
     rho,
     rho_pairing_identity,
+    root_spec,
     spherical_weight,
 )
 from .hcfun import (

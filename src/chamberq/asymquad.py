@@ -53,7 +53,8 @@ _LOG2 = math.log(2.0)
 
 # The one quadrature policy: panel counts double from 8 until two successive
 # log values agree to _REL_TOL, over at most _MAX_REFINEMENTS grids (8 to
-# 65536 panels); windows reach _SIGMA Gaussian widths sqrt(tau) past the peak.
+# 65536 panels, so 13 doublings); windows reach _SIGMA Gaussian widths
+# sqrt(tau) past the peak.
 _REL_TOL = 1e-8
 _MAX_REFINEMENTS = 14
 _SIGMA = 8.0
@@ -114,7 +115,7 @@ def _adaptive(log_f, lo: float, hi: float,
         n *= 2
     raise RuntimeError(
         f"quadrature did not converge to rel_tol={_REL_TOL} "
-        f"within {_MAX_REFINEMENTS} refinements"
+        f"within {_MAX_REFINEMENTS} grids"
     )
 
 

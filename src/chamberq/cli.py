@@ -7,6 +7,10 @@ keys mult.short (plus mult.long / mult.double where the type has more
 orbits). Optional: metric_scale, source. The JSON that emit writes for a
 catalog loads too: each entry becomes the same key -> value mapping, its
 multiplicities under mult.<class>, and one validator checks both syntaxes.
+Entries are checked on load by :func:`rootsys.root_spec`, whose closed-form
+root-class sizes give `dim` without realizing a root, so the messages are
+the ones :func:`rootsys.build_root_system` raises; each space's root system
+is built on the first ``to_root_system()`` call and kept.
 
 Reports serialize to JSON (their dataclass fields in declaration order) or
 CSV (RFC 4180, CRLF line ends), floats printed with 17 significant digits
@@ -23,6 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import asymquad, hcfun, rootsys
@@ -65,23 +70,32 @@ class SpaceDescriptor:
     def __post_init__(self):
         if not self.name:
             raise CatalogError("space entry is missing a name")
-        rs = rootsys.build_root_system(
+        derived = rootsys.root_spec(
+            self.root_type,
+            self.rank,
+            self.multiplicities,
+            metric_scale=self.metric_scale,
+            geometric=True,
+        ).dimension
+        if abs(derived - self.dim_m) > 1e-9:
+            raise CatalogError(
+                f"entry {self.name!r}: dim {self.dim_m} does not match "
+                f"rank + total multiplicity = {derived:g}"
+            )
+
+    @cached_property
+    def _root_system(self) -> rootsys.RootSystem:
+        return rootsys.build_root_system(
             self.root_type,
             self.rank,
             self.multiplicities,
             metric_scale=self.metric_scale,
             geometric=True,
         )
-        derived = rootsys.dimension(rs)
-        if abs(derived - self.dim_m) > 1e-9:
-            raise CatalogError(
-                f"entry {self.name!r}: dim {self.dim_m} does not match "
-                f"rank + total multiplicity = {derived:g}"
-            )
-        object.__setattr__(self, "_rs", rs)
 
     def to_root_system(self) -> rootsys.RootSystem:
-        return self._rs
+        """The space's root system, built on the first call and kept."""
+        return self._root_system
 
 
 @dataclass(frozen=True)

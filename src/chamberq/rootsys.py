@@ -33,6 +33,7 @@ __all__ = [
     "RootSystem",
     "SphericalWeight",
     "build_root_system",
+    "root_spec",
     "rho",
     "fundamental_spherical_weights",
     "spherical_weight",
@@ -67,6 +68,19 @@ def _match(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     equal to it within tolerance, or -1."""
     hit = np.all(np.abs(rows - queries[..., None, :]) <= _MATCH_TOL, axis=-1)
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
+
+
+def _integral(mults: np.ndarray) -> bool:
+    return bool(np.all(np.abs(mults - np.round(mults)) <= _MATCH_TOL))
+
+
+def _check_geometric(mults: np.ndarray, has_double: np.ndarray) -> None:
+    """The geometric rule: integer multiplicities, and an even one wherever
+    the doubled root is present. ``has_double`` aligns with ``mults``."""
+    if not _integral(mults):
+        raise ValueError("geometric multiplicities must be integers")
+    if np.any((np.round(mults) % 2 == 1) & has_double):
+        raise ValueError("odd multiplicity on a root whose double is present")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +131,7 @@ class RootSystem:
         if np.any((half >= 0) & (double >= 0)):
             raise ValueError("root has both its half and its double in the system")
         if self.geometric:
-            if np.any(np.abs(mults - np.round(mults)) > _MATCH_TOL):
-                raise ValueError("geometric multiplicities must be integers")
-            if np.any((np.round(mults) % 2 == 1) & (double >= 0)):
-                raise ValueError("odd multiplicity on a root whose double is present")
+            _check_geometric(mults, double >= 0)
         object.__setattr__(self, "_half", half)
         object.__setattr__(self, "_double", double)
         object.__setattr__(self, "_simple_idx", self._detect_simple())
@@ -226,98 +237,54 @@ class SphericalWeight:
 
 
 # ---------------------------------------------------------------------------
-# standard realizations
+# the spec stage: every argument check, and the root length classes in
+# closed form, without realizing a root
 # ---------------------------------------------------------------------------
 
 _TYPES = ("A", "B", "C", "D", "BC", "G2", "F4")
 
 
-def _e(i: int, d: int) -> np.ndarray:
-    v = np.zeros(d)
-    v[i] = 1.0
-    return v
-
-
-def _positive_roots_standard(type_label: str, rank: int):
-    """Positive roots of the requested family in classical coordinates.
-
-    Returns (roots, ambient_dim); for type A the ambient dimension is
-    rank + 1 and the span is the sum-zero hyperplane.
-    """
-    t, r = type_label, rank
-    out: list[np.ndarray] = []
-    if t == "A":
-        d = r + 1
-        for i in range(d):
-            for j in range(i + 1, d):
-                out.append(_e(i, d) - _e(j, d))
-        return out, d
-    if t in ("B", "C", "D", "BC"):
-        if r < 2 and t in ("B", "C", "D"):
-            raise ValueError(f"type {t} requires rank >= 2 (use A for rank 1)")
-        d = r
-        for i in range(r):
-            for j in range(i + 1, r):
-                out.append(_e(i, d) - _e(j, d))
-                out.append(_e(i, d) + _e(j, d))
-        if t in ("B", "BC"):
-            out.extend(_e(i, d) for i in range(r))
-        if t in ("C", "BC"):
-            out.extend(2.0 * _e(i, d) for i in range(r))
-        return out, d
+def _class_table(t: str, r: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Labels and sizes of the root length classes of type ``t`` at rank
+    ``r``, shortest first, for the coordinates of
+    :func:`_positive_roots_standard` (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. VI, Plates I-IX)."""
+    if t == "A":  # e_i - e_j, i < j <= r
+        return ("all",), (r * (r + 1) // 2,)
+    if t in ("B", "C", "D") and r < 2:
+        raise ValueError(f"type {t} requires rank >= 2 (use A for rank 1)")
+    if t == "B":  # e_i; e_i +- e_j
+        return ("short", "long"), (r, r * (r - 1))
+    if t == "C":  # e_i +- e_j; 2 e_i
+        return ("short", "long"), (r * (r - 1), r)
+    if t == "D":  # e_i +- e_j
+        return ("all",), (r * (r - 1),)
+    if t == "BC":  # e_i; e_i +- e_j, absent at rank 1; 2 e_i
+        if r == 1:
+            return ("short", "long"), (1, 1)
+        return ("short", "long", "double"), (r, r * (r - 1), r)
     if t == "G2":
         if r != 2:
             raise ValueError("G2 has rank 2")
-        a1 = np.array([1.0, 0.0])
-        a2 = np.array([-1.5, 0.5 * math.sqrt(3.0)])
-        return [a1, a2, a1 + a2, 2 * a1 + a2, 3 * a1 + a2, 3 * a1 + 2 * a2], 2
-    if t == "F4":
-        if r != 4:
-            raise ValueError("F4 has rank 4")
-        d = 4
-        for i in range(4):
-            for j in range(i + 1, 4):
-                out.append(_e(i, d) - _e(j, d))
-                out.append(_e(i, d) + _e(j, d))
-        out.extend(_e(i, d) for i in range(4))
-        for s2 in (1.0, -1.0):
-            for s3 in (1.0, -1.0):
-                for s4 in (1.0, -1.0):
-                    out.append(0.5 * np.array([1.0, s2, s3, s4]))
-        return out, d
-    raise ValueError(f"unknown root system type {type_label!r}")
+        return ("short", "long"), (3, 3)
+    if r != 4:
+        raise ValueError("F4 has rank 4")
+    return ("short", "long"), (12, 12)  # e_i and (+-1, +-1, +-1, +-1)/2; e_i +- e_j
 
 
-def _length_classes(roots: np.ndarray) -> list[np.ndarray]:
-    """Indices of the roots grouped by squared length, shortest first."""
-    lens = np.round(np.einsum("ij,ij->i", roots, roots), 9)
-    values = sorted(set(lens.tolist()))
-    return [np.nonzero(lens == v)[0] for v in values]
-
-
-def _class_labels(n_classes: int) -> tuple[str, ...]:
-    if n_classes == 1:
-        return ("all",)
-    if n_classes == 2:
-        return ("short", "long")
-    if n_classes == 3:
-        return ("short", "long", "double")
-    raise ValueError("unexpected number of root length classes")
-
-
-def _resolve_mults(labels, classes, roots, multiplicities) -> list[float]:
-    """Map user-supplied orbit labels onto the length classes."""
-    aliases: dict[str, str] = {}
+def _aliases(t: str, labels: tuple[str, ...]) -> dict[str, str]:
+    """Other names a user may give a class: any name for a lone class,
+    "all" for the short class of two, and "double" for the doubled long
+    class of BC at rank 1."""
     if labels == ("all",):
-        aliases["short"] = "all"
-        aliases["long"] = "all"
+        return {"short": "all", "long": "all"}
     if labels == ("short", "long"):
-        aliases["all"] = "short"
-        # a two-class system whose long roots are doubles (BC rank 1) may
-        # label the top class "double"
-        top = classes[1]
-        if np.all(_match(roots, 0.5 * roots[top]) >= 0):
-            aliases["double"] = "long"
+        return {"all": "short", "double": "long"} if t == "BC" else {"all": "short"}
+    return {}
+
+
+def _resolve_mults(labels, aliases, multiplicities) -> list[float]:
+    """Map user-supplied class labels onto the length classes."""
     given = dict(multiplicities)
     resolved: list[float] = []
     for lab in labels:
@@ -336,6 +303,113 @@ def _resolve_mults(labels, classes, roots, multiplicities) -> list[float]:
     return resolved
 
 
+@dataclass(frozen=True)
+class RootSpec:
+    """A checked request for a standard realization: the root length
+    classes, shortest first, with their labels, sizes and multiplicities."""
+
+    type_label: str
+    rank: int
+    labels: tuple[str, ...]
+    sizes: tuple[int, ...]
+    mults: tuple[float, ...]
+    geometric: bool
+
+    @property
+    def dimension(self) -> float:
+        """rank + total multiplicity, as :func:`dimension` gives it for the
+        built system."""
+        return self.rank + sum(n * m for n, m in zip(self.sizes, self.mults))
+
+
+def root_spec(
+    type_label: str,
+    rank: int,
+    multiplicities: Mapping[str, float],
+    *,
+    metric_scale: float = 1.0,
+    geometric: bool | None = None,
+) -> RootSpec:
+    """Check the arguments of :func:`build_root_system`, raising the error it
+    raises, and return the root length classes without realizing a root."""
+    t = str(type_label).upper()
+    if t not in _TYPES:
+        raise ValueError(f"unknown root system type {type_label!r}")
+    if rank < 1:
+        raise ValueError("rank must be a positive integer")
+    if not (metric_scale > 0 and math.isfinite(metric_scale)):
+        raise ValueError("metric_scale must be positive")
+    labels, sizes = _class_table(t, rank)
+    mults = _resolve_mults(labels, _aliases(t, labels), multiplicities)
+    arr = np.array(mults)
+    if geometric is None:
+        geometric = _integral(arr)
+    if geometric:
+        # only the short class of BC has its doubles in the system
+        _check_geometric(arr, np.array([t == "BC"] + [False] * (len(arr) - 1)))
+    return RootSpec(t, rank, labels, sizes, tuple(mults), geometric)
+
+
+# ---------------------------------------------------------------------------
+# standard realizations
+# ---------------------------------------------------------------------------
+
+
+def _e(i: int, d: int) -> np.ndarray:
+    v = np.zeros(d)
+    v[i] = 1.0
+    return v
+
+
+def _positive_roots_standard(t: str, r: int):
+    """Positive roots of a type and rank that :func:`root_spec` accepted, in
+    classical coordinates.
+
+    Returns (roots, ambient_dim); for type A the ambient dimension is
+    rank + 1 and the span is the sum-zero hyperplane.
+    """
+    out: list[np.ndarray] = []
+    if t == "A":
+        d = r + 1
+        for i in range(d):
+            for j in range(i + 1, d):
+                out.append(_e(i, d) - _e(j, d))
+        return out, d
+    if t in ("B", "C", "D", "BC"):
+        d = r
+        for i in range(r):
+            for j in range(i + 1, r):
+                out.append(_e(i, d) - _e(j, d))
+                out.append(_e(i, d) + _e(j, d))
+        if t in ("B", "BC"):
+            out.extend(_e(i, d) for i in range(r))
+        if t in ("C", "BC"):
+            out.extend(2.0 * _e(i, d) for i in range(r))
+        return out, d
+    if t == "G2":
+        a1 = np.array([1.0, 0.0])
+        a2 = np.array([-1.5, 0.5 * math.sqrt(3.0)])
+        return [a1, a2, a1 + a2, 2 * a1 + a2, 3 * a1 + a2, 3 * a1 + 2 * a2], 2
+    d = 4  # F4
+    for i in range(4):
+        for j in range(i + 1, 4):
+            out.append(_e(i, d) - _e(j, d))
+            out.append(_e(i, d) + _e(j, d))
+    out.extend(_e(i, d) for i in range(4))
+    for s2 in (1.0, -1.0):
+        for s3 in (1.0, -1.0):
+            for s4 in (1.0, -1.0):
+                out.append(0.5 * np.array([1.0, s2, s3, s4]))
+    return out, d
+
+
+def _length_classes(roots: np.ndarray) -> list[np.ndarray]:
+    """Indices of the roots grouped by squared length, shortest first."""
+    lens = np.round(np.einsum("ij,ij->i", roots, roots), 9)
+    values = sorted(set(lens.tolist()))
+    return [np.nonzero(lens == v)[0] for v in values]
+
+
 def build_root_system(
     type_label: str,
     rank: int,
@@ -349,17 +423,12 @@ def build_root_system(
     ``multiplicities`` maps root length classes to values: "all" for the
     single-class types, "short"/"long" for two classes, and additionally
     "double" for the doubled class of BC systems of rank >= 2. The longest
-    root is normalized to squared length 2 * metric_scale.
+    root is normalized to squared length 2 * metric_scale. The arguments
+    are checked by :func:`root_spec`.
     """
-    t = str(type_label).upper()
-    if t not in _TYPES:
-        raise ValueError(f"unknown root system type {type_label!r}")
-    if rank < 1:
-        raise ValueError("rank must be a positive integer")
-    if not (metric_scale > 0 and math.isfinite(metric_scale)):
-        raise ValueError("metric_scale must be positive")
-
-    raw, d = _positive_roots_standard(t, rank)
+    spec = root_spec(type_label, rank, multiplicities,
+                     metric_scale=metric_scale, geometric=geometric)
+    raw, d = _positive_roots_standard(spec.type_label, rank)
     roots = np.array(raw, dtype=float)
     if d > rank:
         # isometric coordinates on the span: only type A has d > rank, and
@@ -373,12 +442,8 @@ def build_root_system(
             if nz.size and nz[0] < 0:
                 roots[:, k] = -col
 
-    classes = _length_classes(roots)
-    labels = _class_labels(len(classes))
-    class_mults = _resolve_mults(labels, classes, roots, multiplicities)
-
     mults = np.empty(len(roots))
-    for cls, m in zip(classes, class_mults):
+    for cls, m in zip(_length_classes(roots), spec.mults, strict=True):
         mults[cls] = m
 
     longest = max(float(a @ a) for a in roots)
@@ -387,10 +452,7 @@ def build_root_system(
     order = sorted(range(len(roots)), key=lambda i: tuple(np.round(roots[i], 9)))
     roots = roots[order]
     mults = mults[order]
-
-    if geometric is None:
-        geometric = bool(np.all(np.abs(mults - np.round(mults)) <= _MATCH_TOL))
-    return RootSystem(rank=rank, roots=roots, mults=mults, geometric=geometric)
+    return RootSystem(rank=rank, roots=roots, mults=mults, geometric=spec.geometric)
 
 
 # ---------------------------------------------------------------------------

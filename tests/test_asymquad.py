@@ -238,7 +238,7 @@ def test_quadrature_refines_up_to_65536_panels(monkeypatch):
         aq._adaptive(lambda r: np.full_like(r, float(len(r))), 0.0, 1.0)
     assert panels == [8 * 2**k for k in range(14)]
     assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
-                               "within 14 refinements")
+                               "within 14 grids")
 
 
 # -- exponential integrands ------------------------------------------------------

@@ -310,6 +310,36 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The argument tuples of every build_root_system call in the test."""
+    calls = []
+    build = rootsys.build_root_system
+    monkeypatch.setattr(rootsys, "build_root_system",
+                        lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["catalog", "list"], 0),
+    (["space", "show", "S3"], 0),
+    (["flatness", "SU3", "--max-coeff", "2"], 1),
+    (["cfun", "SU3", "--weight", "1,0"], 1),
+    (["asym", "S3", "--regime", "infinity", "--weight", "1"], 1),
+], ids=["catalog-list", "space-show", "flatness", "cfun", "asym"])
+def test_cli_builds_only_the_space_it_uses(argv, builds, built, capsys):
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(built) == builds
+
+
+def test_space_builds_its_root_system_once(built):
+    entry = default_catalog().get("SU3")
+    assert built == []
+    assert entry.to_root_system() is entry.to_root_system()
+    assert len(built) == 1
+
+
 def test_cli_catalog_list(capsys):
     code, out, err = run_cli(["catalog", "list"], capsys)
     assert code == 0

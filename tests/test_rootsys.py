@@ -14,6 +14,7 @@ from chamberq.rootsys import (
     rescale,
     rho,
     rho_pairing_identity,
+    root_spec,
     spherical_weight,
 )
 
@@ -89,6 +90,36 @@ def test_geometric_constraint_odd_with_double():
     # allowed when the integer constraints are switched off
     rs = build_root_system("BC", 1, {"short": 3, "long": 1}, geometric=False)
     assert not rs.geometric
+
+
+# every type at each rank from 1 to 12 that it has
+TYPE_RANKS = [
+    *[(t, r) for t in ("A", "BC") for r in range(1, 13)],
+    *[(t, r) for t in ("B", "C", "D") for r in range(2, 13)],
+    ("G2", 2),
+    ("F4", 4),
+]
+
+
+@pytest.mark.parametrize("label,rank", TYPE_RANKS,
+                         ids=[f"{t}{r}" for t, r in TYPE_RANKS])
+def test_closed_form_classes_match_built_system(label, rank):
+    if label in ("A", "D"):
+        labels = ("all",)
+    elif label == "BC" and rank > 1:
+        labels = ("short", "long", "double")
+    else:
+        labels = ("short", "long")
+    # distinct per class, and dyadic, so every sum below is exact
+    mults = {lab: 1.5 + 2.25 * i for i, lab in enumerate(labels)}
+    spec = root_spec(label, rank, mults)
+    rs = build_root_system(label, rank, mults)
+    classes = rootsys._length_classes(rs.roots)
+    assert spec.labels == labels
+    assert spec.sizes == tuple(len(c) for c in classes)
+    for lab, cls in zip(spec.labels, classes, strict=True):
+        assert set(rs.mults[cls].tolist()) == {mults[lab]}
+    assert spec.dimension == dimension(rs)
 
 
 def test_direct_constructor_validation():
