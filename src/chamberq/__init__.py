@@ -9,11 +9,8 @@ from .rootsys import (
     build_root_system,
     dimension,
     dominant_weights,
-    fundamental_spherical_weights,
-    indivisible_positive,
     is_reduced,
     rescale,
-    rho,
     rho_pairing_identity,
     root_spec,
     spherical_weight,
@@ -35,14 +32,8 @@ from .hcfun import (
 from .asymquad import (
     AsymptoticReport,
     b_delta_rank1,
-    chamber_weight,
-    gaussian_cone_moment,
-    hypergeometric_poly,
     leading_infinity,
     log_I_mu,
-    q_tau,
-    second_order_term,
-    spherical_rank1,
     verify_tau_infinity,
     verify_tau_zero,
     watson_expand,

@@ -33,16 +33,10 @@ from .rootsys import RootSystem, as_vector, dimension, spherical_weight
 
 __all__ = [
     "AsymptoticReport",
-    "chamber_weight",
-    "q_tau",
     "log_I_mu",
     "leading_infinity",
-    "hypergeometric_poly",
-    "spherical_rank1",
     "b_delta_rank1",
-    "gaussian_cone_moment",
     "watson_expand",
-    "second_order_term",
     "verify_tau_zero",
     "verify_tau_infinity",
 ]
@@ -154,22 +148,6 @@ def _sector_angles(rs: RootSystem) -> tuple[float, float]:
     return lo, hi
 
 
-def chamber_weight(rs: RootSystem, H) -> float:
-    """Product over positive roots of (alpha(H) sinh(2 alpha(H)))^(m/2).
-
-    Defined on the closed chamber; vanishes on the walls. Raises when H has
-    a strictly negative root pairing.
-    """
-    vals = rs.pairings(H)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.any(vals < -1e-12 * scale):
-        raise ValueError("H lies outside the closed Weyl chamber")
-    if np.any(vals <= 0):
-        return 0.0
-    r = np.linalg.norm(as_vector(H, rs.rank))
-    return math.exp(float(_log_chamber_weight(rs, np.array([r]), vals / r)[0]))
-
-
 def _log_chamber_weight(rs: RootSystem, r: np.ndarray, c: np.ndarray,
                         drift=0.0) -> np.ndarray:
     """Log chamber weight sum_a (m_a/2) log(r c_a sinh(2 r c_a)) plus
@@ -235,33 +213,6 @@ def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray,
         return lv
 
     return _adaptive(integrand, 0.0, R, sector)
-
-
-def q_tau(rs: RootSystem, f, tau: float, growth=None) -> float:
-    """Log of the chamber integral of exp(-|H|^2/tau) f(H) times the
-    chamber weight, for rank 1 and 2.
-
-    ``f`` maps a coordinate vector to a positive value. ``growth`` is an
-    optional vector hint: when f grows like exp(2 <growth, H>) it centers
-    the truncation window on the shifted Gaussian peak. Integrability is
-    the caller's responsibility.
-    """
-    if rs.rank > 2:
-        raise ValueError("chamber quadrature is implemented for rank <= 2")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    g = np.zeros(rs.rank) if growth is None else as_vector(growth, rs.rank)
-
-    def log_f_arr(H):
-        out = np.empty(H.shape[0])
-        for i in range(H.shape[0]):
-            v = f(H[i])
-            if not v > 0:
-                raise ValueError("f must be positive on the open chamber")
-            out[i] = math.log(v)
-        return out
-
-    return _q_log_direct(rs, tau, g, log_f_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +286,8 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
     """
     if rs.rank > 2:
         raise ValueError("chamber quadrature is implemented for rank <= 2")
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ValueError("tau must be positive and finite")
     mu = as_vector(mu, rs.rank)
     if rs.rank == 1:
         return _rank1_log_integrals(rs, mu, (tau,))[0]
@@ -363,33 +316,6 @@ def leading_infinity(rs: RootSystem, mu) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # rank-1 spherical functions
 # ---------------------------------------------------------------------------
-
-
-def hypergeometric_poly(a: float, n: int, c: float, z: float) -> float:
-    """Terminating Gauss hypergeometric series of degree n, summed term by
-    term: 1 + (a)(-n)/(c) z/1! + ..."""
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a nonnegative integer")
-    if c <= 0 and c == round(c):
-        raise ValueError("c must not be a nonpositive integer")
-    total = 1.0
-    term = 1.0
-    for k in range(int(n)):
-        term *= (a + k) * (-n + k) / ((c + k) * (k + 1)) * z
-        total += term
-    return total
-
-
-def spherical_rank1(m_beta: int, m_half: int, n: int, u: float) -> float:
-    """Rank-1 spherical function value at chamber coordinate u, the pairing
-    of the unmultipliable root with the chamber point.
-
-    Equals the terminating hypergeometric polynomial of degree n in
-    -sinh(u)^2 with parameters fixed by the multiplicities; normalized to 1
-    at u = 0.
-    """
-    a, c = _hyper_params(m_beta, m_half, n)
-    return hypergeometric_poly(a, n, c, -math.sinh(u) ** 2)
 
 
 def _hyper_params(m_beta: float, m_half: float, n: int) -> tuple[float, float]:
@@ -432,35 +358,17 @@ def b_delta_rank1(m_beta: int, m_half: int, n: int,
 # ---------------------------------------------------------------------------
 
 
-def gaussian_cone_moment(n: int, h: float, angular_integral: float,
-                         tau: float) -> float:
-    """Exact Gaussian moment of an h-homogeneous function over a cone in
-    R^n: (1/2) Gamma((n+h)/2) * (angular integral) * tau^((n+h)/2)."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    if h < 0:
-        raise ValueError("homogeneity degree must be nonnegative")
-    if not math.isfinite(angular_integral):
-        raise ValueError("angular integral must be finite")
-    return 0.5 * math.exp(hcfun.log_gamma(0.5 * (n + h))) * angular_integral * tau ** (
-        0.5 * (n + h)
-    )
-
-
-def watson_expand(dim_or_rs, q_degree: float, angular_integrals,
+def watson_expand(n: int, q_degree: float, angular_integrals,
                   n_terms: int | None = None) -> list[tuple[float, float]]:
     """Terms of the small-tau expansion of a Gaussian cone integral against
-    a homogeneous weight of degree q_degree and a smooth factor.
+    a homogeneous weight of degree q_degree and a smooth factor, over a
+    cone in R^n.
 
     ``angular_integrals[j]`` is the angular integral of the weight times
     the j-th homogeneous Taylor term of the smooth factor. Term j is
     ((1/2) Gamma((n + d + j)/2) * angular_integrals[j], (n + d + j)/2),
     returned as (coefficient, tau power) pairs for j = 0..N.
     """
-    if isinstance(dim_or_rs, RootSystem):
-        n = dim_or_rs.rank
-    else:
-        n = int(dim_or_rs)
     if n < 1:
         raise ValueError("dimension must be at least 1")
     vals = list(angular_integrals)
@@ -471,14 +379,6 @@ def watson_expand(dim_or_rs, q_degree: float, angular_integrals,
         coeff = 0.5 * math.exp(hcfun.log_gamma(power)) * vals[j]
         out.append((coeff, power))
     return out
-
-
-def second_order_term(rs: RootSystem, b_delta: float, H) -> float:
-    """Quadratic term of the integrand expansion at the origin:
-    b_delta |H|^2 + sum_alpha (m_alpha/3) alpha(H)^2."""
-    Hv = as_vector(H, rs.rank)
-    vals = rs.pairings(Hv)
-    return b_delta * float(Hv @ Hv) + float(np.sum(rs.mults / 3.0 * vals * vals))
 
 
 # ---------------------------------------------------------------------------

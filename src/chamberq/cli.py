@@ -16,7 +16,8 @@ Reports serialize to JSON (their dataclass fields in declaration order) or
 CSV (RFC 4180, CRLF line ends), floats printed with 17 significant digits
 so equal inputs give byte-identical output; inf and nan are quoted
 strings. Exit codes: 0 agreement/pass, 1 disagreement/fail, 2 input error,
-3 numerical failure.
+3 numerical failure, 141 stdout closed by its reader (128 + SIGPIPE, as a
+shell reports a process killed by that signal), with no traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -80,7 +82,7 @@ class SpaceDescriptor:
         if abs(derived - self.dim_m) > 1e-9:
             raise CatalogError(
                 f"entry {self.name!r}: dim {self.dim_m} does not match "
-                f"rank + total multiplicity = {derived:g}"
+                f"rank + total multiplicity = {_fnum(derived)}"
             )
 
     @cached_property
@@ -470,7 +472,7 @@ def _emit_catalog_text(cat: Catalog) -> str:
             f"rank = {e.rank}",
         ]
         for k in sorted(e.multiplicities):
-            lines.append(f"mult.{k} = {e.multiplicities[k]:g}")
+            lines.append(f"mult.{k} = {_fnum(e.multiplicities[k])}")
         lines.append(f"dim = {e.dim_m}")
         if e.metric_scale != 1.0:
             lines.append(f"metric_scale = {_fnum(e.metric_scale)}")
@@ -623,7 +625,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         catalog = load_catalog(args.catalog) if args.catalog else default_catalog()
-        return args.run(catalog, args, sys.stdout)
+        code = args.run(catalog, args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); as the signal module docs
+        # advise, point stdout at devnull so the exit-time flush cannot
+        # raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (CatalogError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -190,13 +190,18 @@ def log_f_factor(z: float, a: float, b: float, c: float, d: float) -> float:
     args = (w + b, 2.0 * w, 2.0 * w + 2.0 * b, w + b + d)
     if min(args) <= 0:
         raise ValueError("Gamma pole: nonpositive argument")
-    return (
+    if not math.isfinite(max(args)):
+        raise OverflowError(f"log F overflows a float at z = {z:g}")
+    val = (
         log_gamma(w + b)
         + log_gamma(2.0 * w)
         + (2.0 * b + d) * math.log(2.0 * w)
         - log_gamma(2.0 * w + 2.0 * b)
         - log_gamma(w + b + d)
     )
+    if not math.isfinite(val):  # a log_gamma overflowed, leaving inf or nan
+        raise OverflowError(f"log F overflows a float at z = {z:g}")
+    return val
 
 
 def f_factor(z: float, a: float, b: float, c: float, d: float) -> float:

@@ -34,11 +34,8 @@ __all__ = [
     "SphericalWeight",
     "build_root_system",
     "root_spec",
-    "rho",
-    "fundamental_spherical_weights",
     "spherical_weight",
     "rho_pairing_identity",
-    "indivisible_positive",
     "dimension",
     "dominant_weights",
     "rescale",
@@ -174,10 +171,13 @@ class RootSystem:
 
     @cached_property
     def rho(self) -> np.ndarray:
+        """Half the multiplicity-weighted sum of the positive roots."""
         return as_vector(0.5 * (self.mults @ self.roots), self.rank)
 
     @cached_property
     def indivisible(self) -> tuple[tuple[np.ndarray, float, float], ...]:
+        """Positive roots alpha with alpha/2 absent, as (alpha, m_alpha,
+        m_2alpha)."""
         return tuple(
             (as_vector(a, self.rank), float(self.mults[i]), self._double_mult(i))
             for i, a in enumerate(self.roots) if self._half[i] < 0
@@ -185,6 +185,13 @@ class RootSystem:
 
     @cached_property
     def fundamental_weights(self) -> tuple[np.ndarray, ...]:
+        """Basis of the dominant weight lattice, dual to the unmultipliable
+        basis.
+
+        With beta_j = alpha_j when 2*alpha_j is not a root and beta_j =
+        2*alpha_j otherwise, the weights satisfy <mu_j, beta_k>/<beta_k,beta_k>
+        = delta_jk.
+        """
         # lazy: only this value needs the simple roots to form a basis
         idx = list(self._simple_idx)
         if len(idx) != self.rank:
@@ -199,22 +206,9 @@ class RootSystem:
             raise ValueError("singular Gram matrix: degenerate root basis") from exc
         return tuple(as_vector(M[j], self.rank) for j in range(self.rank))
 
-    # -- convenience queries ------------------------------------------------
-
-    @property
-    def n_roots(self) -> int:
-        return self.roots.shape[0]
-
     def simple_roots(self) -> np.ndarray:
         """Simple positive roots as rows, in a deterministic order."""
         return self.roots[list(self._simple_idx)]
-
-    def index_of(self, v: np.ndarray) -> int:
-        return int(_match(self.roots, np.asarray(v, dtype=float)))
-
-    def pairings(self, H) -> np.ndarray:
-        """alpha(H) for every positive root alpha, as an array."""
-        return self.roots @ as_vector(H, self.rank)
 
 
 def is_reduced(rs: RootSystem) -> bool:
@@ -460,24 +454,9 @@ def build_root_system(
 # ---------------------------------------------------------------------------
 
 
-def rho(rs: RootSystem) -> np.ndarray:
-    """Half the multiplicity-weighted sum of the positive roots."""
-    return rs.rho
-
-
 def dimension(rs: RootSystem) -> float:
     """rank + total multiplicity; the manifold dimension for geometric data."""
     return rs.rank + float(np.sum(rs.mults))
-
-
-def fundamental_spherical_weights(rs: RootSystem) -> list[np.ndarray]:
-    """Basis of the dominant weight lattice, dual to the unmultipliable basis.
-
-    With beta_j = alpha_j when 2*alpha_j is not a root and beta_j =
-    2*alpha_j otherwise, the weights satisfy <mu_j, beta_k>/<beta_k,beta_k>
-    = delta_jk.
-    """
-    return list(rs.fundamental_weights)
 
 
 def _realize(mus, coeffs) -> SphericalWeight:
@@ -523,11 +502,6 @@ def rho_pairing_identity(rs: RootSystem, j: int) -> tuple[float, float]:
     lhs = float(rs.rho @ a)
     rhs = (0.5 * rs.mults[i] + rs._double_mult(i)) * float(a @ a)
     return lhs, rhs
-
-
-def indivisible_positive(rs: RootSystem) -> list[tuple[np.ndarray, float, float]]:
-    """Positive roots alpha with alpha/2 absent, as (alpha, m_alpha, m_2alpha)."""
-    return list(rs.indivisible)
 
 
 def rescale(rs: RootSystem, c: float) -> RootSystem:

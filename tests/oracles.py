@@ -2,8 +2,9 @@
 
 Everything here is deliberately primitive: composite Simpson rules on
 uniform grids (in log space where the integrand spans many orders of
-magnitude), root-system data found by one-vector-at-a-time searches, and
-frozen high-precision reference values. None of it shares code with the
+magnitude), root-system data found by one-vector-at-a-time searches,
+series summed term by term, closed forms on ``math.lgamma``, and frozen
+high-precision reference values. None of it shares code with the
 package's Gauss-Legendre panel machinery or its vectorized root matching.
 """
 
@@ -90,10 +91,57 @@ def chamber_weight_product(rs, H) -> float:
     return total
 
 
+def second_order_term(rs, b_delta: float, H) -> float:
+    """Quadratic term of the chamber integrand's expansion at the origin:
+    b_delta |H|^2 + sum_alpha (m_alpha/3) alpha(H)^2."""
+    H = np.asarray(H, dtype=float)
+    vals = rs.roots @ H
+    return b_delta * float(H @ H) + float(np.sum(rs.mults / 3.0 * vals * vals))
+
+
+def hypergeometric_poly(a: float, n: int, c: float, z):
+    """Terminating Gauss hypergeometric series of degree n, summed term by
+    term: 1 + (a)(-n)/(c) z/1! + ...; z may be an array."""
+    if n < 0 or n != int(n):
+        raise ValueError("n must be a nonnegative integer")
+    if c <= 0 and c == round(c):
+        raise ValueError("c must not be a nonpositive integer")
+    total = 1.0
+    term = 1.0
+    for k in range(int(n)):
+        term *= (a + k) * (-n + k) / ((c + k) * (k + 1)) * z
+        total += term
+    return total
+
+
+def spherical_rank1(m_beta: float, m_half: float, n: int, u):
+    """Rank-1 spherical function of degree n at chamber coordinate u, the
+    pairing of the unmultipliable root beta with the chamber point:
+    2F1(m_half/2 + m_beta + n, -n; (m_half + m_beta + 1)/2; -sinh(u)^2),
+    which is 1 at u = 0. u may be an array."""
+    a = 0.5 * m_half + m_beta + n
+    c = 0.5 * (m_half + m_beta + 1)
+    return hypergeometric_poly(a, n, c, -np.sinh(u) ** 2)
+
+
+def gaussian_cone_moment(n: int, h: float, angular_integral: float,
+                         tau: float) -> float:
+    """Exact Gaussian moment of an h-homogeneous function over a cone in
+    R^n: (1/2) Gamma((n+h)/2) * (angular integral) * tau^((n+h)/2)."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    if h < 0:
+        raise ValueError("homogeneity degree must be nonnegative")
+    if not math.isfinite(angular_integral):
+        raise ValueError("angular integral must be finite")
+    s = 0.5 * (n + h)
+    return 0.5 * math.exp(math.lgamma(s)) * angular_integral * tau**s
+
+
 _ROOT_TOL = 1e-9
 
 
-def _find_row(rows, v) -> int:
+def find_row(rows, v) -> int:
     """Index of the row equal to v within tolerance, or -1."""
     hits = np.nonzero(np.all(np.abs(rows - v) <= _ROOT_TOL, axis=1))[0]
     return int(hits[0]) if hits.size else -1
@@ -127,7 +175,7 @@ def root_data_by_loops(roots, mults) -> dict:
     simple.sort(key=lambda i: tuple(np.round(roots[i], 9)))
 
     def m_double(a):
-        k = _find_row(roots, 2.0 * a)
+        k = find_row(roots, 2.0 * a)
         return float(mults[k]) if k >= 0 else 0.0
 
     rho = np.zeros(rank)
@@ -136,7 +184,7 @@ def root_data_by_loops(roots, mults) -> dict:
     indivisible = [
         (roots[i], float(mults[i]), m_double(roots[i]))
         for i in range(n)
-        if _find_row(roots, 0.5 * roots[i]) < 0
+        if find_row(roots, 0.5 * roots[i]) < 0
     ]
 
     weyl_closed = True
@@ -144,9 +192,9 @@ def root_data_by_loops(roots, mults) -> dict:
         s = roots[j]
         for i, a in enumerate(roots):
             refl = a - (2.0 * float(a @ s) / float(s @ s)) * s
-            k = _find_row(roots, refl)
+            k = find_row(roots, refl)
             if k < 0:
-                k = _find_row(roots, -refl)
+                k = find_row(roots, -refl)
             if k < 0 or abs(mults[k] - mults[i]) > _ROOT_TOL * max(1.0, mults[i]):
                 weyl_closed = False
 

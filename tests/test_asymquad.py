@@ -9,14 +9,8 @@ from chamberq import hcfun
 from chamberq.asymquad import (
     AsymptoticReport,
     b_delta_rank1,
-    chamber_weight,
-    gaussian_cone_moment,
-    hypergeometric_poly,
     leading_infinity,
     log_I_mu,
-    q_tau,
-    second_order_term,
-    spherical_rank1,
     verify_tau_infinity,
     verify_tau_zero,
     watson_expand,
@@ -25,29 +19,30 @@ from chamberq.rootsys import (
     RootSystem,
     build_root_system,
     dimension,
-    rho,
     spherical_weight,
 )
 
 S2 = build_root_system("A", 1, {"all": 1})
 S3 = build_root_system("A", 1, {"all": 2})
 CP2 = build_root_system("BC", 1, {"short": 2, "long": 1})
+HP2 = build_root_system("BC", 1, {"short": 4, "long": 3})
 SU3 = build_root_system("A", 2, {"all": 2})
 # abstract rank-1 data: single root alpha with alpha(h) = h, multiplicity 2
 ABSTRACT = RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([2.0]))
 
 
 def unit_chamber_dir(rs):
-    u = rho(rs) / np.linalg.norm(rho(rs))
-    return u
+    return rs.rho / np.linalg.norm(rs.rho)
 
 
 # -- chamber weight -----------------------------------------------------------
 
 
-def test_chamber_weight_vanishes_at_origin():
-    assert chamber_weight(S3, np.zeros(1)) == 0.0
-    assert chamber_weight(SU3, np.zeros(2)) == 0.0
+def chamber_weight(rs, H):
+    """The chamber weight at an interior point H, from the log kernel."""
+    r = float(np.linalg.norm(H))
+    lw = aq._log_chamber_weight(rs, np.array([r]), rs.roots @ H / r)
+    return math.exp(float(lw[0]))
 
 
 def test_chamber_weight_a1_value():
@@ -63,12 +58,6 @@ def test_chamber_weight_scaling_matches_closed_form():
     ratio = chamber_weight(S3, 2.0 * H) / chamber_weight(S3, H)
     want = (2.0 * a * math.sinh(4.0 * a)) / (a * math.sinh(2.0 * a))
     assert ratio == pytest.approx(want, rel=1e-12)
-
-
-def test_chamber_weight_outside_chamber_raises():
-    u = unit_chamber_dir(S3)
-    with pytest.raises(ValueError):
-        chamber_weight(S3, -u)
 
 
 @pytest.mark.parametrize(
@@ -97,22 +86,19 @@ def test_chamber_weight_matches_per_root_product(type_label, rank, mults):
         checked += 1
 
 
-def test_chamber_weight_zero_on_walls():
-    # a point on the first simple wall, nudged a rounding step outside it
-    a = SU3.simple_roots()[0]
-    u = unit_chamber_dir(SU3)
-    H = u - (a @ u) / (a @ a) * a - 1e-14 * a
-    assert chamber_weight(SU3, H) == 0.0
+# -- q(tau), the chamber integral against f = 1, by quadrature and by oracle ----
 
 
-# -- rank-1 quadrature against the brute-force oracle ---------------------------
+def log_q(rs, tau):
+    """log q(tau): the chamber integral at the zero weight."""
+    return log_I_mu(rs, np.zeros(rs.rank), tau)
 
 
 @pytest.mark.parametrize("rs", [S2, S3, CP2], ids=["S2", "S3", "CP2"])
 @pytest.mark.parametrize("tau", [0.01, 1.0, 50.0, 200.0])
 def test_q_tau_oracle_equivalence_rank1(rs, tau):
-    got = q_tau(rs, lambda H: 1.0, tau)
-    peak = tau * np.linalg.norm(rho(rs))
+    got = log_q(rs, tau)
+    peak = tau * np.linalg.norm(rs.rho)
     radius = peak + 10.0 * math.sqrt(tau)
     want = oracles.rank1_chamber_log_integral(
         rs, lambda t: np.zeros_like(t), tau, radius, 400_000
@@ -135,31 +121,31 @@ def test_q_tau_small_tau_leading_coefficient():
             + math.log(ang)
             + 0.5 * m * math.log(1e-3)
         )
-        got = q_tau(rs, lambda H: 1.0, 1e-3)
+        got = log_q(rs, 1e-3)
         assert math.exp(got - lead) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_q_tau_monotone_in_tau():
-    vals = [q_tau(S3, lambda H: 1.0, t) for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    vals = [log_q(S3, t) for t in (0.25, 0.5, 1.0, 2.0, 4.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_q_tau_rank2_against_cartesian_oracle():
     tau = 0.5
-    got = q_tau(SU3, lambda H: 1.0, tau)
+    got = log_q(SU3, tau)
 
     def integrand(x, y):
         val = np.exp(-(x * x + y * y) / tau)
         inside = np.ones_like(x + y, dtype=bool)
         for a in SU3.simple_roots():
             inside &= (a[0] * x + a[1] * y) > 0
-        for i in range(SU3.n_roots):
+        for i in range(len(SU3.roots)):
             p = SU3.roots[i, 0] * x + SU3.roots[i, 1] * y
             p = np.where(inside, p, 1.0)
             val = val * np.where(inside, (p * np.sinh(2.0 * p)) ** (SU3.mults[i] / 2.0), 0.0)
         return val
 
-    R = tau * np.linalg.norm(rho(SU3)) + 8.0 * math.sqrt(tau)
+    R = tau * np.linalg.norm(SU3.rho) + 8.0 * math.sqrt(tau)
     want = oracles.simpson2d_plain(integrand, -R, R, -R, R, 1800)
     assert got == pytest.approx(math.log(want), abs=2e-5)
 
@@ -168,14 +154,14 @@ def test_q_tau_rank2_narrow_sector_against_oracle():
     # 30 degree chamber sector with two root lengths
     g2 = build_root_system("G2", 2, {"short": 1, "long": 1})
     tau = 0.3
-    got = q_tau(g2, lambda H: 1.0, tau)
+    got = log_q(g2, tau)
 
     def integrand(x, y):
         val = np.exp(-(x * x + y * y) / tau)
         inside = np.ones_like(x + y, dtype=bool)
         for a in g2.simple_roots():
             inside &= (a[0] * x + a[1] * y) > 0
-        for i in range(g2.n_roots):
+        for i in range(len(g2.roots)):
             p = g2.roots[i, 0] * x + g2.roots[i, 1] * y
             p = np.where(inside, p, 1.0)
             val = val * np.where(
@@ -183,33 +169,31 @@ def test_q_tau_rank2_narrow_sector_against_oracle():
             )
         return val
 
-    R = tau * np.linalg.norm(rho(g2)) + 8.0 * math.sqrt(tau)
+    R = tau * np.linalg.norm(g2.rho) + 8.0 * math.sqrt(tau)
     want = oracles.simpson2d_plain(integrand, -R, R, -R, R, 1600)
     assert got == pytest.approx(math.log(want), abs=5e-5)
-
-
-def test_q_tau_growth_hint_matches_exponential_path():
-    # a positive scalar f with the matching growth hint reproduces the
-    # dedicated exponential-integrand evaluation
-    mu = spherical_weight(S3, [1]).vector
-    tau = 1.5
-    got = q_tau(S3, lambda H: math.exp(2.0 * float(H @ mu)), tau, growth=mu)
-    want = log_I_mu(S3, mu, tau)
-    assert abs(got - want) <= 10.0 * aq._REL_TOL
 
 
 def test_q_tau_rejects_rank3_and_bad_tau():
     su4 = build_root_system("A", 3, {"all": 2})
     with pytest.raises(ValueError):
-        q_tau(su4, lambda H: 1.0, 1.0)
+        log_q(su4, 1.0)
     with pytest.raises(ValueError):
-        q_tau(S3, lambda H: 1.0, -1.0)
+        log_q(S3, -1.0)
+
+
+@pytest.mark.parametrize("rs", [S3, SU3], ids=["S3", "SU3"])
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_log_I_mu_rejects_bad_tau(rs, tau):
+    # tau = 0 and nan used to give -inf and nan, and inf an overflow warning
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        log_I_mu(rs, np.zeros(rs.rank), tau)
 
 
 def test_q_tau_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(aq, "_MAX_REFINEMENTS", 1)
     with pytest.raises(RuntimeError):
-        q_tau(S3, lambda H: 1.0, 1.0)
+        log_q(S3, 1.0)
 
 
 def _count_panels(monkeypatch):
@@ -267,7 +251,7 @@ def test_log_I_mu_matches_oracle():
 def test_log_I_mu_wall_case_decays():
     # mu = -rho puts the shifted peak on the chamber wall: the normalized
     # residual log I - (m/2) log tau - tau |mu+rho|^2 must decrease
-    mu = -rho(S3)
+    mu = -S3.rho
     resid = [
         log_I_mu(S3, mu, t) - 1.5 * math.log(t) for t in (25.0, 50.0, 100.0)
     ]
@@ -285,8 +269,9 @@ def test_log_I_mu_transform_consistency():
 
 
 def test_log_I_mu_rank2_zero_weight_matches_q_tau():
+    # the exponential route against the route that adds log f at every node
     got = log_I_mu(SU3, np.zeros(2), 1.0)
-    want = q_tau(SU3, lambda H: 1.0, 1.0)
+    want = aq._q_log_direct(SU3, 1.0, np.zeros(2), lambda H: np.zeros(len(H)))
     assert abs(got - want) <= 10.0 * aq._REL_TOL
 
 
@@ -355,31 +340,62 @@ def test_leading_infinity_sphere2():
 
 def test_leading_infinity_wall_raises():
     with pytest.raises(ValueError):
-        leading_infinity(S3, -rho(S3))
+        leading_infinity(S3, -S3.rho)
 
 
 # -- hypergeometric polynomials ----------------------------------------------------
 
 
 def test_hypergeometric_trivials():
-    assert hypergeometric_poly(2.3, 0, 1.1, 0.7) == 1.0
+    poly = oracles.hypergeometric_poly
+    assert poly(2.3, 0, 1.1, 0.7) == 1.0
     a, c, z = 1.7, 2.2, -0.4
-    assert hypergeometric_poly(a, 1, c, z) == pytest.approx(1.0 - a / c * z, rel=1e-14)
-    assert hypergeometric_poly(3.0, 1, 1.5, -1.0) == pytest.approx(3.0, rel=1e-14)
+    assert poly(a, 1, c, z) == pytest.approx(1.0 - a / c * z, rel=1e-14)
+    assert poly(3.0, 1, 1.5, -1.0) == pytest.approx(3.0, rel=1e-14)
     with pytest.raises(ValueError):
-        hypergeometric_poly(1.0, -2, 1.5, 0.0)
+        poly(1.0, -2, 1.5, 0.0)
     with pytest.raises(ValueError):
-        hypergeometric_poly(1.0, 2, -1.0, 0.0)
+        poly(1.0, 2, -1.0, 0.0)
+
+
+def spherical_poly(m_beta, m_half, n, u):
+    """The degree-n spherical function at u from the coefficients that the
+    quadrature uses, a polynomial in s = sinh(u)^2."""
+    log_ck = aq._spherical_log_coeffs(m_beta, m_half, n)
+    return float(np.exp(log_ck) @ np.sinh(u) ** (2.0 * np.arange(n + 1)))
 
 
 def test_spherical_rank1_values():
     for params in [(1, 0, 3), (2, 0, 1), (4, 3, 2)]:
-        assert spherical_rank1(*params, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert spherical_poly(*params, 0.0) == pytest.approx(1.0, abs=1e-14)
     u = 0.83
     want = 1.0 + 2.0 * math.sinh(u) ** 2
-    assert spherical_rank1(2, 0, 1, u) == pytest.approx(want, rel=1e-13)
+    assert spherical_poly(2, 0, 1, u) == pytest.approx(want, rel=1e-13)
     for u in (0.0, 0.5, 2.0):
-        assert spherical_rank1(3, 0, 0, u) == 1.0
+        assert spherical_poly(3, 0, 0, u) == 1.0
+    for params in [(1, 0, 3), (2, 0, 1), (4, 3, 2), (7, 8, 6)]:
+        for u in (0.1, 0.83, 2.0):
+            want = oracles.spherical_rank1(*params, u)
+            assert spherical_poly(*params, u) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("rs", [S2, CP2, HP2], ids=["S2", "CP2", "HP2"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("tau", [0.05, 1.0, 5.0])
+def test_spherical_log_integrals_match_oracle(rs, n, tau):
+    # beta is the longest root, and m_half the multiplicity of beta/2 if any
+    i = int(np.argmax(np.abs(rs.roots[:, 0])))
+    beta, m_beta = rs.roots[i], float(rs.mults[i])
+    m_half = float(np.sum(rs.mults)) - m_beta
+    got = aq._spherical_log_integrals(rs, n, np.array([tau]))[0]
+    radius = tau * np.linalg.norm(n * beta + rs.rho) + 10.0 * math.sqrt(tau)
+    want = oracles.rank1_chamber_log_integral(
+        rs,
+        lambda t: np.log(oracles.spherical_rank1(m_beta, m_half, n,
+                                                 np.linalg.norm(beta) * t)),
+        tau, radius, 400_000,
+    )
+    assert abs(got - want) <= 1e-6
 
 
 def test_b_delta_examples():
@@ -406,9 +422,15 @@ def test_b_delta_closed_forms_agree(m_beta, m_half):
 # -- cone moments and the small-tau expansion ----------------------------------------
 
 
+def watson_term0(n, h, angular_integral, tau):
+    [(coeff, power)] = watson_expand(n, h, [angular_integral])
+    return coeff * tau**power
+
+
 def test_gaussian_cone_moment_examples():
     tau = 0.37
-    got = gaussian_cone_moment(1, 2.0, 1.0, tau)
+    got = oracles.gaussian_cone_moment(1, 2.0, 1.0, tau)
+    assert watson_term0(1, 2.0, 1.0, tau) == pytest.approx(got, rel=1e-13)
     assert got == pytest.approx(0.25 * math.sqrt(math.pi) * tau**1.5, rel=1e-13)
     # brute-force check of the same integral
     want = oracles.simpson_plain(
@@ -417,7 +439,8 @@ def test_gaussian_cone_moment_examples():
     assert got == pytest.approx(want, rel=1e-8)
 
     # Q = xy on the quarter plane: angular integral 1/2, matches Fubini
-    got = gaussian_cone_moment(2, 2.0, 0.5, tau)
+    got = oracles.gaussian_cone_moment(2, 2.0, 0.5, tau)
+    assert watson_term0(2, 2.0, 0.5, tau) == pytest.approx(got, rel=1e-13)
     assert got == pytest.approx((tau / 2.0) ** 2, rel=1e-13)
     want = oracles.simpson2d_plain(
         lambda x, y: np.exp(-(x * x + y * y) / tau) * x * y,
@@ -426,7 +449,8 @@ def test_gaussian_cone_moment_examples():
     assert got == pytest.approx(want, rel=1e-8)
 
     # Gaussian over a quadrant
-    got = gaussian_cone_moment(2, 0.0, math.pi / 2.0, tau)
+    got = oracles.gaussian_cone_moment(2, 0.0, math.pi / 2.0, tau)
+    assert watson_term0(2, 0.0, math.pi / 2.0, tau) == pytest.approx(got, rel=1e-13)
     assert got == pytest.approx(math.pi * tau / 4.0, rel=1e-13)
     want = oracles.simpson2d_plain(
         lambda x, y: np.exp(-(x * x + y * y) / tau) * np.ones_like(x * y),
@@ -437,11 +461,13 @@ def test_gaussian_cone_moment_examples():
 
 def test_gaussian_cone_moment_validation():
     with pytest.raises(ValueError):
-        gaussian_cone_moment(0, 1.0, 1.0, 0.1)
+        oracles.gaussian_cone_moment(0, 1.0, 1.0, 0.1)
     with pytest.raises(ValueError):
-        gaussian_cone_moment(1, -1.0, 1.0, 0.1)
+        watson_expand(0, 1.0, [1.0])
     with pytest.raises(ValueError):
-        gaussian_cone_moment(1, 1.0, math.inf, 0.1)
+        oracles.gaussian_cone_moment(1, -1.0, 1.0, 0.1)
+    with pytest.raises(ValueError):
+        oracles.gaussian_cone_moment(1, 1.0, math.inf, 0.1)
 
 
 def test_watson_single_term_reproduces_cone_moment():
@@ -450,7 +476,7 @@ def test_watson_single_term_reproduces_cone_moment():
     assert len(terms) == 1
     coeff, power = terms[0]
     assert coeff * tau**power == pytest.approx(
-        gaussian_cone_moment(1, 2.0, 1.0, tau), rel=1e-13
+        oracles.gaussian_cone_moment(1, 2.0, 1.0, tau), rel=1e-13
     )
 
 
@@ -502,14 +528,15 @@ def test_second_order_term_trivial_rep():
     H = 0.3 * unit_chamber_dir(S3)
     vals = S3.roots @ H
     want = float(np.sum(S3.mults / 3.0 * vals * vals))
-    assert second_order_term(S3, 0.0, H) == pytest.approx(want, rel=1e-13)
+    assert oracles.second_order_term(S3, 0.0, H) == pytest.approx(want, rel=1e-13)
 
 
 def test_second_order_difference_property():
     for rs in (S2, S3, CP2):
         xi = unit_chamber_dir(rs)
         b = 4.0
-        diff = second_order_term(rs, b, xi) - second_order_term(rs, 0.0, xi)
+        diff = (oracles.second_order_term(rs, b, xi)
+                - oracles.second_order_term(rs, 0.0, xi))
         assert diff == pytest.approx(b, rel=1e-12)
 
 
@@ -525,8 +552,8 @@ def test_second_order_term_finite_difference_oracle():
 
     def g(t):
         Ht = t * H
-        val = spherical_rank1(m_beta, 0, n, float(beta @ Ht))
-        for i in range(rs.n_roots):
+        val = oracles.spherical_rank1(m_beta, 0, n, float(beta @ Ht))
+        for i in range(len(rs.roots)):
             p = float(rs.roots[i] @ Ht)
             if p == 0.0:
                 continue
@@ -535,7 +562,7 @@ def test_second_order_term_finite_difference_oracle():
 
     eps = 1e-3
     second = (g(eps) - 2.0 * g(0.0) + g(-eps)) / (eps * eps)
-    want = second_order_term(rs, b_ser, H)
+    want = oracles.second_order_term(rs, b_ser, H)
     assert 0.5 * second == pytest.approx(want, rel=1e-5)
 
 

@@ -205,9 +205,13 @@ def test_catalog_round_trip_json(catalog):
 
 
 def test_catalog_round_trip_text(catalog):
-    text = emit(catalog, "text")
-    again = parse_catalog(text)
-    assert again == catalog
+    # a multiplicity of 1234567 reads back only if the text keeps every digit
+    big = parse_catalog("name = Big\nroot_type = A\nrank = 1\n"
+                        "mult.short = 1234567\ndim = 1234568\n")
+    for cat in (catalog, big):
+        text = emit(cat, "text")
+        again = parse_catalog(text)
+        assert again == cat
 
 
 def test_emit_deterministic(catalog):
@@ -524,6 +528,19 @@ def test_cli_probe_f_tiny_a(capsys):
         assert float(ratio) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("a, c", [("1e308", "1e308"), ("1e307", "0")],
+                         ids=["gamma-argument", "log-gamma"])
+def test_cli_probe_f_huge_finite_inputs_are_numerical_failures(a, c, capsys):
+    # 2w = 2e308 overflows before log_gamma sees it; log_gamma(1e307) is inf
+    code, out, err = run_cli(
+        ["probe-F", "--a", a, "--b", "0", "--c", c, "--d", "0", "--zmax", "2"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: numerical failure: log F overflows a float at z = 0\n"
+
+
 @pytest.mark.parametrize("flag", ["--a", "--b", "--c", "--d"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_cli_probe_f_rejects_non_finite(flag, value, capsys):
@@ -590,14 +607,28 @@ def test_package_reexports_every_module_export():
         assert getattr(chamberq, name) is obj
 
 
-def test_python_m_chamberq_runs_cleanly():
+def _python_m_chamberq(argv, **kwargs):
     src = str(Path(chamberq.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chamberq", "catalog", "list"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "chamberq", *argv],
+                          env=env, timeout=60, **kwargs)
+
+
+def test_python_m_chamberq_runs_cleanly():
+    proc = _python_m_chamberq(["catalog", "list"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "S2\tA1\tdim=2" in proc.stdout
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        proc = _python_m_chamberq(["flatness", "SU3", "--max-coeff", "40"],
+                                  stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

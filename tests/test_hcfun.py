@@ -21,7 +21,6 @@ from chamberq.rootsys import (
     build_root_system,
     dominant_weights,
     rescale,
-    rho,
     spherical_weight,
 )
 

@@ -8,11 +8,8 @@ from chamberq.rootsys import (
     build_root_system,
     dimension,
     dominant_weights,
-    fundamental_spherical_weights,
-    indivisible_positive,
     is_reduced,
     rescale,
-    rho,
     rho_pairing_identity,
     root_spec,
     spherical_weight,
@@ -28,7 +25,7 @@ def norms_sq(rs):
 
 def test_a1_single_root():
     rs = build_root_system("A", 1, {"all": 2})
-    assert rs.n_roots == 1
+    assert len(rs.roots) == 1
     assert float(rs.roots[0] @ rs.roots[0]) == pytest.approx(2.0, abs=1e-12)
     assert rs.mults[0] == 2.0
     assert dimension(rs) == pytest.approx(3.0)
@@ -36,17 +33,17 @@ def test_a1_single_root():
 
 def test_bc1_projective_plane_data():
     rs = build_root_system("BC", 1, {"short": 2, "long": 1})
-    assert rs.n_roots == 2
+    assert len(rs.roots) == 2
     assert norms_sq(rs) == pytest.approx([0.5, 2.0])
     short = rs.roots[np.argmin([a @ a for a in rs.roots])]
-    assert rs.index_of(2.0 * short) >= 0
+    assert oracles.find_row(rs.roots, 2.0 * short) >= 0
     assert not is_reduced(rs)
     assert dimension(rs) == pytest.approx(4.0)
 
 
 def test_a2_group_data():
     rs = build_root_system("A", 2, {"all": 2})
-    assert rs.n_roots == 3
+    assert len(rs.roots) == 3
     assert norms_sq(rs) == pytest.approx([2.0, 2.0, 2.0])
     assert dimension(rs) == pytest.approx(8.0)  # dim SU(3)
 
@@ -64,7 +61,7 @@ def test_a2_group_data():
 )
 def test_families_counts_and_normalization(label, rank, mults, n_pos):
     rs = build_root_system(label, rank, mults)
-    assert rs.n_roots == n_pos
+    assert len(rs.roots) == n_pos
     assert max(norms_sq(rs)) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -146,13 +143,13 @@ def test_direct_constructor_validation():
 
 def test_rho_a1():
     rs = build_root_system("A", 1, {"all": 2})
-    np.testing.assert_allclose(rho(rs), rs.roots[0], atol=1e-12)
+    np.testing.assert_allclose(rs.rho, rs.roots[0], atol=1e-12)
 
 
 def test_rho_bc1():
     rs = build_root_system("BC", 1, {"short": 2, "long": 1})
     beta = rs.roots[np.argmax([a @ a for a in rs.roots])]
-    np.testing.assert_allclose(rho(rs), beta, atol=1e-12)
+    np.testing.assert_allclose(rs.rho, beta, atol=1e-12)
 
 
 def test_rho_pairing_examples():
@@ -180,21 +177,21 @@ def test_rho_pairing_examples():
 
 def test_fundamental_weights_a1():
     rs = build_root_system("A", 1, {"all": 2})
-    (mu,) = fundamental_spherical_weights(rs)
+    (mu,) = rs.fundamental_weights
     np.testing.assert_allclose(mu, rs.roots[0], atol=1e-12)
 
 
 def test_fundamental_weights_bc1():
     rs = build_root_system("BC", 1, {"short": 2, "long": 1})
     beta = rs.roots[np.argmax([a @ a for a in rs.roots])]
-    (mu,) = fundamental_spherical_weights(rs)
+    (mu,) = rs.fundamental_weights
     np.testing.assert_allclose(mu, beta, atol=1e-12)
 
 
 def test_fundamental_weights_a2_are_doubled_classical():
     rs = build_root_system("A", 2, {"all": 2})
     a1, a2 = rs.simple_roots()
-    mus = fundamental_spherical_weights(rs)
+    mus = rs.fundamental_weights
     # classical fundamental weights of the rank-2 simply laced system
     omegas = [(2.0 * a1 + a2) / 3.0, (a1 + 2.0 * a2) / 3.0]
     for mu, omega in zip(mus, omegas):
@@ -232,7 +229,7 @@ def test_weight_lattice_coordinates_recover(catalog):
         simple = rs.simple_roots()
         betas = []
         for a in simple:
-            betas.append(2.0 * a if rs.index_of(2.0 * a) >= 0 else a)
+            betas.append(2.0 * a if oracles.find_row(rs.roots, 2.0 * a) >= 0 else a)
         for w in dominant_weights(rs, 2):
             for k, b in enumerate(betas):
                 got = float(w.vector @ b) / float(b @ b)
@@ -249,9 +246,9 @@ def test_weyl_invariant_multiplicities(catalog):
             ss = float(s @ s)
             for i, a in enumerate(rs.roots):
                 refl = a - (2.0 * float(a @ s) / ss) * s
-                k = rs.index_of(refl)
+                k = oracles.find_row(rs.roots, refl)
                 if k < 0:
-                    k = rs.index_of(-refl)
+                    k = oracles.find_row(rs.roots, -refl)
                 assert k >= 0, "system not closed under simple reflection"
                 assert rs.mults[k] == pytest.approx(rs.mults[i], rel=1e-12)
 
@@ -259,7 +256,7 @@ def test_weyl_invariant_multiplicities(catalog):
 def test_rho_strictly_dominant(catalog):
     for entry in catalog.entries:
         rs = entry.to_root_system()
-        rv = rho(rs)
+        rv = rs.rho
         for a in rs.roots:
             assert float(rv @ a) > 1e-12
 
@@ -277,15 +274,15 @@ def test_strict_ratio_gap(catalog):
     # positively with mu_j
     for entry in catalog.entries:
         rs = entry.to_root_system()
-        rv = rho(rs)
-        mus = fundamental_spherical_weights(rs)
+        rv = rs.rho
+        mus = rs.fundamental_weights
         simple = rs.simple_roots()
         for j in range(rs.rank):
             aj = simple[j]
             base = (float(rv @ aj) / float(aj @ aj)) / (
                 float(mus[j] @ aj) / float(aj @ aj)
             )
-            for a, _, _ in indivisible_positive(rs):
+            for a, _, _ in rs.indivisible:
                 if np.allclose(a, aj, atol=1e-9):
                     continue
                 pairing = float(mus[j] @ a) / float(a @ a)
@@ -306,18 +303,13 @@ def test_rho_pairing_identity_all_catalog(catalog):
 def test_scale_invariance_of_normalized_pairings():
     rs = build_root_system("BC", 1, {"short": 2, "long": 1})
     w = spherical_weight(rs, [2])
-    rv = rho(rs)
-    base = [
-        float((w.vector + rv) @ a) / float(a @ a) for a, _, _ in indivisible_positive(rs)
-    ]
+    rv = rs.rho
+    base = [float((w.vector + rv) @ a) / float(a @ a) for a, _, _ in rs.indivisible]
     for c in (0.5, 2.0):
         rs2 = rescale(rs, c)
         w2 = spherical_weight(rs2, [2])
-        rv2 = rho(rs2)
-        got = [
-            float((w2.vector + rv2) @ a) / float(a @ a)
-            for a, _, _ in indivisible_positive(rs2)
-        ]
+        rv2 = rs2.rho
+        got = [float((w2.vector + rv2) @ a) / float(a @ a) for a, _, _ in rs2.indivisible]
         np.testing.assert_allclose(got, base, rtol=1e-12)
 
 
@@ -334,16 +326,16 @@ def test_metric_scale_multiplies_pairings():
 
 def test_indivisible_positive_examples():
     a1 = build_root_system("A", 1, {"all": 2})
-    [(a, m, m2)] = indivisible_positive(a1)
+    [(a, m, m2)] = a1.indivisible
     assert (m, m2) == (2.0, 0.0)
 
     bc1 = build_root_system("BC", 1, {"short": 2, "long": 1})
-    [(a, m, m2)] = indivisible_positive(bc1)
+    [(a, m, m2)] = bc1.indivisible
     assert (m, m2) == (2.0, 1.0)
     assert float(a @ a) == pytest.approx(0.5, abs=1e-12)
 
     a2 = build_root_system("A", 2, {"all": 2})
-    entries = indivisible_positive(a2)
+    entries = a2.indivisible
     assert len(entries) == 3
     assert all((m, m2) == (2.0, 0.0) for _, m, m2 in entries)
 
@@ -363,7 +355,7 @@ def test_fundamental_weights_degenerate_basis():
         mults=np.array([1.5, 0.5]),
     )
     with pytest.raises(ValueError):
-        fundamental_spherical_weights(rs)
+        rs.fundamental_weights
 
 
 # -- derived data against the one-root-at-a-time oracle ------------------------
@@ -396,15 +388,14 @@ def test_derived_data_matches_loop_oracle(label, rank, mults):
     rs = build_root_system(label, rank, mults)
     want = oracles.root_data_by_loops(rs.roots, rs.mults)
     np.testing.assert_array_equal(rs.simple_roots(), rs.roots[want["simple"]])
-    np.testing.assert_allclose(rho(rs), want["rho"], rtol=1e-13, atol=1e-13)
-    got = indivisible_positive(rs)
+    np.testing.assert_allclose(rs.rho, want["rho"], rtol=1e-13, atol=1e-13)
+    got = rs.indivisible
     assert len(got) == len(want["indivisible"])
     for (a, m, m2), (wa, wm, wm2) in zip(got, want["indivisible"]):
         np.testing.assert_array_equal(a, wa)
         assert (m, m2) == (wm, wm2)
     assert is_reduced(rs) == all(m2 == 0.0 for _, _, m2 in want["indivisible"])
-    for mu, wmu in zip(fundamental_spherical_weights(rs), want["fundamental"],
-                       strict=True):
+    for mu, wmu in zip(rs.fundamental_weights, want["fundamental"], strict=True):
         np.testing.assert_allclose(mu, wmu, rtol=1e-12, atol=1e-12)
     assert want["weyl_closed"]
 
