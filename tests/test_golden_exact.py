@@ -1,0 +1,133 @@
+"""Bit-level pin of the exact side (Q, c, A, B, the group closed form and the
+F factor) against golden_exact.json.
+
+Floats are compared through ``float.hex``, so a change to the Gamma-factor
+arithmetic that is meant to keep every value must leave this file passing
+unedited. Every weight box is small enough that each pairing
+x = <weight + rho, alpha>/<alpha, alpha> stays below 20, which the last test
+checks, so a large-argument log-Gamma ratio kernel that starts at x = 20
+keeps those bits. The F-factor rows reach x = 2(cz + a) = 560 and pin the
+plain log-Gamma differences of today. The last digits of the ray probe
+``g_product_probe`` depend on how the pairings along the ray are formed, so
+its values are compared at rel 1e-12 instead of bit for bit. An intended change of values
+re-records the file with
+
+    PYTHONPATH=src python tests/test_golden_exact.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from chamberq import cli, hcfun, rootsys
+
+GOLDEN_PATH = Path(__file__).with_name("golden_exact.json")
+X_BOUND = 20.0
+PROBE_N_MAX = 30
+F_PARAMS = ((0.3, 1.7, 0.9, 0.35), (1.1, 0.2, 2.3, 2.9),
+            (0.7, 3.3, 0.1, 1.1), (1e-3, 0.6, 7.0, 0.45))
+# geometric multiplicities beyond the catalog: every non-A type, rank 2 and 4
+GEOMETRIC = {
+    "B2": ("B", 2, {"short": 3, "long": 1}),
+    "C2": ("C", 2, {"short": 2, "long": 1}),
+    "BC2": ("BC", 2, {"short": 2, "long": 2, "double": 1}),
+    "G2": ("G2", 2, {"short": 1, "long": 1}),
+    "D4": ("D", 4, {"all": 1}),
+    "F4": ("F4", 4, {"short": 1, "long": 1}),
+}
+# largest weight coefficient per rank
+BOX = {1: 3, 2: 3, 3: 2, 4: 1}
+
+CATALOG = cli.default_catalog()
+SPACES = {e.name: e.to_root_system for e in CATALOG.entries}
+SPACES.update({name: (lambda t=t, r=r, m=m: rootsys.build_root_system(
+    t, r, m, geometric=True)) for name, (t, r, m) in GEOMETRIC.items()})
+GROUPS = [e.name for e in CATALOG.entries
+          if hcfun.classify_group_manifold(e.to_root_system())]
+
+
+def _key(w) -> str:
+    return ",".join(str(c) for c in w.coeffs)
+
+
+def _weights(rs):
+    return rootsys.dominant_weights(rs, BOX[rs.rank])
+
+
+def weight_values(name: str) -> dict:
+    """Q, c by both Gamma routes, and (A, B) at every weight of the box."""
+    rs = SPACES[name]()
+    out = {}
+    for w in _weights(rs):
+        a, b = hcfun.predicted_constants(rs, w)
+        out[_key(w)] = {
+            "Q": hcfun.q_of_weight(rs, w).hex(),
+            "c": hcfun.c_function(rs, w).hex(),
+            "c_duplicated": hcfun.c_function_duplicated(rs, w).hex(),
+            "A": a.hex(),
+            "B": b.hex(),
+        }
+    return out
+
+
+def closed_form_values(name: str) -> dict:
+    rs = SPACES[name]()
+    return {_key(w): hcfun.group_c_closed_form(rs, w).hex() for w in _weights(rs)}
+
+
+def f_values(params) -> list[str]:
+    return [hcfun.f_factor(float(z), *params).hex() for z in range(41)]
+
+
+def probe_values(name: str) -> list[list[float]]:
+    rs = SPACES[name]()
+    return [hcfun.g_product_probe(rs, j, PROBE_N_MAX) for j in range(rs.rank)]
+
+
+def _record() -> dict:
+    return {
+        "weights": {name: weight_values(name) for name in SPACES},
+        "group_c_closed_form": {name: closed_form_values(name) for name in GROUPS},
+        "f_factor": {repr(p): f_values(p) for p in F_PARAMS},
+        "g_product_probe": {name: probe_values(name) for name in SPACES},
+    }
+
+
+GOLDEN = (json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+          if GOLDEN_PATH.exists() else None)
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+def test_weight_values_bits_unchanged(name):
+    assert weight_values(name) == GOLDEN["weights"][name]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_group_closed_form_bits_unchanged(name):
+    assert closed_form_values(name) == GOLDEN["group_c_closed_form"][name]
+
+
+@pytest.mark.parametrize("params", F_PARAMS, ids=repr)
+def test_f_factor_bits_unchanged(params):
+    assert f_values(params) == GOLDEN["f_factor"][repr(params)]
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+def test_g_product_probe_unchanged(name):
+    got = probe_values(name)
+    want = GOLDEN["g_product_probe"][name]
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert row == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+def test_pinned_pairings_stay_below_bound(name):
+    rs = SPACES[name]()
+    corner = sum(rs.fundamental_weights) * BOX[rs.rank]
+    assert max(x for x, _, _ in hcfun._pairing_x(rs, corner)) < X_BOUND
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(_record(), indent=1) + "\n", encoding="utf-8")
