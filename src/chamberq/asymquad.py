@@ -386,6 +386,10 @@ def watson_expand(n: int, q_degree: float, angular_integrals,
 # ---------------------------------------------------------------------------
 
 
+# the degree-n spherical expansion holds a (nodes x (n + 1)) matrix
+_MAX_WEIGHT_COEFF = 1000
+
+
 def _coerce_rank1(space, n: int):
     """(root system, name) of a rank-1 space and a valid weight coefficient."""
     if isinstance(space, RootSystem):
@@ -400,6 +404,8 @@ def _coerce_rank1(space, n: int):
         )
     if n < 0:
         raise ValueError("weight coefficient must be nonnegative")
+    if n > _MAX_WEIGHT_COEFF:
+        raise ValueError(f"weight coefficient must be at most {_MAX_WEIGHT_COEFF}")
     return rs, name
 
 

@@ -5,6 +5,12 @@ positive roots, exponentiated once at the end. Products of Gamma values at
 arguments of even moderate size overflow double precision, so no routine
 in this module ever multiplies Gamma values directly.
 
+One per-root factor, :func:`_log_c_factor`, forms every Gamma ratio of Q,
+c, A and F: F(z; a, b, c, d) is Q's factor at x = 2(cz + a), m = 4b,
+m2 = 2d and power 2b + d. Two routes that check it stay independent of it:
+:func:`_log_c_factor_raw` (before the duplication formula) and the group
+manifolds' closed form :func:`group_c_closed_form`.
+
 Normalization of the c-function is enforced numerically: the product
 formula is evaluated at the weight and at zero, and the ratio is returned,
 which pins c(0-weight) = 1 without knowing the closed-form constant.
@@ -12,6 +18,7 @@ which pins c(0-weight) = 1 without knowing the closed-form constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,34 +84,42 @@ def log_gamma(x: float) -> float:
 def _pairing_x(rs: RootSystem, weight_vec: np.ndarray) -> list[tuple[float, float, float]]:
     """(x, m, m2) per indivisible root, x = <weight + rho, alpha>/<alpha,alpha>."""
     v = weight_vec + rs.rho
-    return [(float(v @ a) / float(a @ a), m, m2) for a, m, m2 in rs.indivisible]
+    out = [(float(v @ a) / float(a @ a), m, m2) for a, m, m2 in rs.indivisible]
+    if any(x <= 0 for x, _, _ in out):
+        raise ValueError("nonpositive pairing: weight is not dominant")
+    return out
 
 
 def _log_c_factor(x: float, m: float, m2: float, power: float = 0.0) -> float:
     # unnormalized Gindikin-Karpelevic factor, duplication formula applied,
-    # times x**power; Q takes power (m + m2)/2, the c-function 0
-    if x <= 0:
-        raise ValueError("nonpositive pairing: weight is not dominant")
+    # times x**power; Q takes power (m + m2)/2, F 2b + d, the c-function 0
     return (
         log_gamma(0.25 * m + 0.5 * x)
         + log_gamma(x)
         + power * math.log(x)
         - log_gamma(0.5 * m + x)
-        - log_gamma(0.25 * m + 0.5 * m2 + 0.5 * x)
+        - log_gamma(0.5 * x + 0.25 * m + 0.5 * m2)
     )
 
 
 def _log_c_factor_raw(x: float, m: float, m2: float) -> float:
     # unnormalized factor before applying the duplication formula: a power
     # of two and a Gamma over two half-argument Gammas
-    if x <= 0:
-        raise ValueError("nonpositive pairing: weight is not dominant")
     return (
         -x * math.log(2.0)
         + log_gamma(x)
         - log_gamma(0.25 * m + 0.5 + 0.5 * x)
         - log_gamma(0.25 * m + 0.5 * m2 + 0.5 * x)
     )
+
+
+def _log_weyl_ratios(rs: RootSystem, lam: np.ndarray) -> list[float]:
+    """log<lam + rho, alpha> - log<rho, alpha> per positive root alpha."""
+    v = lam + rs.rho
+    pairs = [(float(v @ a), float(rs.rho @ a)) for a in rs.roots]
+    if any(num <= 0 or den <= 0 for num, den in pairs):
+        raise ValueError("nonpositive pairing: weight is not dominant")
+    return [math.log(num) - math.log(den) for num, den in pairs]
 
 
 def _weight_vec(rs: RootSystem, weight) -> np.ndarray:
@@ -141,16 +156,7 @@ def group_c_closed_form(rs: RootSystem, weight) -> float:
     every multiplicity equal to 2."""
     if not classify_group_manifold(rs):
         raise ValueError("closed form requires reduced roots with multiplicity 2")
-    lam = _weight_vec(rs, weight)
-    rv = rs.rho
-    log_val = 0.0
-    for a in rs.roots:
-        num = float(rv @ a)
-        den = float((lam + rv) @ a)
-        if den <= 0 or num <= 0:
-            raise ValueError("nonpositive pairing: weight is not dominant")
-        log_val += math.log(num) - math.log(den)
-    return math.exp(log_val)
+    return math.exp(-sum(_log_weyl_ratios(rs, _weight_vec(rs, weight))))
 
 
 def log_q_of_weight(rs: RootSystem, weight) -> float:
@@ -179,47 +185,36 @@ def q_of_weight(rs: RootSystem, weight) -> float:
 # ---------------------------------------------------------------------------
 
 
-def log_f_factor(z: float, a: float, b: float, c: float, d: float) -> float:
-    if a <= 0:
-        raise ValueError("parameter a must be positive")
-    if min(b, c, d) < 0:
-        raise ValueError("parameters b, c, d must be nonnegative")
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    w = c * z + a
-    args = (w + b, 2.0 * w, 2.0 * w + 2.0 * b, w + b + d)
-    if min(args) <= 0:
-        raise ValueError("Gamma pole: nonpositive argument")
-    if not math.isfinite(max(args)):
-        raise OverflowError(f"log F overflows a float at z = {z:g}")
-    val = (
-        log_gamma(w + b)
-        + log_gamma(2.0 * w)
-        + (2.0 * b + d) * math.log(2.0 * w)
-        - log_gamma(2.0 * w + 2.0 * b)
-        - log_gamma(w + b + d)
-    )
-    if not math.isfinite(val):  # a log_gamma overflowed, leaving inf or nan
-        raise OverflowError(f"log F overflows a float at z = {z:g}")
-    return val
-
-
 def f_factor(z: float, a: float, b: float, c: float, d: float) -> float:
     """Gamma-ratio factor Gamma(cz+a+b) Gamma(2cz+2a) (2cz+2a)^(2b+d) /
     [Gamma(2cz+2a+2b) Gamma(cz+a+b+d)], evaluated on the real axis.
 
     Tends to 2^d as z grows; identically 1 when b = 1/2 and d = 0.
     """
-    return math.exp(log_f_factor(z, a, b, c, d))
+    if a <= 0:
+        raise ValueError("parameter a must be positive")
+    if min(b, c, d) < 0:
+        raise ValueError("parameters b, c, d must be nonnegative")
+    if z < 0:
+        raise ValueError("z must be nonnegative")
+    x, m, m2 = 2.0 * (c * z + a), 4.0 * b, 2.0 * d
+    # log Gamma overflows past ~2.5e305, so an infinite argument and an
+    # infinite log F are the same failure
+    finite = math.isfinite(x + m + m2)
+    val = _log_c_factor(x, m, m2, 2.0 * b + d) if finite else math.inf
+    if not math.isfinite(val):
+        raise OverflowError(f"log F overflows a float at z = {z:g}")
+    return math.exp(val)
 
 
 def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
     """Product of F factors along the ray n * mu_j, for n = 0..n_max.
 
-    Each indivisible root alpha with <mu_j, alpha_0> > 0 contributes the
-    factor F(n, <rho, alpha_0>/2, m/4, <mu_j, alpha_0>/2, m2/2); the product
-    equals Q(n * mu_j) up to roots with vanishing pairing, so constancy of
-    the sequence is the numeric shadow of Q-invariance along the ray.
+    Each indivisible root alpha with <mu_j, alpha_0> > 0 contributes Q's
+    factor at n * mu_j, which is F(n, <rho, alpha_0>/2, m/4,
+    <mu_j, alpha_0>/2, m2/2); the product equals Q(n * mu_j) up to roots
+    with vanishing pairing, so constancy of the sequence is the numeric
+    shadow of Q-invariance along the ray.
     """
     mus = rs.fundamental_weights
     if not 0 <= j < len(mus):
@@ -227,18 +222,12 @@ def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     mu_j = mus[j]
-    rv = rs.rho
-    params = []
-    for a, m, m2 in rs.indivisible:
-        aa = float(a @ a)
-        c = 0.5 * float(mu_j @ a) / aa
-        if c <= 1e-12:
-            continue
-        params.append((0.5 * float(rv @ a) / aa, 0.25 * m, c, 0.5 * m2))
+    on_ray = [float(mu_j @ a) / float(a @ a) > 2e-12 for a, _, _ in rs.indivisible]
     out = []
     for n in range(n_max + 1):
-        log_g = sum(log_f_factor(float(n), a, b, c, d) for a, b, c, d in params)
-        out.append(math.exp(log_g))
+        pairs = itertools.compress(_pairing_x(rs, n * mu_j), on_ray)
+        out.append(math.exp(sum(_log_c_factor(x, m, m2, 0.5 * (m + m2))
+                                for x, m, m2 in pairs)))
     return out
 
 
@@ -298,13 +287,8 @@ def predicted_constants(rs: RootSystem, weight) -> tuple[float, float]:
     metric normalization.
     """
     lam = _weight_vec(rs, weight)
-    rv = rs.rho
     log_a = _log_c(rs, lam, _log_c_factor)
-    for i, a in enumerate(rs.roots):
-        num = float((lam + rv) @ a)
-        den = float(rv @ a)
-        if num <= 0 or den <= 0:
-            raise ValueError("nonpositive pairing: weight is not dominant")
-        log_a += 0.5 * rs.mults[i] * (math.log(num) - math.log(den))
-    b = float((lam + rv) @ (lam + rv)) - float(rv @ rv)
+    for m, term in zip(rs.mults, _log_weyl_ratios(rs, lam)):
+        log_a += 0.5 * m * term
+    b = float((lam + rs.rho) @ (lam + rs.rho)) - float(rs.rho @ rs.rho)
     return math.exp(log_a), b

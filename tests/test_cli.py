@@ -397,6 +397,17 @@ def test_cli_asym_rank_error(capsys):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("regime", ["zero", "infinity"])
+def test_cli_asym_weight_bound(regime, capsys):
+    # the spherical expansion's memory grows with the weight
+    code, out, err = run_cli(
+        ["asym", "OP2", "--regime", regime, "--weight", "1001"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: weight coefficient must be at most 1000\n"
+
+
 def test_cli_unknown_space(capsys):
     code, _, err = run_cli(["flatness", "Nope"], capsys)
     assert code == 2

@@ -130,6 +130,14 @@ def test_c_rejects_nondominant():
         c_function(rs, -2.0 * rs.roots[0])
 
 
+@pytest.mark.parametrize("fn", [q_of_weight, c_function, c_function_duplicated,
+                                group_c_closed_form, predicted_constants])
+def test_exact_entry_points_reject_nondominant(fn):
+    rs = sphere(2)  # a group manifold, so the closed form applies
+    with pytest.raises(ValueError, match="weight is not dominant"):
+        fn(rs, -2.0 * rs.roots[0])
+
+
 # -- Q invariant -----------------------------------------------------------------
 
 
@@ -211,6 +219,32 @@ def test_g_probe_bc1_not_constant():
     rs = build_root_system("BC", 1, {"short": 2, "long": 1})
     vals = g_product_probe(rs, 0, 10)
     assert (max(vals) - min(vals)) / min(vals) > 0.05
+
+
+def _q_factor(x, m, m2):
+    # Q's per-root factor on math.lgamma, independent of hcfun
+    return math.exp(math.lgamma(0.25 * m + 0.5 * x) + math.lgamma(x)
+                    + 0.5 * (m + m2) * math.log(x) - math.lgamma(0.5 * m + x)
+                    - math.lgamma(0.25 * m + 0.5 * m2 + 0.5 * x))
+
+
+def test_g_probe_times_vanishing_roots_is_q(catalog):
+    # g(n) times the factors at rho of the roots with <mu_j, alpha> = 0,
+    # which stay there along the ray, gives Q(n mu_j)
+    for entry in catalog.entries:
+        rs = entry.to_root_system()
+        if rs.rank > 2:
+            continue
+        for j, mu in enumerate(rs.fundamental_weights):
+            off_ray = 1.0
+            for a, m, m2 in rs.indivisible:
+                if abs(float(mu @ a)) <= 1e-12:
+                    off_ray *= _q_factor(float(rs.rho @ a) / float(a @ a), m, m2)
+            coeffs = [0] * rs.rank
+            for n, g in enumerate(g_product_probe(rs, j, 10)):
+                coeffs[j] = n
+                q = q_of_weight(rs, spherical_weight(rs, coeffs))
+                assert g * off_ray == pytest.approx(q, rel=1e-12), (entry.name, j, n)
 
 
 def test_g_probe_index_error():
