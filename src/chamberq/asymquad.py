@@ -15,8 +15,10 @@ the only part that needs a transcendental at every node. exp(2 mu(H)) joins
 the r-linear part, so exponential integrands need no grid of points.
 
 Quadrature is composite Gauss-Legendre with panel doubling until two
-successive refinements agree in log value to one fixed tolerance; at
-rank 2 on a tensor grid in polar coordinates over the chamber sector.
+successive refinements agree in log value to one fixed tolerance. Rank 1
+has one route at every tau: the coordinate centred at the shifted Gaussian
+peak tau (mu + rho), where the integrand is bounded. Rank 2 integrates on
+a tensor grid in polar coordinates over the chamber sector.
 Gauss nodes are open, so the integrable wall zeros of the chamber weight
 (square-root type for odd multiplicities) never produce a -inf sample.
 """
@@ -186,57 +188,38 @@ def _log_chamber_weight(rs: RootSystem, r: np.ndarray, c: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _truncation_radius(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
-    peak = tau * np.linalg.norm(growth + rs.rho)
-    return float(peak + _SIGMA * math.sqrt(tau))
+def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
+    # rank 2, in polar coordinates over the chamber sector: f = exp(2 <growth,
+    # H>) is linear in the radius along each direction, so it goes into the
+    # weight kernel and no grid of points is built
+    R = float(tau * np.linalg.norm(growth + rs.rho) + _SIGMA * math.sqrt(tau))
 
-
-def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray,
-                  log_f_arr=None) -> float:
-    # log_f_arr maps an (N, rank) array of points H to log f(H). Without it
-    # f = exp(2 <growth, H>): linear in the radius along each direction, so
-    # it goes into the weight kernel and no grid of points is built.
-    R = _truncation_radius(rs, tau, growth)
-    ray = _chamber_direction(rs) if rs.rank == 1 else None
-    sector = _sector_angles(rs) if rs.rank == 2 else None
-
-    def integrand(r, th=None):
-        # unit directions: the chamber ray at rank 1, one per angle at rank 2
-        u = ray if th is None else np.stack([np.cos(th), np.sin(th)])
-        if log_f_arr is None:
-            lv = _log_chamber_weight(rs, r, rs.roots @ u, 2.0 * (growth @ u))
-        else:
-            lv = _log_chamber_weight(rs, r, rs.roots @ u)
-            H = np.multiply.outer(r, u.T).reshape(-1, rs.rank)
-            lv += log_f_arr(H).reshape(lv.shape)
+    def integrand(r, th):
+        u = np.stack([np.cos(th), np.sin(th)])
+        lv = _log_chamber_weight(rs, r, rs.roots @ u, 2.0 * (growth @ u))
         lv.T[...] -= r * r / tau  # the radius is the first axis
         return lv
 
-    return _adaptive(integrand, 0.0, R, sector)
-
-
-# ---------------------------------------------------------------------------
-# exponential integrands and the large-tau normal form
-# ---------------------------------------------------------------------------
+    return _adaptive(integrand, 0.0, R, _sector_angles(rs))
 
 
 def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
                        log_phi=None) -> float:
-    """Log of q(tau, phi * exp(2 mu(H))) through the affine change of
-    coordinates centered at the shifted Gaussian peak tau * (mu + rho).
+    """Log of the rank-1 q(tau, phi * exp(2 mu(H))) through the affine change
+    of coordinates centered at the shifted Gaussian peak tau * (mu + rho).
 
-    The transformed integrand is bounded, so this is the stable evaluation
-    for large tau. ``log_phi`` takes the array of chamber coordinates of
-    the original variable and defaults to 0 (phi identically 1).
+    The transformed integrand is bounded at every tau. The window reaches
+    _SIGMA widths on each side of the peak, cut at the chamber wall; when
+    the peak lies outside the chamber it runs from the wall. ``log_phi``
+    takes the array of chamber coordinates of the original variable and
+    defaults to 0 (phi identically 1).
     """
     u = _chamber_direction(rs)
     lr = mu + rs.rho
     a = float(lr @ u)
     rate = float(lr @ lr)
     lo = max(-math.sqrt(tau) * a, -_SIGMA)
-    hi = _SIGMA
-    if lo >= hi:
-        return -math.inf
+    hi = max(lo, 0.0) + _SIGMA
     au = rs.roots @ u
     # 2 mu(H) and the weight's linear part t sum_a m_a c_a = 2 rho(H) add up
     # to 2 a t, and t = sqrt(tau) y + tau a turns -t^2/tau + 2 a t into
@@ -254,35 +237,12 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
     return tau * rate + 0.5 * math.log(tau) + _adaptive(integrand, lo, hi)
 
 
-def _rank1_log_integrals(rs: RootSystem, mu: np.ndarray, taus,
-                         log_f=None) -> list[float]:
-    """Log of the rank-1 chamber integral at each tau in ``taus``: of
-    exp(2 mu(H)), or, given ``log_f``, of the f with log f = log_f(t) at
-    chamber coordinates t, which grows like exp(2 mu(H)).
-
-    tau >= 2 takes the transformed route, whose integrand stays bounded at
-    any tau; smaller tau the direct log-space quadrature.
-    """
-    log_phi = log_f_arr = None
-    if log_f is not None:
-        u = _chamber_direction(rs)
-        slope = 2.0 * float(mu @ u)
-
-        def log_phi(t):
-            return log_f(t) - slope * t
-
-        def log_f_arr(H):
-            return log_f(H @ u)
-
-    return [_rank1_transformed(rs, mu, t, log_phi) if t >= 2.0
-            else _q_log_direct(rs, t, mu, log_f_arr) for t in taus]
-
-
 def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
     """Log of the chamber integral with f = exp(2 mu(H)).
 
-    For rank 1 and tau >= 2 the transformed bounded-integrand form is used
-    (no overflow at any tau); otherwise the direct log-space quadrature.
+    Rank 1 integrates around the shifted Gaussian peak, where the integrand
+    stays bounded at any tau; rank 2 in polar coordinates over the chamber
+    sector.
     """
     if rs.rank > 2:
         raise ValueError("chamber quadrature is implemented for rank <= 2")
@@ -290,7 +250,7 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
         raise ValueError("tau must be positive and finite")
     mu = as_vector(mu, rs.rank)
     if rs.rank == 1:
-        return _rank1_log_integrals(rs, mu, (tau,))[0]
+        return _rank1_transformed(rs, mu, tau)
     return _q_log_direct(rs, tau, mu)
 
 
@@ -424,20 +384,23 @@ def _spherical_log_integrals(rs: RootSystem, n: int,
     """Log of the chamber integral against the degree-n spherical function
     at each tau in ``taus``."""
     beta, m_beta, m_half = _rank1_params(rs)
-    bu = float(beta @ _chamber_direction(rs))
+    u = _chamber_direction(rs)
+    bu = float(beta @ u)
+    mu = float(n) * beta  # the rank-1 fundamental weight is beta itself
+    slope = 2.0 * float(mu @ u)
     log_ck = _spherical_log_coeffs(m_beta, m_half, n)
     ks = np.arange(len(log_ck), dtype=float)
 
-    def log_f(t):
+    def log_phi(t):
         # log F(-sinh^2(beta(H))) at chamber coordinates t, via the positive
-        # coefficient expansion; stable for arbitrarily large t
+        # coefficient expansion, less the growth 2 mu(H) that the peak
+        # centring takes out; stable for arbitrarily large t
         log_s = 2.0 * _log_sinh(bu * t)
         mat = log_ck[None, :] + ks[None, :] * log_s[:, None]
         mx = np.max(mat, axis=1)
-        return mx + np.log(np.sum(np.exp(mat - mx[:, None]), axis=1))
+        return mx + np.log(np.sum(np.exp(mat - mx[:, None]), axis=1)) - slope * t
 
-    # the rank-1 fundamental weight is beta itself
-    return np.array(_rank1_log_integrals(rs, float(n) * beta, taus, log_f))
+    return np.array([_rank1_transformed(rs, mu, t, log_phi) for t in taus])
 
 
 @dataclass(frozen=True)

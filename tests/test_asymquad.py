@@ -258,21 +258,35 @@ def test_log_I_mu_wall_case_decays():
     assert resid[0] > resid[1] > resid[2]
 
 
+def _rank1_oracle(rs, mu, tau, radius):
+    slope = 2.0 * float(mu @ unit_chamber_dir(rs))
+    return oracles.rank1_chamber_log_integral(
+        rs, lambda t: slope * t, tau, radius, 400_000
+    )
+
+
 def test_log_I_mu_transform_consistency():
+    # the peak-centred route at every tau, below tau = 2 too
     for rs in (S2, S3, CP2):
         mus = [np.zeros(1), spherical_weight(rs, [1]).vector]
         for mu in mus:
             for tau in (0.5, 1.0, 2.0, 5.0):
-                d = aq._q_log_direct(rs, tau, mu)
-                t = aq._rank1_transformed(rs, mu, tau)
-                assert abs(d - t) <= 10.0 * aq._REL_TOL
+                radius = tau * np.linalg.norm(mu + rs.rho) + 10.0 * math.sqrt(tau)
+                want = _rank1_oracle(rs, mu, tau, radius)
+                assert abs(log_I_mu(rs, mu, tau) - want) <= 1e-6
 
 
-def test_log_I_mu_rank2_zero_weight_matches_q_tau():
-    # the exponential route against the route that adds log f at every node
-    got = log_I_mu(SU3, np.zeros(2), 1.0)
-    want = aq._q_log_direct(SU3, 1.0, np.zeros(2), lambda H: np.zeros(len(H)))
-    assert abs(got - want) <= 10.0 * aq._REL_TOL
+@pytest.mark.parametrize("rs", [S2, S3, CP2], ids=["S2", "S3", "CP2"])
+@pytest.mark.parametrize("mu", [-3.0, -10.0, -30.0])
+@pytest.mark.parametrize("tau", [0.5, 2.0, 5.0, 50.0])
+def test_log_I_mu_peak_outside_chamber(rs, mu, tau):
+    # mu + rho pairs negatively with the chamber ray: the shifted peak lies
+    # outside the chamber and the integrand decays from the wall, where
+    # the quadrature window starts
+    mu = np.array([mu])
+    assert float((mu + rs.rho) @ unit_chamber_dir(rs)) < 0
+    want = _rank1_oracle(rs, mu, tau, 10.0 * math.sqrt(tau))
+    assert abs(log_I_mu(rs, mu, tau) - want) <= 1e-6
 
 
 def test_log_I_mu_rank2_exponential_weight():

@@ -590,11 +590,12 @@ def test_emit_quotes_non_finite_floats(catalog):
 
 
 # stdout and exit code of each README example that uses the built-in
-# catalog, recorded from the CLI; an intended change to the output has to
-# re-record the file
-GOLDEN_CLI = json.loads(
-    Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8")
-)
+# catalog, recorded from the CLI; an intended change to the output
+# re-records the file with
+#
+#     PYTHONPATH=src python tests/test_cli.py
+GOLDEN_CLI_PATH = Path(__file__).with_name("golden_cli.json")
+GOLDEN_CLI = json.loads(GOLDEN_CLI_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", GOLDEN_CLI, ids=[c["command"] for c in GOLDEN_CLI])
@@ -643,3 +644,15 @@ def test_closed_stdout_exits_141_without_traceback():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    for case in GOLDEN_CLI:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            case["exit"] = cli.main(case["command"].split())
+        case["stdout"] = buf.getvalue()
+    GOLDEN_CLI_PATH.write_text(json.dumps(GOLDEN_CLI, indent=1) + "\n", encoding="utf-8")
