@@ -298,7 +298,7 @@ def _spherical_log_coeffs(m_beta: float, m_half: float, n: int) -> np.ndarray:
     return np.array(logs)
 
 
-def b_delta_rank1(m_beta: int, m_half: int, n: int,
+def b_delta_rank1(m_beta: float, m_half: float, n: int,
                   root_norm_sq: float) -> tuple[float, float]:
     """Quadratic Taylor coefficient of the rank-1 spherical function, via
     two closed forms that must agree exactly: the hypergeometric series
@@ -465,16 +465,18 @@ def _report(regime, name, n, taus, log_q, log_pred, fitted_a, fitted_b,
 def verify_tau_zero(space, n: int) -> AsymptoticReport:
     """Fit log(q_n / q_0) = log A + B tau on a small-tau grid and compare
     against the predicted constants A = 1, B = (m/2) b, with b the quadratic
-    spherical coefficient (both closed forms, which must agree exactly)."""
+    spherical coefficient (both closed forms, which must agree exactly).
+
+    The law is linear only while B tau is small, so past B = 5 the grid
+    tau_k = 0.01 k shrinks by 5/B, keeping B tau at most 0.5.
+    """
     rs, name = _coerce_rank1(space, n)
-    taus = np.array(_ZERO_GRID)
     beta, m_beta, m_half = _rank1_params(rs)
-    series, weight_form = b_delta_rank1(
-        int(round(m_beta)), int(round(m_half)), n, float(beta @ beta)
-    )
+    series, weight_form = b_delta_rank1(m_beta, m_half, n, float(beta @ beta))
     if abs(series - weight_form) > 1e-12 * max(1.0, abs(weight_form)):
         raise AssertionError("quadratic coefficient closed forms disagree")
     a_pred, b_pred = 1.0, 0.5 * dimension(rs) * series  # series is 0 at n = 0
+    taus = np.array(_ZERO_GRID) * (5.0 / b_pred if b_pred > 5.0 else 1.0)
 
     log_qn, log_q0, fitted_a, fitted_b = _measure(rs, n, taus)
     log_pred = log_q0 + b_pred * taus  # log A = 0

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from chamberq import asymquad as aq
-from chamberq import hcfun
+from chamberq import cli, hcfun
 from chamberq.asymquad import (
     AsymptoticReport,
     b_delta_rank1,
@@ -604,6 +604,34 @@ def test_verify_tau_zero_trivial_weight():
     assert rep.passed
     assert rep.fitted_A == pytest.approx(1.0, abs=1e-12)
     assert abs(rep.fitted_B) <= 1e-10
+
+
+RANK1_SPACES = [e for e in cli.default_catalog().entries if e.rank == 1]
+
+
+@pytest.mark.parametrize("entry", RANK1_SPACES, ids=lambda e: e.name)
+def test_verify_tau_zero_every_rank1_space_to_n20(entry):
+    # B grows like n^2; the grid keeps B tau at most 0.5 so the law stays
+    # linear, and shrinks no further than that
+    for n in range(1, 21):
+        rep = verify_tau_zero(entry, n)
+        assert rep.passed, (entry.name, n, rep.fitted_A, rep.fitted_B)
+        b_tau = rep.predicted_B * rep.tau_grid[-1]
+        assert b_tau <= 0.5 * (1.0 + 1e-12)
+        if rep.predicted_B > 5.0:
+            assert b_tau == pytest.approx(0.5, rel=1e-12)
+        else:
+            assert rep.tau_grid[-1] == 0.1
+
+
+@pytest.mark.parametrize("m, b_want", [(1.5, 14.0), (2.5, 18.0)])
+def test_verify_tau_zero_non_integer_multiplicity(m, b_want):
+    # A1 with multiplicity m at n = 2: B = (dim/2) a n |beta|^2 / c with
+    # dim = m + 1, a = m + 2, c = (m + 1)/2 and |beta|^2 = 2, so 4 (m + 2)
+    rs = build_root_system("A", 1, {"all": m})
+    rep = verify_tau_zero(rs, 2)
+    assert rep.predicted_B == pytest.approx(b_want, rel=1e-12)
+    assert rep.passed
 
 
 def test_verify_tau_zero_rejects_higher_rank():

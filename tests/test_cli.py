@@ -380,6 +380,15 @@ def test_cli_asym_zero(capsys):
     assert abs(doc["fitted_B"] - 6.0) < 1e-4
 
 
+def test_cli_asym_zero_large_b(capsys):
+    # OP2 at n = 5 has B = 160: the small-tau grid shrinks with B
+    code, out, _ = run_cli(["asym", "OP2", "--regime", "zero", "--weight", "5"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["tau_grid"][-1] * doc["predicted_B"] == pytest.approx(0.5, rel=1e-12)
+
+
 def test_cli_asym_infinity(capsys):
     code, out, _ = run_cli(
         ["asym", "S2", "--regime", "infinity", "--format", "csv"], capsys
