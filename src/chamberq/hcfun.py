@@ -204,7 +204,10 @@ def f_factor(z: float, a: float, b: float, c: float, d: float) -> float:
     val = _log_c_factor(x, m, m2, 2.0 * b + d) if finite else math.inf
     if not math.isfinite(val):
         raise OverflowError(f"log F overflows a float at z = {z:g}")
-    return math.exp(val)
+    try:
+        return math.exp(val)
+    except OverflowError:
+        raise OverflowError(f"F overflows a float at z = {z:g}") from None
 
 
 def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:

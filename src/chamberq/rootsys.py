@@ -472,6 +472,12 @@ def spherical_weight(rs: RootSystem, coeffs: Sequence[int]) -> SphericalWeight:
         raise ValueError(f"expected {rs.rank} coefficients, got {len(coeffs)}")
     ints = []
     for c in coeffs:
+        try:
+            finite = math.isfinite(c)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError("weight coefficients must fit a finite float")
         if c != int(c):
             raise ValueError("weight coefficients must be integers")
         if c < 0:

@@ -548,6 +548,25 @@ def test_cli_probe_f_tiny_a(capsys):
         assert float(ratio) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_cli_probe_f_value_overflow_is_numerical_failure(capsys):
+    # log F is finite at z = 1, F = exp(log F) is not
+    code, out, err = run_cli(
+        ["probe-F", "--a", "1", "--b", "2", "--c", "1e300", "--d", "1"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: numerical failure: F overflows a float at z = 1\n"
+
+
+@pytest.mark.parametrize("space, weight", [("SU2", str(10**400)),
+                                           ("SU3", "1," + str(10**400))])
+def test_cli_cfun_rejects_weight_past_float_range(space, weight, capsys):
+    code, out, err = run_cli(["cfun", space, "--weight", weight], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: weight coefficients must fit a finite float\n"
+
+
 @pytest.mark.parametrize("a, c", [("1e308", "1e308"), ("1e307", "0")],
                          ids=["gamma-argument", "log-gamma"])
 def test_cli_probe_f_huge_finite_inputs_are_numerical_failures(a, c, capsys):
