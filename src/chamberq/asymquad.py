@@ -91,8 +91,6 @@ def _adaptive(log_f, lo: float, hi: float,
     domain is the polar region [lo, hi] x sector, on a tensor grid with half
     as many angular panels; log_f(r, theta) returns the (n_r, n_theta) grid
     without the jacobian r."""
-    if hi <= lo:
-        return -math.inf
     prev = None
     n = 8
     for _ in range(_MAX_REFINEMENTS):
@@ -252,6 +250,11 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
     if rs.rank == 1:
         return _rank1_transformed(rs, mu, tau)
     return _q_log_direct(rs, tau, mu)
+
+
+# ---------------------------------------------------------------------------
+# the large-tau normal form
+# ---------------------------------------------------------------------------
 
 
 def leading_infinity(rs: RootSystem, mu) -> tuple[float, float, float]:
