@@ -266,7 +266,7 @@ def _rank1_oracle(rs, mu, tau, radius):
 
 
 def test_log_I_mu_transform_consistency():
-    # the peak-centred route at every tau, below tau = 2 too
+    # the one rank-1 route against the Simpson oracle at small and large tau
     for rs in (S2, S3, CP2):
         mus = [np.zeros(1), spherical_weight(rs, [1]).vector]
         for mu in mus:
