@@ -321,8 +321,7 @@ def b_delta_rank1(m_beta: float, m_half: float, n: int,
 # ---------------------------------------------------------------------------
 
 
-def watson_expand(n: int, q_degree: float, angular_integrals,
-                  n_terms: int | None = None) -> list[tuple[float, float]]:
+def watson_expand(n: int, q_degree: float, angular_integrals) -> list[tuple[float, float]]:
     """Terms of the small-tau expansion of a Gaussian cone integral against
     a homogeneous weight of degree q_degree and a smooth factor, over a
     cone in R^n.
@@ -330,16 +329,14 @@ def watson_expand(n: int, q_degree: float, angular_integrals,
     ``angular_integrals[j]`` is the angular integral of the weight times
     the j-th homogeneous Taylor term of the smooth factor. Term j is
     ((1/2) Gamma((n + d + j)/2) * angular_integrals[j], (n + d + j)/2),
-    returned as (coefficient, tau power) pairs for j = 0..N.
+    returned as (coefficient, tau power) pairs, one per angular integral.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    vals = list(angular_integrals)
-    count = len(vals) if n_terms is None else min(n_terms + 1, len(vals))
     out = []
-    for j in range(count):
+    for j, val in enumerate(angular_integrals):
         power = 0.5 * (n + q_degree + j)
-        coeff = 0.5 * math.exp(hcfun.log_gamma(power)) * vals[j]
+        coeff = 0.5 * math.exp(hcfun.log_gamma(power)) * val
         out.append((coeff, power))
     return out
 

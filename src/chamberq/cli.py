@@ -374,6 +374,11 @@ def default_catalog() -> Catalog:
 # ---------------------------------------------------------------------------
 
 
+# the sweep holds every weight, its Q and the report text at once; at this
+# bound a flatness command peaks near 150 MB
+_MAX_FLATNESS_WEIGHTS = 250_000
+
+
 def run_flatness(catalog: Catalog, space_name: str, max_coeff: int,
                  tol: float) -> QInvarianceReport:
     """Sweep all dominant weights with coordinates up to max_coeff and test
@@ -384,6 +389,9 @@ def run_flatness(catalog: Catalog, space_name: str, max_coeff: int,
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
     entry = catalog.get(space_name)
+    if (max_coeff + 1) ** entry.rank > _MAX_FLATNESS_WEIGHTS:
+        raise ValueError(f"max_coeff is too large: the box holds (max_coeff + 1)^"
+                         f"{entry.rank} weights, at most {_MAX_FLATNESS_WEIGHTS}")
     rs = entry.to_root_system()
     weights = rootsys.dominant_weights(rs, max_coeff)
     return hcfun.q_invariance_test(rs, weights, tol)

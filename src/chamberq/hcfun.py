@@ -41,39 +41,18 @@ __all__ = [
     "QInvarianceReport",
 ]
 
-# Lanczos approximation, g = 7, 9 coefficients (Godfrey's table). Absolute
-# error of log Gamma stays below 1e-13 for arguments up to ~1e2 and the
-# relative error below ~1e-14 over [1e-300, 1e6]; fixed coefficients keep
-# the output bit-reproducible across platforms.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for positive real arguments."""
+    """Natural log of the Gamma function for positive real arguments:
+    ``math.lgamma``, CPython's own fixed-coefficient implementation, whose
+    bits do not depend on the platform's libm; ``inf`` past about 2.55e305,
+    where log Gamma exceeds the float range."""
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"log_gamma requires a positive argument, got {x}")
-    if x < 0.01:
-        # the first series term 1/((x - 1) + 1) loses the low digits of a
-        # small x (and divides by zero below about 1e-16); log Gamma is flat
-        # near 1, so Gamma(x) = Gamma(x + 1) / x keeps full relative accuracy
-        return log_gamma(x + 1.0) - math.log(x)
-    s = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        s += _LANCZOS_COEF[k] / (x - 1.0 + k)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(s)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +63,10 @@ def log_gamma(x: float) -> float:
 def _pairing_x(rs: RootSystem, weight_vec: np.ndarray) -> list[tuple[float, float, float]]:
     """(x, m, m2) per indivisible root, x = <weight + rho, alpha>/<alpha,alpha>."""
     v = weight_vec + rs.rho
-    out = [(float(v @ a) / float(a @ a), m, m2) for a, m, m2 in rs.indivisible]
+    with np.errstate(over="ignore"):
+        out = [(float(v @ a) / float(a @ a), m, m2) for a, m, m2 in rs.indivisible]
+    if not all(math.isfinite(x) for x, _, _ in out):
+        raise ValueError("weight is too large: a root pairing overflows a float")
     if any(x <= 0 for x, _, _ in out):
         raise ValueError("nonpositive pairing: weight is not dominant")
     return out
@@ -133,6 +115,8 @@ def _log_c(rs: RootSystem, lam: np.ndarray, factor) -> float:
     same sum at the zero weight."""
     log_c = sum(factor(x, m, m2) for x, m, m2 in _pairing_x(rs, lam))
     log_c -= sum(factor(x, m, m2) for x, m, m2 in _pairing_x(rs, np.zeros(rs.rank)))
+    if not math.isfinite(log_c):
+        raise OverflowError("log c is not finite: log Gamma overflows at this weight")
     return log_c
 
 
@@ -161,9 +145,12 @@ def group_c_closed_form(rs: RootSystem, weight) -> float:
 
 def log_q_of_weight(rs: RootSystem, weight) -> float:
     mu = _weight_vec(rs, weight)
-    return sum(
+    log_q = sum(
         _log_c_factor(x, m, m2, 0.5 * (m + m2)) for x, m, m2 in _pairing_x(rs, mu)
     )
+    if not math.isfinite(log_q):
+        raise OverflowError("log Q is not finite: log Gamma overflows at this weight")
+    return log_q
 
 
 def q_of_weight(rs: RootSystem, weight) -> float:

@@ -483,7 +483,8 @@ def spherical_weight(rs: RootSystem, coeffs: Sequence[int]) -> SphericalWeight:
         if c < 0:
             raise ValueError("weight coefficients must be nonnegative")
         ints.append(int(c))
-    return _realize(rs.fundamental_weights, ints)
+    with np.errstate(over="ignore"):  # an overflowing vector fails its own check
+        return _realize(rs.fundamental_weights, ints)
 
 
 def dominant_weights(rs: RootSystem, max_coeff: int) -> list[SphericalWeight]:

@@ -3,7 +3,7 @@
 Everything here is deliberately primitive: composite Simpson rules on
 uniform grids (in log space where the integrand spans many orders of
 magnitude), root-system data found by one-vector-at-a-time searches,
-series summed term by term, closed forms on ``math.lgamma``, and frozen
+series summed term by term, closed forms on mpmath's log Gamma, and frozen
 high-precision reference values. None of it shares code with the
 package's Gauss-Legendre panel machinery or its vectorized root matching.
 """
@@ -134,8 +134,10 @@ def gaussian_cone_moment(n: int, h: float, angular_integral: float,
         raise ValueError("homogeneity degree must be nonnegative")
     if not math.isfinite(angular_integral):
         raise ValueError("angular integral must be finite")
+    import mpmath  # a test dependency; the validation above needs none
+
     s = 0.5 * (n + h)
-    return 0.5 * math.exp(math.lgamma(s)) * angular_integral * tau**s
+    return 0.5 * math.exp(float(mpmath.loggamma(s))) * angular_integral * tau**s
 
 
 _ROOT_TOL = 1e-9

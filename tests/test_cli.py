@@ -240,9 +240,9 @@ def test_emit_q_report_csv_bytes(catalog):
     # space-joined weight labels, 17 significant digits, CRLF line ends
     assert emit(run_flatness(catalog, "SU3", 1, 1e-10), "csv") == (
         "weight,q_value\r\n"
-        "0 0,0.99999999999999656\r\n"
-        "0 1,0.99999999999999722\r\n"
-        "1 0,1.0000000000000016\r\n"
+        "0 0,0.99999999999999978\r\n"
+        "0 1,0.99999999999999956\r\n"
+        "1 0,1.0000000000000004\r\n"
         "1 1,1.0000000000000024\r\n"
     )
 
@@ -549,9 +549,10 @@ def test_cli_probe_f_tiny_a(capsys):
 
 
 def test_cli_probe_f_value_overflow_is_numerical_failure(capsys):
-    # log F is finite at z = 1, F = exp(log F) is not
+    # log F is finite at z = 1, F = exp(log F) is not: log F(1) = 761.857
+    # (mpmath), above log(max float) = 709.78
     code, out, err = run_cli(
-        ["probe-F", "--a", "1", "--b", "2", "--c", "1e300", "--d", "1"], capsys
+        ["probe-F", "--a", "1", "--b", "0.5", "--c", "1e6", "--d", "1100"], capsys
     )
     assert code == 3
     assert out == ""
@@ -565,6 +566,36 @@ def test_cli_cfun_rejects_weight_past_float_range(space, weight, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: weight coefficients must fit a finite float\n"
+
+
+@pytest.mark.parametrize("space, weight, code, message", [
+    # log Gamma overflows to inf in two terms of one factor, and inf - inf is nan
+    ("SU2", str(10**306), 3, "numerical failure: log c is not finite"),
+    ("CP2", str(10**306), 3, "numerical failure: log c is not finite"),
+    ("SU3", f"{10**307},1", 3, "numerical failure: log c is not finite"),
+    # a pairing <weight + rho, alpha> overflows in numpy
+    ("S2", str(10**308), 2, "weight is too large"),
+    ("SU4", f"{10**308},0,0", 2, "weight is too large"),
+    # the weight vector itself overflows
+    ("SU3", f"{17 * 10**307},{17 * 10**307}", 2, "vector has non-finite entries"),
+], ids=["SU2-1e306", "CP2-1e306", "SU3-1e307", "S2-1e308", "SU4-1e308", "SU3-1.7e308"])
+def test_cli_cfun_huge_weight_is_one_line_error(space, weight, code, message):
+    # in a fresh process, so a numpy warning would reach stderr
+    proc = _python_m_chamberq(["cfun", space, "--weight", weight],
+                              capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: " + message)
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("space, max_coeff", [("SU2", "250000"), ("SU4", "1000")])
+def test_cli_flatness_rejects_box_past_weight_bound(space, max_coeff, capsys):
+    code, out, err = run_cli(["flatness", space, "--max-coeff", max_coeff], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_coeff is too large")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("a, c", [("1e308", "1e308"), ("1e307", "0")],

@@ -9,7 +9,10 @@ checks, so a large-argument log-Gamma ratio kernel that starts at x = 20
 keeps those bits. The F-factor rows reach x = 2(cz + a) = 560 and pin the
 plain log-Gamma differences of today. The last digits of the ray probe
 ``g_product_probe`` depend on how the pairings along the ray are formed, so
-its values are compared at rel 1e-12 instead of bit for bit. An intended change of values
+its values are compared at rel 1e-12 instead of bit for bit. ``log_gamma``
+itself is pinned at fixed arguments from the smallest subnormal to past its
+overflow edge, so every CPython the suite runs on checks that ``math.lgamma``
+gives the recorded bits. An intended change of values
 re-records the file with
 
     PYTHONPATH=src python tests/test_golden_exact.py
@@ -36,6 +39,10 @@ GEOMETRIC = {
     "D4": ("D", 4, {"all": 1}),
     "F4": ("F4", 4, {"short": 1, "long": 1}),
 }
+# the exact cases 1/2, 1, 3/2 and 2, both sides of 0.01, and 2.6e305, where
+# log Gamma overflows to inf
+LOG_GAMMA_ARGS = (5e-324, 1e-300, 1e-8, 0.00999, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0,
+                  3.7, 20.0, 560.0, 1e6, 1e15, 1e100, 2.55e305, 2.6e305)
 # largest weight coefficient per rank
 BOX = {1: 3, 2: 3, 3: 2, 4: 1}
 
@@ -80,6 +87,10 @@ def f_values(params) -> list[str]:
     return [hcfun.f_factor(float(z), *params).hex() for z in range(41)]
 
 
+def log_gamma_values() -> dict:
+    return {repr(x): hcfun.log_gamma(x).hex() for x in LOG_GAMMA_ARGS}
+
+
 def probe_values(name: str) -> list[list[float]]:
     rs = SPACES[name]()
     return [hcfun.g_product_probe(rs, j, PROBE_N_MAX) for j in range(rs.rank)]
@@ -87,6 +98,7 @@ def probe_values(name: str) -> list[list[float]]:
 
 def _record() -> dict:
     return {
+        "log_gamma": log_gamma_values(),
         "weights": {name: weight_values(name) for name in SPACES},
         "group_c_closed_form": {name: closed_form_values(name) for name in GROUPS},
         "f_factor": {repr(p): f_values(p) for p in F_PARAMS},
@@ -96,6 +108,10 @@ def _record() -> dict:
 
 GOLDEN = (json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
           if GOLDEN_PATH.exists() else None)
+
+
+def test_log_gamma_bits_unchanged():
+    assert log_gamma_values() == GOLDEN["log_gamma"]
 
 
 @pytest.mark.parametrize("name", list(SPACES))

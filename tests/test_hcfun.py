@@ -222,10 +222,14 @@ def test_g_probe_bc1_not_constant():
 
 
 def _q_factor(x, m, m2):
-    # Q's per-root factor on math.lgamma, independent of hcfun
-    return math.exp(math.lgamma(0.25 * m + 0.5 * x) + math.lgamma(x)
-                    + 0.5 * (m + m2) * math.log(x) - math.lgamma(0.5 * m + x)
-                    - math.lgamma(0.25 * m + 0.5 * m2 + 0.5 * x))
+    # Q's per-root factor on mpmath's log Gamma at 30 digits, independent of hcfun
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        lg = mpmath.loggamma
+        x, m, m2 = mpmath.mpf(x), mpmath.mpf(m), mpmath.mpf(m2)
+        return float(mpmath.exp(lg(0.25 * m + 0.5 * x) + lg(x)
+                                + 0.5 * (m + m2) * mpmath.log(x) - lg(0.5 * m + x)
+                                - lg(0.25 * m + 0.5 * m2 + 0.5 * x)))
 
 
 def test_g_probe_times_vanishing_roots_is_q(catalog):
