@@ -15,10 +15,13 @@ the only part that needs a transcendental at every node. exp(2 mu(H)) joins
 the r-linear part, so exponential integrands need no grid of points.
 
 Quadrature is composite Gauss-Legendre with panel doubling until two
-successive refinements agree in log value to one fixed tolerance. Rank 1
-has one route at every tau: the coordinate centred at the shifted Gaussian
-peak tau (mu + rho), where the integrand is bounded. Rank 2 integrates on
-a tensor grid in polar coordinates over the chamber sector.
+successive refinements agree in log value to one fixed tolerance, on grids
+of at most a fixed number of nodes. Both ranks integrate over a window of
+8 Gaussian widths sqrt(tau) around the shifted peak tau (mu + rho), with
+the peak projected onto the closed chamber when it lies outside. Rank 1
+takes the coordinate centred at the peak, where the integrand is bounded;
+rank 2 a tensor grid in polar coordinates over the part of the chamber
+sector that the window covers.
 Gauss nodes are open, so the integrable wall zeros of the chamber weight
 (square-root type for odd multiplicities) never produce a -inf sample.
 """
@@ -49,10 +52,14 @@ _LOG2 = math.log(2.0)
 
 # The one quadrature policy: panel counts double from 8 until two successive
 # log values agree to _REL_TOL, over at most _MAX_REFINEMENTS grids (8 to
-# 65536 panels, so 13 doublings); windows reach _SIGMA Gaussian widths
-# sqrt(tau) past the peak.
+# 65536 panels, so 13 doublings) of at most _MAX_NODES nodes each; windows
+# reach _SIGMA Gaussian widths sqrt(tau) past the peak. Rank 1's largest
+# grid has 2^21 nodes. A rank-2 tensor grid quadruples at each doubling, so
+# the node budget ends it after 5 grids (the 5th has 64 x 32 panels, 2^23
+# nodes), long before 14.
 _REL_TOL = 1e-8
 _MAX_REFINEMENTS = 14
+_MAX_NODES = 2**23
 _SIGMA = 8.0
 
 
@@ -90,10 +97,16 @@ def _adaptive(log_f, lo: float, hi: float,
     """Log of the integral of exp(log_f) over [lo, hi]. With ``sector`` the
     domain is the polar region [lo, hi] x sector, on a tensor grid with half
     as many angular panels; log_f(r, theta) returns the (n_r, n_theta) grid
-    without the jacobian r."""
+    without the jacobian r. A grid over _MAX_NODES nodes is never built: the
+    quadrature fails as if it had not converged."""
     prev = None
     n = 8
+    limit = f"{_MAX_REFINEMENTS} grids"
     for _ in range(_MAX_REFINEMENTS):
+        nodes = _GAUSS_ORDER * n * (1 if sector is None else _GAUSS_ORDER * (n // 2))
+        if nodes > _MAX_NODES:
+            limit = f"the budget of {_MAX_NODES} nodes per grid"
+            break
         pts, wts = _panel_nodes(lo, hi, n)
         if sector is None:
             val = _logsum(log_f(pts), wts)
@@ -108,8 +121,7 @@ def _adaptive(log_f, lo: float, hi: float,
         prev = val
         n *= 2
     raise RuntimeError(
-        f"quadrature did not converge to rel_tol={_REL_TOL} "
-        f"within {_MAX_REFINEMENTS} grids"
+        f"quadrature did not converge to rel_tol={_REL_TOL} within {limit}"
     )
 
 
@@ -187,10 +199,27 @@ def _log_chamber_weight(rs: RootSystem, r: np.ndarray, c: np.ndarray,
 
 
 def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
-    # rank 2, in polar coordinates over the chamber sector: f = exp(2 <growth,
-    # H>) is linear in the radius along each direction, so it goes into the
-    # weight kernel and no grid of points is built
-    R = float(tau * np.linalg.norm(growth + rs.rho) + _SIGMA * math.sqrt(tau))
+    # rank 2, in polar coordinates: f = exp(2 <growth, H>) is linear in the
+    # radius along each direction, so it goes into the weight kernel and no
+    # grid of points is built. As at rank 1 the window is centred at the
+    # shifted peak p = tau (growth + rho), or, when p lies outside the
+    # chamber, at q, the nearest point of the closed chamber (on the nearer
+    # wall ray, or the origin). In the chamber |H - p|^2 >= |H - q|^2 +
+    # |q - p|^2, so the integrand falls off from q at least like the
+    # Gaussian exp(-|H - q|^2 / tau): the window is the annular sector around
+    # the disc of _SIGMA widths sqrt(tau) about q, cut to the chamber sector.
+    lo, hi = _sector_angles(rs)
+    lr = growth + rs.rho
+    th = math.atan2(lr[1], lr[0])
+    th += round((0.5 * (lo + hi) - th) / (2.0 * math.pi)) * 2.0 * math.pi
+    rq = tau * float(np.linalg.norm(lr))
+    if not lo <= th <= hi:
+        th = lo if (lo - th) % (2.0 * math.pi) < (th - hi) % (2.0 * math.pi) else hi
+        rq = tau * max(0.0, float(lr @ np.array([math.cos(th), math.sin(th)])))
+    w = _SIGMA * math.sqrt(tau)
+    if w < rq:
+        half = math.asin(w / rq)
+        lo, hi = max(lo, th - half), min(hi, th + half)
 
     def integrand(r, th):
         u = np.stack([np.cos(th), np.sin(th)])
@@ -198,7 +227,7 @@ def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
         lv.T[...] -= r * r / tau  # the radius is the first axis
         return lv
 
-    return _adaptive(integrand, 0.0, R, _sector_angles(rs))
+    return _adaptive(integrand, max(0.0, rq - w), rq + w, (lo, hi))
 
 
 def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
@@ -238,9 +267,10 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
 def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
     """Log of the chamber integral with f = exp(2 mu(H)).
 
-    Rank 1 integrates around the shifted Gaussian peak, where the integrand
-    stays bounded at any tau; rank 2 in polar coordinates over the chamber
-    sector.
+    Both ranks integrate over 8 Gaussian widths around the shifted peak, or
+    its nearest point of the chamber: rank 1 in the coordinate centred at
+    the peak, where the integrand stays bounded at any tau; rank 2 in polar
+    coordinates.
     """
     if rs.rank > 2:
         raise ValueError("chamber quadrature is implemented for rank <= 2")

@@ -2,10 +2,11 @@
 
 Everything here is deliberately primitive: composite Simpson rules on
 uniform grids (in log space where the integrand spans many orders of
-magnitude), root-system data found by one-vector-at-a-time searches,
-series summed term by term, closed forms on mpmath's log Gamma, and frozen
-high-precision reference values. None of it shares code with the
-package's Gauss-Legendre panel machinery or its vectorized root matching.
+magnitude), root-system data found by one-vector-at-a-time searches, the
+Weyl group by closure under the simple reflections, series summed term by
+term, closed forms in mpmath, and frozen high-precision reference values.
+None of it shares code with the package's Gauss-Legendre panel machinery
+or its vectorized root matching.
 """
 
 import math
@@ -215,6 +216,107 @@ def root_data_by_loops(roots, mults) -> dict:
         "fundamental": fundamental,
         "weyl_closed": weyl_closed,
     }
+
+
+def rank2_chamber_integral(rs, mu, tau: float, n: int) -> float:
+    """The rank-2 chamber integral of exp(-|H|^2/tau + 2 <mu, H>) times the
+    chamber weight, by tensor Simpson in the oblique coordinates H = s e1 +
+    t e2 along the chamber's edge rays, where the chamber is the quadrant
+    s, t > 0 and the integrand is smooth up to the walls. The square [0, R]^2
+    holds the chamber's part of the disc of radius R = tau |mu + rho| +
+    8 sqrt(tau), past which the Gaussian leaves less than e^-64 of the peak.
+    Simpson's error then falls like n^-4, so the rules on n and 2n panels
+    are combined by one Richardson step. Plain floats, so tau |mu + rho|^2
+    must stay well below 700."""
+    roots = np.asarray(rs.roots, dtype=float)
+    mults = np.asarray(rs.mults, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    rho = 0.5 * mults @ roots
+    R = tau * float(np.linalg.norm(mu + rho)) + 8.0 * math.sqrt(tau)
+    # the edge rays are the unit perpendiculars of roots that pair
+    # nonnegatively with every root
+    edges = []
+    for a in roots:
+        for e in (np.array([-a[1], a[0]]), np.array([a[1], -a[0]])):
+            e = e / float(np.linalg.norm(e))
+            if (np.all(roots @ e >= -_ROOT_TOL)
+                    and not any(np.allclose(e, f) for f in edges)):
+                edges.append(e)
+    (e1x, e1y), (e2x, e2y) = edges
+    jacobian = abs(e1x * e2y - e1y * e2x)
+
+    def integrand(s, t):
+        x, y = s * e1x + t * e2x, s * e1y + t * e2y
+        val = np.exp(-(x * x + y * y) / tau + 2.0 * (mu[0] * x + mu[1] * y))
+        for a, m in zip(roots, mults):
+            p = a[0] * x + a[1] * y
+            val = val * (p * np.sinh(2.0 * p)) ** (0.5 * m)
+        return val
+
+    coarse, fine = (jacobian * simpson2d_plain(integrand, 0.0, R, 0.0, R, k)
+                    for k in (n, 2 * n))
+    return fine + (fine - coarse) / 15.0
+
+
+def weyl_group(roots):
+    """The Weyl group of a positive root system as (matrix, sign) pairs:
+    the closure of the identity under the simple reflections, one product at
+    a time. The identity comes first; the sign is (-1)^(word length)."""
+    roots = np.asarray(roots, dtype=float)
+    simple = root_data_by_loops(roots, np.ones(len(roots)))["simple"]
+    gens = [np.eye(roots.shape[1]) - 2.0 * np.outer(roots[j], roots[j])
+            / float(roots[j] @ roots[j]) for j in simple]
+    group = [(np.eye(roots.shape[1]), 1)]
+    frontier = list(group)
+    while frontier:
+        grown = []
+        for w, sign in frontier:
+            for s in gens:
+                sw = s @ w
+                if all(np.max(np.abs(sw - v)) > _ROOT_TOL for v, _ in group):
+                    group.append((sw, -sign))
+                    grown.append((sw, -sign))
+        frontier = grown
+    return group
+
+
+def weyl_sum_terms(rs, mu):
+    """(eps(w) pi(mu + w rho), |mu + w rho|^2) for each w in the Weyl group,
+    identity first; pi is the product of the positive roots."""
+    roots = np.asarray(rs.roots, dtype=float)
+    rho = 0.5 * np.asarray(rs.mults, dtype=float) @ roots
+    out = []
+    for w, sign in weyl_group(roots):
+        v = np.asarray(mu, dtype=float) + w @ rho
+        out.append((sign * float(np.prod(roots @ v)), float(v @ v)))
+    return out
+
+
+def weyl_sum_log(rs, mu, tau: float) -> float:
+    """log of sum_w I_{w mu}(tau) over the Weyl group, for a reduced system
+    with every multiplicity 2, in closed form:
+
+        2^-k (pi tau)^(r/2) tau^k sum_w eps(w) pi(mu + w rho) e^(tau |mu + w rho|^2).
+
+    The chamber weight prod_a a(H) sinh(2 a(H)) is W-invariant, so the sum
+    over W is the integral over all of R^r. The Weyl denominator formula
+    makes prod_a sinh(2 a(H)) = 2^-k sum_w eps(w) e^(2 <w rho, H>), and the
+    Gaussian moment of the harmonic polynomial pi at tau v is tau^k pi(v).
+    The signed sum is formed in 50-digit arithmetic, so its cancellation at
+    small tau costs nothing."""
+    import mpmath  # a test dependency
+
+    mults = np.asarray(rs.mults, dtype=float)
+    if np.any(mults != 2.0) or any(find_row(rs.roots, 2.0 * a) >= 0 for a in rs.roots):
+        raise ValueError("the closed form needs a reduced system with "
+                         "every multiplicity 2")
+    k, r = len(mults), rs.roots.shape[1]
+    with mpmath.workdps(50):
+        total = mpmath.fsum(c * mpmath.exp(mpmath.mpf(tau) * e)
+                            for c, e in weyl_sum_terms(rs, mu))
+        log_sum = (0.5 * r * mpmath.log(mpmath.pi * tau) + k * mpmath.log(tau)
+                   - k * mpmath.log(2) + mpmath.log(total))
+        return float(log_sum)
 
 
 # log Gamma reference values (40-digit arithmetic, rounded to double).

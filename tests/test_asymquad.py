@@ -27,6 +27,8 @@ S3 = build_root_system("A", 1, {"all": 2})
 CP2 = build_root_system("BC", 1, {"short": 2, "long": 1})
 HP2 = build_root_system("BC", 1, {"short": 4, "long": 3})
 SU3 = build_root_system("A", 2, {"all": 2})
+G2 = build_root_system("G2", 2, {"short": 2, "long": 2})
+G2_SO4 = build_root_system("G2", 2, {"short": 1, "long": 1})
 # abstract rank-1 data: single root alpha with alpha(h) = h, multiplicity 2
 ABSTRACT = RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([2.0]))
 
@@ -132,46 +134,15 @@ def test_q_tau_monotone_in_tau():
 
 def test_q_tau_rank2_against_cartesian_oracle():
     tau = 0.5
-    got = log_q(SU3, tau)
-
-    def integrand(x, y):
-        val = np.exp(-(x * x + y * y) / tau)
-        inside = np.ones_like(x + y, dtype=bool)
-        for a in SU3.simple_roots():
-            inside &= (a[0] * x + a[1] * y) > 0
-        for i in range(len(SU3.roots)):
-            p = SU3.roots[i, 0] * x + SU3.roots[i, 1] * y
-            p = np.where(inside, p, 1.0)
-            val = val * np.where(inside, (p * np.sinh(2.0 * p)) ** (SU3.mults[i] / 2.0), 0.0)
-        return val
-
-    R = tau * np.linalg.norm(SU3.rho) + 8.0 * math.sqrt(tau)
-    want = oracles.simpson2d_plain(integrand, -R, R, -R, R, 1800)
-    assert got == pytest.approx(math.log(want), abs=2e-5)
+    want = oracles.rank2_chamber_integral(SU3, np.zeros(2), tau, 200)
+    assert log_q(SU3, tau) == pytest.approx(math.log(want), abs=2e-5)
 
 
 def test_q_tau_rank2_narrow_sector_against_oracle():
     # 30 degree chamber sector with two root lengths
-    g2 = build_root_system("G2", 2, {"short": 1, "long": 1})
     tau = 0.3
-    got = log_q(g2, tau)
-
-    def integrand(x, y):
-        val = np.exp(-(x * x + y * y) / tau)
-        inside = np.ones_like(x + y, dtype=bool)
-        for a in g2.simple_roots():
-            inside &= (a[0] * x + a[1] * y) > 0
-        for i in range(len(g2.roots)):
-            p = g2.roots[i, 0] * x + g2.roots[i, 1] * y
-            p = np.where(inside, p, 1.0)
-            val = val * np.where(
-                inside, (p * np.sinh(2.0 * p)) ** (g2.mults[i] / 2.0), 0.0
-            )
-        return val
-
-    R = tau * np.linalg.norm(g2.rho) + 8.0 * math.sqrt(tau)
-    want = oracles.simpson2d_plain(integrand, -R, R, -R, R, 1600)
-    assert got == pytest.approx(math.log(want), abs=5e-5)
+    want = oracles.rank2_chamber_integral(G2_SO4, np.zeros(2), tau, 200)
+    assert log_q(G2_SO4, tau) == pytest.approx(math.log(want), abs=5e-5)
 
 
 def test_q_tau_rejects_rank3_and_bad_tau():
@@ -223,6 +194,31 @@ def test_quadrature_refines_up_to_65536_panels(monkeypatch):
     assert panels == [8 * 2**k for k in range(14)]
     assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
                                "within 14 grids")
+
+
+def test_rank2_grid_over_node_budget_is_never_built(monkeypatch):
+    # SU3 at mu_1, tau = 800 converges on its second grid (16 x 8 panels,
+    # 131072 nodes); with a budget of one 8 x 4 grid it must fail before
+    # building the second
+    monkeypatch.setattr(aq, "_MAX_NODES", 32 * 8 * 32 * 4)
+    panels = _count_panels(monkeypatch)
+    with pytest.raises(RuntimeError) as info:
+        log_I_mu(SU3, spherical_weight(SU3, [1, 0]).vector, 800.0)
+    assert panels == [8, 4]
+    assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
+                               "within the budget of 32768 nodes per grid")
+
+
+def test_rank2_quadrature_stops_at_node_budget(monkeypatch):
+    # an integrand that never converges builds every grid up to the budget
+    monkeypatch.setattr(aq, "_MAX_NODES", 2**19)
+    panels = _count_panels(monkeypatch)
+    with pytest.raises(RuntimeError, match="budget of 524288 nodes per grid"):
+        aq._adaptive(lambda r, th: np.full((len(r), len(th)), float(len(r))),
+                     0.0, 1.0, (0.0, 1.0))
+    grids = list(zip(panels[::2], panels[1::2]))
+    assert grids == [(8, 4), (16, 8), (32, 16)]
+    assert max(32 * n_r * 32 * n_th for n_r, n_th in grids) == 2**19
 
 
 # -- exponential integrands ------------------------------------------------------
@@ -341,6 +337,70 @@ def test_log_I_mu_rank2_gap_to_leading_term_shrinks(type_label, mults):
         mu = spherical_weight(rs, coeffs).vector
         gaps = [abs(_gap_to_leading(rs, mu, tau)[0]) for tau in LARGE_TAUS]
         assert all(g1 <= g0 for g0, g1 in zip(gaps, gaps[1:])), (coeffs, gaps)
+
+
+def _weyl_images(rs, mu):
+    """(image, number of Weyl group elements mapping mu to it) pairs."""
+    images = {}
+    for w, _ in oracles.weyl_group(rs.roots):
+        v = w @ mu
+        key = tuple(np.round(v, 9))
+        images[key] = (v, images[key][1] + 1 if key in images else 1)
+    return list(images.values())
+
+
+WEYL_SUM_CASES = [
+    pytest.param(name, coeffs, tau, id=f"{name}-{coeffs[0]}{coeffs[1]}-tau{tau:g}")
+    for name in ("SU3", "G2")
+    for coeffs in ((0, 0), (1, 0), (2, 3))
+    for tau in (0.01, 1.0, 50.0, 200.0, 800.0)
+    if (coeffs, tau) != ((2, 3), 800.0)  # 1.6 s on SU3 and 6 s on G2
+]
+
+
+@pytest.mark.parametrize("name, coeffs, tau", WEYL_SUM_CASES)
+def test_log_I_mu_weyl_sum_matches_closed_form(name, coeffs, tau):
+    # on a group manifold the sum of I_{w mu} over the Weyl group is the
+    # Gaussian integral over all of R^r, in closed form at every tau; with
+    # mu = 2 mu_1 + 3 mu_2 on G2 at tau = 200, 8 of the 12 images lie outside
+    # the chamber and once needed grids of more than 1 GiB
+    rs = {"SU3": SU3, "G2": G2}[name]
+    mu = spherical_weight(rs, coeffs).vector
+    logs = [(log_I_mu(rs, v, tau), count) for v, count in _weyl_images(rs, mu)]
+    top = max(v for v, _ in logs)
+    got = top + math.log(math.fsum(n * math.exp(v - top) for v, n in logs))
+    assert got == pytest.approx(oracles.weyl_sum_log(rs, mu, tau), rel=1e-14)
+
+
+@pytest.mark.parametrize("rs", [SU3, G2], ids=["SU3", "G2"])
+def test_leading_infinity_rank2_is_identity_term_of_weyl_sum(rs):
+    # the w = 1 term of the closed form is 2^-k (pi tau)^(r/2) tau^k
+    # pi(mu + rho) e^(tau |mu + rho|^2)
+    k = len(rs.roots)
+    for coeffs in RANK2_WEIGHTS:
+        mu = spherical_weight(rs, coeffs).vector
+        pi_lr, rate = oracles.weyl_sum_terms(rs, mu)[0]
+        log_c, power, got_rate = leading_infinity(rs, mu)
+        want_c = -k * math.log(2.0) + math.log(math.pi) + math.log(pi_lr)
+        assert log_c == pytest.approx(want_c, rel=1e-14, abs=1e-14)
+        assert power == 1.0 + k
+        assert got_rate == pytest.approx(rate, rel=1e-14)
+
+
+@pytest.mark.parametrize("rs", [SU3, G2_SO4], ids=["SU3", "G2_SO4"])
+@pytest.mark.parametrize("coeffs", [(1, 0), (2, 3)], ids=["mu1", "2mu1+3mu2"])
+def test_log_I_mu_rank2_non_dominant_images_against_simpson_oracle(rs, coeffs):
+    # the Weyl sum is dominated by its dominant term, so each image outside
+    # the chamber is checked alone. At tau = 1 several windows narrow around
+    # a peak projected onto a wall, and some onto the origin
+    mu = spherical_weight(rs, coeffs).vector
+    images = [v for v, _ in _weyl_images(rs, mu) if not np.allclose(v, mu)]
+    assert images
+    for tau in (0.25, 1.0):
+        for v in images:
+            want = oracles.rank2_chamber_integral(rs, v, tau, 400)
+            got = log_I_mu(rs, v, tau)
+            assert got == pytest.approx(math.log(want), abs=2e-5), (v, tau)
 
 
 def test_leading_infinity_sphere2():
