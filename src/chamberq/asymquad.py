@@ -21,7 +21,8 @@ of at most a fixed number of nodes. Both ranks integrate over a window of
 the peak projected onto the closed chamber when it lies outside. Rank 1
 takes the coordinate centred at the peak, where the integrand is bounded;
 rank 2 a tensor grid in polar coordinates over the part of the chamber
-sector that the window covers.
+sector that the window covers. Both take the chamber's edge rays from
+RootSystem.chamber_edges.
 Gauss nodes are open, so the integrable wall zeros of the chamber weight
 (square-root type for odd multiplicities) never produce a -inf sample.
 """
@@ -82,13 +83,9 @@ def _logsum(log_vals: np.ndarray, weights: np.ndarray,
     # log of sum_i w_i e^(v_i), or of sum_ij w_i e^(v_ij) w'_j for a grid
     # of values; overwrites log_vals
     m = float(np.max(log_vals))
-    if not math.isfinite(m):
-        return -math.inf
     log_vals -= m
     e = np.exp(log_vals, out=log_vals)
     s = float(weights @ e if col_weights is None else weights @ e @ col_weights)
-    if s <= 0:
-        return -math.inf
     return m + math.log(s)
 
 
@@ -98,7 +95,8 @@ def _adaptive(log_f, lo: float, hi: float,
     domain is the polar region [lo, hi] x sector, on a tensor grid with half
     as many angular panels; log_f(r, theta) returns the (n_r, n_theta) grid
     without the jacobian r. A grid over _MAX_NODES nodes is never built: the
-    quadrature fails as if it had not converged."""
+    quadrature fails as if it had not converged. A grid whose log value is
+    not finite is a numerical failure too."""
     prev = None
     n = 8
     limit = f"{_MAX_REFINEMENTS} grids"
@@ -113,11 +111,10 @@ def _adaptive(log_f, lo: float, hi: float,
         else:
             th, th_wts = _panel_nodes(*sector, n // 2)
             val = _logsum(log_f(pts, th), wts * pts, th_wts)
-        if prev is not None:
-            if val == -math.inf and prev == -math.inf:
-                return val
-            if abs(val - prev) <= _REL_TOL:
-                return val
+        if not math.isfinite(val):
+            raise OverflowError(f"log chamber integral is not finite on {nodes} nodes")
+        if prev is not None and abs(val - prev) <= _REL_TOL:
+            return val
         prev = val
         n *= 2
     raise RuntimeError(
@@ -131,33 +128,8 @@ def _log_sinh(y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# chamber geometry
+# the chamber integral
 # ---------------------------------------------------------------------------
-
-
-def _chamber_direction(rs: RootSystem) -> np.ndarray:
-    u = rs.rho / np.linalg.norm(rs.rho)
-    if np.any(rs.roots @ u <= 0):
-        raise ValueError("empty Weyl chamber: roots are not one sided")
-    return u
-
-
-def _sector_angles(rs: RootSystem) -> tuple[float, float]:
-    # rank-2 chamber is the angular sector cut out by the simple-root walls
-    rv = rs.rho
-    th_mid = math.atan2(rv[1], rv[0])
-    lo, hi = th_mid - math.pi, th_mid + math.pi
-    for a in rs.simple_roots():
-        phi = math.atan2(a[1], a[0])
-        lo_a = phi - 0.5 * math.pi
-        hi_a = phi + 0.5 * math.pi
-        # wrap the admissible interval (lo_a, hi_a) around th_mid
-        shift = round((th_mid - phi) / (2.0 * math.pi)) * 2.0 * math.pi
-        lo = max(lo, lo_a + shift)
-        hi = min(hi, hi_a + shift)
-    if not lo < hi:
-        raise ValueError("empty Weyl chamber sector")
-    return lo, hi
 
 
 def _log_chamber_weight(rs: RootSystem, r: np.ndarray, c: np.ndarray,
@@ -193,29 +165,27 @@ def _log_chamber_weight(rs: RootSystem, r: np.ndarray, c: np.ndarray,
     return lw
 
 
-# ---------------------------------------------------------------------------
-# the chamber integral
-# ---------------------------------------------------------------------------
-
-
 def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
     # rank 2, in polar coordinates: f = exp(2 <growth, H>) is linear in the
     # radius along each direction, so it goes into the weight kernel and no
     # grid of points is built. As at rank 1 the window is centred at the
     # shifted peak p = tau (growth + rho), or, when p lies outside the
-    # chamber, at q, the nearest point of the closed chamber (on the nearer
-    # wall ray, or the origin). In the chamber |H - p|^2 >= |H - q|^2 +
-    # |q - p|^2, so the integrand falls off from q at least like the
-    # Gaussian exp(-|H - q|^2 / tau): the window is the annular sector around
-    # the disc of _SIGMA widths sqrt(tau) about q, cut to the chamber sector.
-    lo, hi = _sector_angles(rs)
+    # chamber, at q, the nearest point of the closed chamber: on the edge ray
+    # that p pairs with more, or the origin. In the chamber |H - p|^2 >=
+    # |H - q|^2 + |q - p|^2, so the integrand falls off from q at least like
+    # the Gaussian exp(-|H - q|^2 / tau): the window is the annular sector
+    # around the disc of _SIGMA widths sqrt(tau) about q, cut to the chamber.
+    edges = rs.chamber_edges
     lr = growth + rs.rho
-    th = math.atan2(lr[1], lr[0])
-    th += round((0.5 * (lo + hi) - th) / (2.0 * math.pi)) * 2.0 * math.pi
-    rq = tau * float(np.linalg.norm(lr))
-    if not lo <= th <= hi:
-        th = lo if (lo - th) % (2.0 * math.pi) < (th - hi) % (2.0 * math.pi) else hi
-        rq = tau * max(0.0, float(lr @ np.array([math.cos(th), math.sin(th)])))
+    pair = edges @ lr
+    k = int(np.argmax(pair))
+    q = lr if np.all(rs.roots @ lr >= 0) else max(0.0, float(pair[k])) * edges[k]
+    # angles within pi of the first edge's: the chamber is narrower than pi,
+    # so a sector across the cut at +-pi stays one interval
+    a0, a1, th = (math.atan2(v[1], v[0]) for v in (*edges, q))
+    a1, th = (t + round((a0 - t) / (2 * math.pi)) * 2 * math.pi for t in (a1, th))
+    lo, hi = min(a0, a1), max(a0, a1)
+    rq = tau * float(np.linalg.norm(q))
     w = _SIGMA * math.sqrt(tau)
     if w < rq:
         half = math.asin(w / rq)
@@ -241,7 +211,7 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
     takes the array of chamber coordinates of the original variable and
     defaults to 0 (phi identically 1).
     """
-    u = _chamber_direction(rs)
+    u = rs.chamber_edges[0]
     lr = mu + rs.rho
     a = float(lr @ u)
     rate = float(lr @ lr)
@@ -270,16 +240,18 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
     Both ranks integrate over 8 Gaussian widths around the shifted peak, or
     its nearest point of the chamber: rank 1 in the coordinate centred at
     the peak, where the integrand stays bounded at any tau; rank 2 in polar
-    coordinates.
+    coordinates. A log value that is not finite raises OverflowError.
     """
     if rs.rank > 2:
         raise ValueError("chamber quadrature is implemented for rank <= 2")
     if not (tau > 0 and math.isfinite(tau)):
         raise ValueError("tau must be positive and finite")
     mu = as_vector(mu, rs.rank)
-    if rs.rank == 1:
-        return _rank1_transformed(rs, mu, tau)
-    return _q_log_direct(rs, tau, mu)
+    val = (_rank1_transformed(rs, mu, tau) if rs.rank == 1
+           else _q_log_direct(rs, tau, mu))
+    if not math.isfinite(val):  # rank 1's peak term tau |mu + rho|^2 can overflow
+        raise OverflowError("log chamber integral is not finite at this weight")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +386,7 @@ def _spherical_log_integrals(rs: RootSystem, n: int,
     """Log of the chamber integral against the degree-n spherical function
     at each tau in ``taus``."""
     beta, m_beta, m_half = _rank1_params(rs)
-    u = _chamber_direction(rs)
+    u = rs.chamber_edges[0]
     bu = float(beta @ u)
     mu = float(n) * beta  # the rank-1 fundamental weight is beta itself
     slope = 2.0 * float(mu @ u)
@@ -450,6 +422,10 @@ class AsymptoticReport:
     passed: bool
 
     def __post_init__(self):
+        for name in ("tau_grid", "log_q", "log_predicted"):
+            values = tuple(float(v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "passed", bool(self.passed))
         if self.regime not in ("zero", "infinity"):
             raise ValueError("regime must be 'zero' or 'infinity'")
         grid = self.tau_grid
@@ -475,23 +451,6 @@ def _measure(rs: RootSystem, n: int, taus: np.ndarray):
     return log_qn, log_q0, math.exp(float(coef[0])), float(coef[1])
 
 
-def _report(regime, name, n, taus, log_q, log_pred, fitted_a, fitted_b,
-            predicted_a, predicted_b, passed) -> AsymptoticReport:
-    return AsymptoticReport(
-        regime=regime,
-        space=name,
-        weight_coeff=n,
-        tau_grid=tuple(float(t) for t in taus),
-        log_q=tuple(float(v) for v in log_q),
-        log_predicted=tuple(float(v) for v in log_pred),
-        fitted_A=fitted_a,
-        fitted_B=fitted_b,
-        predicted_A=predicted_a,
-        predicted_B=predicted_b,
-        passed=bool(passed),
-    )
-
-
 def verify_tau_zero(space, n: int) -> AsymptoticReport:
     """Fit log(q_n / q_0) = log A + B tau on a small-tau grid and compare
     against the predicted constants A = 1, B = (m/2) b, with b the quadratic
@@ -512,8 +471,9 @@ def verify_tau_zero(space, n: int) -> AsymptoticReport:
     log_pred = log_q0 + b_pred * taus  # log A = 0
     b_ok = (abs(fitted_b) <= 1e-8 if n == 0
             else abs(fitted_b - b_pred) <= 0.02 * abs(b_pred))
-    return _report("zero", name, n, taus, log_qn, log_pred, fitted_a, fitted_b,
-                   a_pred, b_pred, abs(fitted_a - 1.0) <= 1e-2 and b_ok)
+    return AsymptoticReport("zero", name, n, taus, log_qn, log_pred, fitted_a,
+                            fitted_b, a_pred, b_pred,
+                            abs(fitted_a - 1.0) <= 1e-2 and b_ok)
 
 
 def verify_tau_infinity(space, n: int) -> AsymptoticReport:
@@ -533,5 +493,5 @@ def verify_tau_infinity(space, n: int) -> AsymptoticReport:
     log_pred = math.log(c_val) + log_coeff + power * np.log(taus) + rate * taus
     gaps = np.abs(log_qn - log_pred)
     ok = np.all(gaps[1:] <= gaps[:-1] + 10.0 * _REL_TOL) and gaps[-1] <= 0.02
-    return _report("infinity", name, n, taus, log_qn, log_pred, fitted_a, fitted_b,
-                   *hcfun.predicted_constants(rs, lam_w), ok)
+    return AsymptoticReport("infinity", name, n, taus, log_qn, log_pred, fitted_a,
+                            fitted_b, *hcfun.predicted_constants(rs, lam_w), ok)

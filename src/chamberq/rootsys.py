@@ -206,6 +206,19 @@ class RootSystem:
             raise ValueError("singular Gram matrix: degenerate root basis") from exc
         return tuple(as_vector(M[j], self.rank) for j in range(self.rank))
 
+    @cached_property
+    def chamber_edges(self) -> np.ndarray:
+        """Edge rays of the closed Weyl chamber, the cone on which every
+        positive root is nonnegative: a read-only (rank, rank) array whose
+        rows are the unit fundamental weights."""
+        mus = np.array(self.fundamental_weights)
+        edges = mus / np.linalg.norm(mus, axis=1)[:, None]
+        # a root on a wall pairs to rounding noise below 0
+        if np.any(self.roots @ edges.T < -_MATCH_TOL):
+            raise ValueError("empty Weyl chamber: roots are not one sided")
+        edges.flags.writeable = False
+        return edges
+
     def simple_roots(self) -> np.ndarray:
         """Simple positive roots as rows, in a deterministic order."""
         return self.roots[list(self._simple_idx)]

@@ -161,6 +161,16 @@ def test_log_I_mu_rejects_bad_tau(rs, tau):
         log_I_mu(rs, np.zeros(rs.rank), tau)
 
 
+@pytest.mark.parametrize("name, mu", [("SU3", (1e160, 0.0)), ("S2", (1e160,)),
+                                      ("S2", (-1e300,))])
+def test_log_I_mu_non_finite_value_is_a_numerical_failure(catalog, name, mu):
+    # these once returned -inf, inf and nan; numpy's overflow warnings are
+    # silenced, since the test settings would raise them first
+    rs = catalog.get(name).to_root_system()
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="not finite"):
+        log_I_mu(rs, mu, 1.0)
+
+
 def test_q_tau_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(aq, "_MAX_REFINEMENTS", 1)
     with pytest.raises(RuntimeError):
@@ -401,6 +411,39 @@ def test_log_I_mu_rank2_non_dominant_images_against_simpson_oracle(rs, coeffs):
             want = oracles.rank2_chamber_integral(rs, v, tau, 400)
             got = log_I_mu(rs, v, tau)
             assert got == pytest.approx(math.log(want), abs=2e-5), (v, tau)
+
+
+def _rotated(rs, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return rot, RootSystem(rank=2, roots=rs.roots @ rot.T, mults=rs.mults,
+                           geometric=rs.geometric)
+
+
+@pytest.mark.parametrize("name", ["SU3", "SU6_Sp3"])
+@pytest.mark.parametrize("angle", [2.3, -2.6, math.pi - 0.8],
+                         ids=["2.3", "-2.6", "pi-0.8"])
+def test_log_I_mu_rank2_invariant_under_rotation(catalog, name, angle):
+    # at 2.3 and pi - 0.8 the rotated chamber straddles the angle cut at
+    # +-pi, which no catalog chamber reaches
+    rs = catalog.get(name).to_root_system()
+    rot, turned = _rotated(rs, angle)
+    mu1, mu2 = rs.fundamental_weights
+    for mu in (np.zeros(2), mu1, 2 * mu1 + mu2, -2 * mu1):
+        for tau in (0.01, 1.0, 50.0, 800.0):
+            want = log_I_mu(rs, mu, tau)
+            assert log_I_mu(turned, rot @ mu, tau) == pytest.approx(want, rel=1e-14)
+
+
+def test_rank1_mirrored_chamber_gives_the_same_bits():
+    # negating the roots negates the one chamber edge; every pairing, and so
+    # every node value, is unchanged
+    mirror = RootSystem(rank=1, roots=-CP2.roots, mults=CP2.mults, geometric=True)
+    for n in (0, 1, 3):
+        mu = spherical_weight(CP2, [n]).vector
+        for tau in (0.01, 1.0, 50.0, 800.0):
+            assert log_I_mu(mirror, -mu, tau) == log_I_mu(CP2, mu, tau)
+    assert verify_tau_zero(mirror, 2).log_q == verify_tau_zero(CP2, 2).log_q
 
 
 def test_leading_infinity_sphere2():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from chamberq import rootsys
+from chamberq import cli, rootsys
 from chamberq.rootsys import (
     RootSystem,
     build_root_system,
@@ -14,6 +14,9 @@ from chamberq.rootsys import (
     root_spec,
     spherical_weight,
 )
+from test_golden_exact import GEOMETRIC
+
+CATALOG = cli.default_catalog()
 
 
 def norms_sq(rs):
@@ -356,6 +359,31 @@ def test_fundamental_weights_degenerate_basis():
     )
     with pytest.raises(ValueError):
         rs.fundamental_weights
+
+
+@pytest.mark.parametrize("name", [e.name for e in CATALOG.entries] + list(GEOMETRIC))
+def test_chamber_edges_are_unit_fundamental_directions(name):
+    if name in GEOMETRIC:
+        t, r, m = GEOMETRIC[name]
+        rs = build_root_system(t, r, m, geometric=True)
+    else:
+        rs = CATALOG.get(name).to_root_system()
+    edges = rs.chamber_edges
+    assert edges.shape == (rs.rank, rs.rank) and not edges.flags.writeable
+    assert np.linalg.norm(edges, axis=1) == pytest.approx(np.ones(rs.rank), abs=1e-12)
+    # each edge lies on the walls of all simple roots but one
+    off_wall = np.abs(rs.simple_roots() @ edges.T) > 1e-12
+    assert np.all(off_wall.sum(axis=0) == 1) and np.all(off_wall.sum(axis=1) == 1)
+    assert np.all(rs.roots @ edges.T >= -1e-12)
+
+
+def test_chamber_edges_reject_roots_that_are_not_one_sided():
+    # (1, 1) and its negative are both listed as positive roots
+    rs = RootSystem(rank=2, roots=np.array([[1.0, 1.0], [-1.0, -1.0], [-2.0, -2.0],
+                                            [-2.0, -1.0]]), mults=np.ones(4))
+    assert len(rs.fundamental_weights) == 2
+    with pytest.raises(ValueError, match="empty Weyl chamber: roots are not one sided"):
+        rs.chamber_edges
 
 
 # -- derived data against the one-root-at-a-time oracle ------------------------
