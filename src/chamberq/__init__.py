@@ -24,7 +24,6 @@ from .hcfun import (
     g_product_probe,
     group_c_closed_form,
     log_gamma,
-    log_q_of_weight,
     predicted_constants,
     q_invariance_test,
     q_of_weight,

@@ -240,15 +240,16 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
     Both ranks integrate over 8 Gaussian widths around the shifted peak, or
     its nearest point of the chamber: rank 1 in the coordinate centred at
     the peak, where the integrand stays bounded at any tau; rank 2 in polar
-    coordinates. A log value that is not finite raises OverflowError.
+    coordinates. A non-finite log value raises OverflowError, not a warning.
     """
     if rs.rank > 2:
         raise ValueError("chamber quadrature is implemented for rank <= 2")
     if not (tau > 0 and math.isfinite(tau)):
         raise ValueError("tau must be positive and finite")
     mu = as_vector(mu, rs.rank)
-    val = (_rank1_transformed(rs, mu, tau) if rs.rank == 1
-           else _q_log_direct(rs, tau, mu))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        val = (_rank1_transformed(rs, mu, tau) if rs.rank == 1
+               else _q_log_direct(rs, tau, mu))
     if not math.isfinite(val):  # rank 1's peak term tau |mu + rho|^2 can overflow
         raise OverflowError("log chamber integral is not finite at this weight")
     return val

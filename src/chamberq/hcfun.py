@@ -3,7 +3,10 @@
 Everything here reduces to sums of log-Gamma values over the indivisible
 positive roots, exponentiated once at the end. Products of Gamma values at
 arguments of even moderate size overflow double precision, so no routine
-in this module ever multiplies Gamma values directly.
+in this module ever multiplies Gamma values directly. :func:`_log_gamma_sum`
+forms every such sum and :func:`_log_weyl_sum` every sum of Weyl ratios,
+adding left to right from a fixed start: ``sum()`` compensates its rounding
+from CPython 3.12 on, which would move the last bits between interpreters.
 
 One per-root factor, :func:`_log_c_factor`, forms every Gamma ratio of Q,
 c, A and F: F(z; a, b, c, d) is Q's factor at x = 2(cz + a), m = 4b,
@@ -18,7 +21,6 @@ which pins c(0-weight) = 1 without knowing the closed-form constant.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +34,6 @@ __all__ = [
     "c_function_duplicated",
     "group_c_closed_form",
     "q_of_weight",
-    "log_q_of_weight",
     "f_factor",
     "g_product_probe",
     "q_invariance_test",
@@ -60,18 +61,6 @@ def log_gamma(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pairing_x(rs: RootSystem, weight_vec: np.ndarray) -> list[tuple[float, float, float]]:
-    """(x, m, m2) per indivisible root, x = <weight + rho, alpha>/<alpha,alpha>."""
-    v = weight_vec + rs.rho
-    with np.errstate(over="ignore"):
-        out = [(float(v @ a) / float(a @ a), m, m2) for a, m, m2 in rs.indivisible]
-    if not all(math.isfinite(x) for x, _, _ in out):
-        raise ValueError("weight is too large: a root pairing overflows a float")
-    if any(x <= 0 for x, _, _ in out):
-        raise ValueError("nonpositive pairing: weight is not dominant")
-    return out
-
-
 def _log_c_factor(x: float, m: float, m2: float, power: float = 0.0) -> float:
     # unnormalized Gindikin-Karpelevic factor, duplication formula applied,
     # times x**power; Q takes power (m + m2)/2, F 2b + d, the c-function 0
@@ -95,13 +84,38 @@ def _log_c_factor_raw(x: float, m: float, m2: float) -> float:
     )
 
 
-def _log_weyl_ratios(rs: RootSystem, lam: np.ndarray) -> list[float]:
-    """log<lam + rho, alpha> - log<rho, alpha> per positive root alpha."""
+def _log_q_factor(x: float, m: float, m2: float) -> float:
+    return _log_c_factor(x, m, m2, 0.5 * (m + m2))
+
+
+def _log_gamma_sum(rs: RootSystem, lam: np.ndarray, factor, roots=None) -> float:
+    """Sum of factor(<lam + rho, alpha>/<alpha, alpha>, m, m2) over the
+    (alpha, m, m2) in roots, by default every indivisible root."""
+    v = lam + rs.rho
+    with np.errstate(over="ignore"):
+        terms = [(float(v @ a) / float(a @ a), m, m2)
+                 for a, m, m2 in (rs.indivisible if roots is None else roots)]
+    if not all(math.isfinite(x) for x, _, _ in terms):
+        raise ValueError("weight is too large: a root pairing overflows a float")
+    if any(x <= 0 for x, _, _ in terms):
+        raise ValueError("nonpositive pairing: weight is not dominant")
+    total = 0.0
+    for x, m, m2 in terms:
+        total += factor(x, m, m2)
+    return total
+
+
+def _log_weyl_sum(rs: RootSystem, lam: np.ndarray, weights, start: float = 0.0) -> float:
+    """start plus weights[i] * (log<lam + rho, alpha_i> - log<rho, alpha_i>)
+    over the positive roots alpha_i."""
     v = lam + rs.rho
     pairs = [(float(v @ a), float(rs.rho @ a)) for a in rs.roots]
     if any(num <= 0 or den <= 0 for num, den in pairs):
         raise ValueError("nonpositive pairing: weight is not dominant")
-    return [math.log(num) - math.log(den) for num, den in pairs]
+    total = start
+    for w, (num, den) in zip(weights, pairs):
+        total += w * (math.log(num) - math.log(den))
+    return total
 
 
 def _weight_vec(rs: RootSystem, weight) -> np.ndarray:
@@ -111,10 +125,8 @@ def _weight_vec(rs: RootSystem, weight) -> np.ndarray:
 
 
 def _log_c(rs: RootSystem, lam: np.ndarray, factor) -> float:
-    """Sum of factor(x, m, m2) over the indivisible roots at lam, minus the
-    same sum at the zero weight."""
-    log_c = sum(factor(x, m, m2) for x, m, m2 in _pairing_x(rs, lam))
-    log_c -= sum(factor(x, m, m2) for x, m, m2 in _pairing_x(rs, np.zeros(rs.rank)))
+    """_log_gamma_sum at lam minus the same sum at the zero weight."""
+    log_c = _log_gamma_sum(rs, lam, factor) - _log_gamma_sum(rs, np.zeros(rs.rank), factor)
     if not math.isfinite(log_c):
         raise OverflowError("log c is not finite: log Gamma overflows at this weight")
     return log_c
@@ -140,17 +152,7 @@ def group_c_closed_form(rs: RootSystem, weight) -> float:
     every multiplicity equal to 2."""
     if not classify_group_manifold(rs):
         raise ValueError("closed form requires reduced roots with multiplicity 2")
-    return math.exp(-sum(_log_weyl_ratios(rs, _weight_vec(rs, weight))))
-
-
-def log_q_of_weight(rs: RootSystem, weight) -> float:
-    mu = _weight_vec(rs, weight)
-    log_q = sum(
-        _log_c_factor(x, m, m2, 0.5 * (m + m2)) for x, m, m2 in _pairing_x(rs, mu)
-    )
-    if not math.isfinite(log_q):
-        raise OverflowError("log Q is not finite: log Gamma overflows at this weight")
-    return log_q
+    return math.exp(-_log_weyl_sum(rs, _weight_vec(rs, weight), [1.0] * len(rs.roots)))
 
 
 def q_of_weight(rs: RootSystem, weight) -> float:
@@ -164,7 +166,10 @@ def q_of_weight(rs: RootSystem, weight) -> float:
 
     Constant in mu exactly when the data comes from a group manifold.
     """
-    return math.exp(log_q_of_weight(rs, weight))
+    log_q = _log_gamma_sum(rs, _weight_vec(rs, weight), _log_q_factor)
+    if not math.isfinite(log_q):
+        raise OverflowError("log Q is not finite: log Gamma overflows at this weight")
+    return math.exp(log_q)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +217,9 @@ def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     mu_j = mus[j]
-    on_ray = [float(mu_j @ a) / float(a @ a) > 2e-12 for a, _, _ in rs.indivisible]
-    out = []
-    for n in range(n_max + 1):
-        pairs = itertools.compress(_pairing_x(rs, n * mu_j), on_ray)
-        out.append(math.exp(sum(_log_c_factor(x, m, m2, 0.5 * (m + m2))
-                                for x, m, m2 in pairs)))
-    return out
+    on_ray = [r for r in rs.indivisible if float(mu_j @ r[0]) / float(r[0] @ r[0]) > 2e-12]
+    return [math.exp(_log_gamma_sum(rs, n * mu_j, _log_q_factor, on_ray))
+            for n in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +278,6 @@ def predicted_constants(rs: RootSystem, weight) -> tuple[float, float]:
     metric normalization.
     """
     lam = _weight_vec(rs, weight)
-    log_a = _log_c(rs, lam, _log_c_factor)
-    for m, term in zip(rs.mults, _log_weyl_ratios(rs, lam)):
-        log_a += 0.5 * m * term
+    log_a = _log_weyl_sum(rs, lam, 0.5 * rs.mults, _log_c(rs, lam, _log_c_factor))
     b = float((lam + rs.rho) @ (lam + rs.rho)) - float(rs.rho @ rs.rho)
     return math.exp(log_a), b

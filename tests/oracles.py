@@ -352,3 +352,22 @@ Q_SPHERE2_SPREAD = 0.23848774855537004  # over n = 0..10
 # Q values for the rank-1 {2, 1} non-reduced system (projective plane
 # data): factor at x = 2(n+1).
 Q_PROJ2 = {0: 1.2533141373155003, 1: 1.329340388179137}
+
+
+def compensated_sum(items, start=0):
+    """CPython 3.12's builtin ``sum`` over floats: start plus the first item,
+    then Neumaier's compensated loop, whose compensation is added at the end
+    when it is finite and nonzero (Neumaier, Z. angew. Math. Mech. 54, 1974)."""
+    it = iter(items)
+    total = start + next(it, 0)
+    comp = 0.0
+    for x in it:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
