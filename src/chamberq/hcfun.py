@@ -124,6 +124,13 @@ def _weight_vec(rs: RootSystem, weight) -> np.ndarray:
     return np.asarray(weight, dtype=float)
 
 
+def _exp(log_value: float, name: str) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise OverflowError(f"{name} overflows a float at this weight") from None
+
+
 def _log_c(rs: RootSystem, lam: np.ndarray, factor) -> float:
     """_log_gamma_sum at lam minus the same sum at the zero weight."""
     log_c = _log_gamma_sum(rs, lam, factor) - _log_gamma_sum(rs, np.zeros(rs.rank), factor)
@@ -136,14 +143,14 @@ def c_function(rs: RootSystem, weight) -> float:
     """Harish-Chandra c-function at the shifted weight, via the
     Gindikin-Karpelevic product over indivisible roots, normalized so the
     zero weight maps to exactly 1."""
-    return math.exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factor))
+    return _exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factor), "c")
 
 
 def c_function_duplicated(rs: RootSystem, weight) -> float:
     """Same value as :func:`c_function` but computed from the product form
     with half-argument Gammas, i.e. without applying the duplication
     formula. Used to cross-validate the two algebraic routes."""
-    return math.exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factor_raw))
+    return _exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factor_raw), "c")
 
 
 def group_c_closed_form(rs: RootSystem, weight) -> float:
@@ -169,7 +176,7 @@ def q_of_weight(rs: RootSystem, weight) -> float:
     log_q = _log_gamma_sum(rs, _weight_vec(rs, weight), _log_q_factor)
     if not math.isfinite(log_q):
         raise OverflowError("log Q is not finite: log Gamma overflows at this weight")
-    return math.exp(log_q)
+    return _exp(log_q, "Q")
 
 
 # ---------------------------------------------------------------------------
@@ -279,5 +286,8 @@ def predicted_constants(rs: RootSystem, weight) -> tuple[float, float]:
     """
     lam = _weight_vec(rs, weight)
     log_a = _log_weyl_sum(rs, lam, 0.5 * rs.mults, _log_c(rs, lam, _log_c_factor))
-    b = float((lam + rs.rho) @ (lam + rs.rho)) - float(rs.rho @ rs.rho)
-    return math.exp(log_a), b
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = float((lam + rs.rho) @ (lam + rs.rho)) - float(rs.rho @ rs.rho)
+    if not math.isfinite(b):
+        raise OverflowError("B overflows a float at this weight")
+    return _exp(log_a, "A"), b

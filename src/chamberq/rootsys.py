@@ -362,59 +362,31 @@ def root_spec(
 # ---------------------------------------------------------------------------
 
 
-def _e(i: int, d: int) -> np.ndarray:
-    v = np.zeros(d)
-    v[i] = 1.0
-    return v
-
-
-def _positive_roots_standard(t: str, r: int):
+def _positive_roots_standard(t: str, r: int) -> tuple[np.ndarray, int]:
     """Positive roots of a type and rank that :func:`root_spec` accepted, in
-    classical coordinates.
+    classical coordinates, class by class in the order and with the sizes
+    that :func:`_class_table` gives.
 
     Returns (roots, ambient_dim); for type A the ambient dimension is
     rank + 1 and the span is the sum-zero hyperplane.
     """
-    out: list[np.ndarray] = []
-    if t == "A":
-        d = r + 1
-        for i in range(d):
-            for j in range(i + 1, d):
-                out.append(_e(i, d) - _e(j, d))
-        return out, d
-    if t in ("B", "C", "D", "BC"):
-        d = r
-        for i in range(r):
-            for j in range(i + 1, r):
-                out.append(_e(i, d) - _e(j, d))
-                out.append(_e(i, d) + _e(j, d))
-        if t in ("B", "BC"):
-            out.extend(_e(i, d) for i in range(r))
-        if t in ("C", "BC"):
-            out.extend(2.0 * _e(i, d) for i in range(r))
-        return out, d
     if t == "G2":
         a1 = np.array([1.0, 0.0])
         a2 = np.array([-1.5, 0.5 * math.sqrt(3.0)])
-        return [a1, a2, a1 + a2, 2 * a1 + a2, 3 * a1 + a2, 3 * a1 + 2 * a2], 2
-    d = 4  # F4
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out.append(_e(i, d) - _e(j, d))
-            out.append(_e(i, d) + _e(j, d))
-    out.extend(_e(i, d) for i in range(4))
-    for s2 in (1.0, -1.0):
-        for s3 in (1.0, -1.0):
-            for s4 in (1.0, -1.0):
-                out.append(0.5 * np.array([1.0, s2, s3, s4]))
-    return out, d
-
-
-def _length_classes(roots: np.ndarray) -> list[np.ndarray]:
-    """Indices of the roots grouped by squared length, shortest first."""
-    lens = np.round(np.einsum("ij,ij->i", roots, roots), 9)
-    values = sorted(set(lens.tolist()))
-    return [np.nonzero(lens == v)[0] for v in values]
+        return np.array([a1, a1 + a2, 2 * a1 + a2, a2, 3 * a1 + a2, 3 * a1 + 2 * a2]), 2
+    d = r + 1 if t == "A" else r
+    unit = np.eye(d)
+    i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))  # i < j, row by row
+    ei, ej = unit[i], unit[j]
+    if t == "A":  # e_i - e_j, i < j, in this order: the first rank + 1 span
+        return ei - ej, d
+    pm = np.concatenate([ei - ej, ei + ej])
+    if t == "F4":
+        halves = 0.5 * np.array([(1.0, *s) for s in itertools.product((1.0, -1.0), repeat=3)])
+        return np.concatenate([unit, halves, pm]), d
+    families = {"B": (unit, pm), "C": (pm, 2.0 * unit), "D": (pm,),
+                "BC": (unit, pm, 2.0 * unit)}[t]
+    return np.concatenate(families), d
 
 
 def build_root_system(
@@ -431,12 +403,14 @@ def build_root_system(
     single-class types, "short"/"long" for two classes, and additionally
     "double" for the doubled class of BC systems of rank >= 2. The longest
     root is normalized to squared length 2 * metric_scale. The arguments
-    are checked by :func:`root_spec`.
+    are checked by :func:`root_spec`. The roots come class by class in
+    :func:`_class_table` order, so each class's multiplicity goes to its
+    block of roots by position; the roots are then sorted
+    lexicographically.
     """
     spec = root_spec(type_label, rank, multiplicities,
                      metric_scale=metric_scale, geometric=geometric)
-    raw, d = _positive_roots_standard(spec.type_label, rank)
-    roots = np.array(raw, dtype=float)
+    roots, d = _positive_roots_standard(spec.type_label, rank)
     if d > rank:
         # isometric coordinates on the span: only type A has d > rank, and
         # its first roots e0 - ej span the sum-zero hyperplane
@@ -449,14 +423,11 @@ def build_root_system(
             if nz.size and nz[0] < 0:
                 roots[:, k] = -col
 
-    mults = np.empty(len(roots))
-    for cls, m in zip(_length_classes(roots), spec.mults, strict=True):
-        mults[cls] = m
-
+    mults = np.repeat(spec.mults, spec.sizes)
     longest = max(float(a @ a) for a in roots)
     roots = roots * math.sqrt(2.0 * metric_scale / longest)
 
-    order = sorted(range(len(roots)), key=lambda i: tuple(np.round(roots[i], 9)))
+    order = np.lexsort(np.round(roots, 9).T[::-1])  # first column first
     roots = roots[order]
     mults = mults[order]
     return RootSystem(rank=rank, roots=roots, mults=mults, geometric=spec.geometric)

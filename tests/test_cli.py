@@ -569,6 +569,8 @@ def test_cli_cfun_rejects_weight_past_float_range(space, weight, capsys):
 
 
 @pytest.mark.parametrize("space, weight, code, message", [
+    # log c is finite, but cancellation leaves it too large for exp
+    ("SU2", str(10**30), 3, "numerical failure: c overflows a float"),
     # log Gamma overflows to inf in two terms of one factor, and inf - inf is nan
     ("SU2", str(10**306), 3, "numerical failure: log c is not finite"),
     ("CP2", str(10**306), 3, "numerical failure: log c is not finite"),
@@ -578,7 +580,8 @@ def test_cli_cfun_rejects_weight_past_float_range(space, weight, capsys):
     ("SU4", f"{10**308},0,0", 2, "weight is too large"),
     # the weight vector itself overflows
     ("SU3", f"{17 * 10**307},{17 * 10**307}", 2, "vector has non-finite entries"),
-], ids=["SU2-1e306", "CP2-1e306", "SU3-1e307", "S2-1e308", "SU4-1e308", "SU3-1.7e308"])
+], ids=["SU2-1e30", "SU2-1e306", "CP2-1e306", "SU3-1e307", "S2-1e308", "SU4-1e308",
+        "SU3-1.7e308"])
 def test_cli_cfun_huge_weight_is_one_line_error(space, weight, code, message):
     # in a fresh process, so a numpy warning would reach stderr
     proc = _python_m_chamberq(["cfun", space, "--weight", weight],

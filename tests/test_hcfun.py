@@ -324,6 +324,14 @@ def test_predicted_constants_sphere2():
     assert a == pytest.approx(ratio, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [10**200, 10**300], ids=["1e200", "1e300"])
+def test_predicted_constants_b_overflow_is_named(n):
+    # |weight + rho|^2 overflows in numpy; the suite turns warnings into errors
+    rs = sphere(2)
+    with pytest.raises(OverflowError, match="^B overflows a float at this weight$"):
+        predicted_constants(rs, spherical_weight(rs, [n]))
+
+
 def test_a_equals_q_ratio_randomized(catalog):
     rng = np.random.default_rng(2024)
     entries = list(catalog.entries)

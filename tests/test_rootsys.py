@@ -1,8 +1,22 @@
+"""Root systems: construction, derived data and structural invariants.
+
+``golden_realizations.json`` pins every standard realization of
+``TYPE_RANKS`` bit for bit, as the sha256 of ``roots.tobytes() +
+mults.tobytes()`` at two metric scales. An intended change of the
+realizations re-records it with
+
+    PYTHONPATH=src python tests/test_rootsys.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
-from chamberq import cli, rootsys
+from chamberq import cli
 from chamberq.rootsys import (
     RootSystem,
     build_root_system,
@@ -99,11 +113,11 @@ TYPE_RANKS = [
     ("G2", 2),
     ("F4", 4),
 ]
+METRIC_SCALES = (1.0, 0.37)
+REALIZATIONS_PATH = Path(__file__).with_name("golden_realizations.json")
 
 
-@pytest.mark.parametrize("label,rank", TYPE_RANKS,
-                         ids=[f"{t}{r}" for t, r in TYPE_RANKS])
-def test_closed_form_classes_match_built_system(label, rank):
+def _class_mults(label, rank):
     if label in ("A", "D"):
         labels = ("all",)
     elif label == "BC" and rank > 1:
@@ -111,15 +125,31 @@ def test_closed_form_classes_match_built_system(label, rank):
     else:
         labels = ("short", "long")
     # distinct per class, and dyadic, so every sum below is exact
-    mults = {lab: 1.5 + 2.25 * i for i, lab in enumerate(labels)}
+    return {lab: 1.5 + 2.25 * i for i, lab in enumerate(labels)}
+
+
+def _realization_digest(rs):
+    return hashlib.sha256(rs.roots.tobytes() + rs.mults.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("label,rank", TYPE_RANKS,
+                         ids=[f"{t}{r}" for t, r in TYPE_RANKS])
+def test_closed_form_classes_match_built_system(label, rank):
+    mults = _class_mults(label, rank)
     spec = root_spec(label, rank, mults)
     rs = build_root_system(label, rank, mults)
-    classes = rootsys._length_classes(rs.roots)
-    assert spec.labels == labels
+    # the length classes measured on the built roots, shortest first
+    lens = np.round(np.einsum("ij,ij->i", rs.roots, rs.roots), 9)
+    classes = [np.nonzero(lens == v)[0] for v in np.unique(lens)]
+    assert spec.labels == tuple(mults)
     assert spec.sizes == tuple(len(c) for c in classes)
     for lab, cls in zip(spec.labels, classes, strict=True):
         assert set(rs.mults[cls].tolist()) == {mults[lab]}
     assert spec.dimension == dimension(rs)
+    golden = json.loads(REALIZATIONS_PATH.read_text(encoding="utf-8"))[f"{label}{rank}"]
+    for scale in METRIC_SCALES:
+        scaled = build_root_system(label, rank, mults, metric_scale=scale)
+        assert _realization_digest(scaled) == golden[repr(scale)], scale
 
 
 def test_direct_constructor_validation():
@@ -441,3 +471,10 @@ def test_weyl_check_matches_loop_oracle(roots, mults):
     assert not oracles.root_data_by_loops(roots, mults)["weyl_closed"]
     with pytest.raises(ValueError):
         RootSystem(rank=2, roots=np.array(roots), mults=np.array(mults), geometric=True)
+
+
+if __name__ == "__main__":
+    record = {f"{t}{r}": {repr(scale): _realization_digest(build_root_system(
+        t, r, _class_mults(t, r), metric_scale=scale)) for scale in METRIC_SCALES}
+        for t, r in TYPE_RANKS}
+    REALIZATIONS_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
