@@ -18,13 +18,14 @@ Quadrature is composite Gauss-Legendre with panel doubling until two
 successive refinements agree in log value to one fixed tolerance, on grids
 of at most a fixed number of nodes. Both ranks integrate over a window of
 8 Gaussian widths sqrt(tau) around the shifted peak tau (mu + rho), with
-the peak projected onto the closed chamber when it lies outside. Rank 1
-takes the coordinate centred at the peak, where the integrand is bounded;
-rank 2 a tensor grid in polar coordinates over the part of the chamber
-sector that the window covers. Both take the chamber's edge rays from
-RootSystem.chamber_edges.
-Gauss nodes are open, so the integrable wall zeros of the chamber weight
-(square-root type for odd multiplicities) never produce a -inf sample.
+the peak projected onto the closed chamber when it lies outside; both take
+the chamber's edge rays from RootSystem.chamber_edges. Rank 1 takes the
+coordinate centred at the peak, where the integrand is bounded: every tau
+of a call is one row of a stacked grid, and a row leaves the stack once it
+has converged. Rank 2 takes a tensor grid in polar coordinates over the
+part of the chamber sector that the window covers. Gauss nodes are open,
+so the integrable wall zeros of the chamber weight (square-root type for
+odd multiplicities) never produce a -inf sample.
 """
 
 from __future__ import annotations
@@ -69,35 +70,40 @@ _SIGMA = 8.0
 # ---------------------------------------------------------------------------
 
 
-def _panel_nodes(lo: float, hi: float, n_panels: int):
-    edges = np.linspace(lo, hi, n_panels + 1)
+def _panel_nodes(lo, hi, n_panels: int):
+    # with arrays lo and hi, one C-ordered row of nodes per window
+    edges = np.linspace(lo, hi, n_panels + 1, axis=np.ndim(lo))
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    wts = (half[:, None] * _GL_W[None, :]).ravel()
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    pts = (mid[..., None] + half[..., None] * _GL_X).reshape(*np.shape(lo), -1)
+    wts = (half[..., None] * _GL_W).reshape(*np.shape(lo), -1)
     return pts, wts
 
 
 def _logsum(log_vals: np.ndarray, weights: np.ndarray,
-            col_weights: np.ndarray | None = None) -> float:
-    # log of sum_i w_i e^(v_i), or of sum_ij w_i e^(v_ij) w'_j for a grid
-    # of values; overwrites log_vals
-    m = float(np.max(log_vals))
+            col_weights: np.ndarray | None = None) -> list[float]:
+    # log of sum_j w_j e^(v_j) on each row of a stack of values, or of
+    # sum_ij w_i e^(v_ij) w'_j over one grid of values; overwrites log_vals
+    grid = col_weights is not None
+    m = float(np.max(log_vals)) if grid else np.max(log_vals, axis=1, keepdims=True)
     log_vals -= m
     e = np.exp(log_vals, out=log_vals)
-    s = float(weights @ e if col_weights is None else weights @ e @ col_weights)
-    return m + math.log(s)
+    if grid:
+        return [m + math.log(float(weights @ e @ col_weights))]
+    return [mj + math.log(w @ ej) for mj, w, ej in zip(m[:, 0].tolist(), weights, e)]
 
 
-def _adaptive(log_f, lo: float, hi: float,
-              sector: tuple[float, float] | None = None) -> float:
-    """Log of the integral of exp(log_f) over [lo, hi]. With ``sector`` the
-    domain is the polar region [lo, hi] x sector, on a tensor grid with half
-    as many angular panels; log_f(r, theta) returns the (n_r, n_theta) grid
-    without the jacobian r. A grid over _MAX_NODES nodes is never built: the
-    quadrature fails as if it had not converged. A grid whose log value is
-    not finite is a numerical failure too."""
-    prev = None
+def _adaptive(log_f, lo, hi, sector: tuple[float, float] | None = None) -> list[float]:
+    """Log of the integral of exp(log_f) over each window [lo[j], hi[j]]. A
+    window leaves once it has converged; log_f(y, rows) gets the (len(rows),
+    nodes) grid of the windows still refining, stacked up to _MAX_NODES
+    nodes at a time. With ``sector`` the domain is the one polar region
+    [lo, hi] x sector, on a tensor grid with half as many angular panels;
+    log_f(r, theta) returns the (n_r, n_theta) grid without the jacobian r.
+    A grid over _MAX_NODES nodes is never built: the quadrature fails as if
+    it had not converged. A non-finite log value is a numerical failure."""
+    vals = [math.inf] * (1 if sector else len(lo))
+    live, moved = list(range(len(vals))), [True] * len(vals)
     n = 8
     limit = f"{_MAX_REFINEMENTS} grids"
     for _ in range(_MAX_REFINEMENTS):
@@ -105,17 +111,22 @@ def _adaptive(log_f, lo: float, hi: float,
         if nodes > _MAX_NODES:
             limit = f"the budget of {_MAX_NODES} nodes per grid"
             break
-        pts, wts = _panel_nodes(lo, hi, n)
         if sector is None:
-            val = _logsum(log_f(pts), wts)
+            new, step = [], _MAX_NODES // nodes
+            for rows in (live[k:k + step] for k in range(0, len(live), step)):
+                pts, wts = _panel_nodes(lo[rows], hi[rows], n)
+                new += _logsum(log_f(pts, rows), wts)
         else:
+            pts, wts = _panel_nodes(lo, hi, n)
             th, th_wts = _panel_nodes(*sector, n // 2)
-            val = _logsum(log_f(pts, th), wts * pts, th_wts)
-        if not math.isfinite(val):
-            raise OverflowError(f"log chamber integral is not finite on {nodes} nodes")
-        if prev is not None and abs(val - prev) <= _REL_TOL:
-            return val
-        prev = val
+            new = _logsum(log_f(pts, th), wts * pts, th_wts)
+        for i, val in zip(live, new):
+            if not math.isfinite(val):
+                raise OverflowError(f"log chamber integral is not finite on {nodes} nodes")
+            vals[i], moved[i] = val, abs(val - vals[i]) > _REL_TOL
+        live = [i for i in live if moved[i]]
+        if not live:
+            return vals
         n *= 2
     raise RuntimeError(
         f"quadrature did not converge to rel_tol={_REL_TOL} within {limit}"
@@ -136,8 +147,9 @@ def _log_chamber_weight(rs: RootSystem, r: np.ndarray, c: np.ndarray,
                         drift=0.0) -> np.ndarray:
     """Log chamber weight sum_a (m_a/2) log(r c_a sinh(2 r c_a)) plus
     r * drift at radii ``r`` along unit directions u with root pairings
-    ``c = roots @ u``: (n_roots,) for one direction, giving (n_r,), or
-    (n_roots, n_dir), giving (n_r, n_dir). Evaluated, with M = sum_a m_a, as
+    ``c = roots @ u``: (n_roots,) for one direction, giving r's shape, or
+    (n_roots, n_dir) for radii (n_r,), giving (n_r, n_dir). Evaluated, with
+    M = sum_a m_a, as
 
         (M/2)(log r - log 2) + sum_a (m_a/2) log c_a + r sum_a m_a c_a
         + sum_m (m/2) log prod_{a: m_a = m} (1 - exp(-4 r c_a)),
@@ -197,41 +209,44 @@ def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
         lv.T[...] -= r * r / tau  # the radius is the first axis
         return lv
 
-    return _adaptive(integrand, max(0.0, rq - w), rq + w, (lo, hi))
+    return _adaptive(integrand, max(0.0, rq - w), rq + w, (lo, hi))[0]
 
 
-def _rank1_transformed(rs: RootSystem, mu: np.ndarray, tau: float,
-                       log_phi=None) -> float:
-    """Log of the rank-1 q(tau, phi * exp(2 mu(H))) through the affine change
-    of coordinates centered at the shifted Gaussian peak tau * (mu + rho).
+def _rank1_transformed(rs: RootSystem, mu: np.ndarray, taus: np.ndarray,
+                       log_phi=None) -> np.ndarray:
+    """Log of the rank-1 q(tau, phi * exp(2 mu(H))) at each tau of ``taus``,
+    one stacked window each, through the affine change of coordinates
+    centered at the shifted Gaussian peak tau * (mu + rho).
 
     The transformed integrand is bounded at every tau. The window reaches
     _SIGMA widths on each side of the peak, cut at the chamber wall; when
     the peak lies outside the chamber it runs from the wall. ``log_phi``
-    takes the array of chamber coordinates of the original variable and
+    takes an array of chamber coordinates of the original variable and
     defaults to 0 (phi identically 1).
     """
     u = rs.chamber_edges[0]
     lr = mu + rs.rho
     a = float(lr @ u)
     rate = float(lr @ lr)
-    lo = max(-math.sqrt(tau) * a, -_SIGMA)
-    hi = max(lo, 0.0) + _SIGMA
+    sqrt_tau = np.sqrt(taus)
+    lo = np.maximum(-sqrt_tau * a, -_SIGMA)
+    hi = np.maximum(lo, 0.0) + _SIGMA
     au = rs.roots @ u
     # 2 mu(H) and the weight's linear part t sum_a m_a c_a = 2 rho(H) add up
     # to 2 a t, and t = sqrt(tau) y + tau a turns -t^2/tau + 2 a t into
     # tau a^2 - y^2; so drift cancels the kernel's linear part exactly
     drift = -(rs.mults @ au)
 
-    def integrand(y):
-        t = math.sqrt(tau) * y + tau * a  # original chamber coordinate
+    def integrand(y, rows):
+        t = sqrt_tau[rows, None] * y + (taus[rows] * a)[:, None]  # chamber coordinate
         lv = _log_chamber_weight(rs, t, au, drift) - y * y
         if log_phi is not None:
             lv = lv + log_phi(t)
         return lv
 
     # dt = sqrt(tau) dy
-    return tau * rate + 0.5 * math.log(tau) + _adaptive(integrand, lo, hi)
+    return np.array([tau * rate + 0.5 * math.log(tau) + val for tau, val
+                     in zip(taus.tolist(), _adaptive(integrand, lo, hi))])
 
 
 def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
@@ -248,7 +263,7 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
         raise ValueError("tau must be positive and finite")
     mu = as_vector(mu, rs.rank)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val = (_rank1_transformed(rs, mu, tau) if rs.rank == 1
+        val = (float(_rank1_transformed(rs, mu, np.array([tau]))[0]) if rs.rank == 1
                else _q_log_direct(rs, tau, mu))
     if not math.isfinite(val):  # rank 1's peak term tau |mu + rho|^2 can overflow
         raise OverflowError("log chamber integral is not finite at this weight")
@@ -294,13 +309,8 @@ def _spherical_log_coeffs(m_beta: float, m_half: float, n: int) -> np.ndarray:
     a, c = _hyper_params(m_beta, m_half, n)
     logs = [0.0]
     for k in range(n):
-        logs.append(
-            logs[-1]
-            + math.log(a + k)
-            + math.log(n - k)
-            - math.log(c + k)
-            - math.log(k + 1)
-        )
+        logs.append(logs[-1] + math.log(a + k) + math.log(n - k)
+                    - math.log(c + k) - math.log(k + 1))
     return np.array(logs)
 
 
@@ -349,8 +359,10 @@ def watson_expand(n: int, q_degree: float, angular_integrals) -> list[tuple[floa
 # ---------------------------------------------------------------------------
 
 
-# the degree-n spherical expansion holds a (nodes x (n + 1)) matrix
+# the degree-n spherical expansion forms its (points x (n + 1)) matrix in
+# blocks of at most _EXPANSION_BLOCK entries, whatever the size of the grid
 _MAX_WEIGHT_COEFF = 1000
+_EXPANSION_BLOCK = 2**18
 
 
 def _coerce_rank1(space, n: int):
@@ -362,9 +374,8 @@ def _coerce_rank1(space, n: int):
     else:
         raise TypeError("expected a RootSystem or a catalog space descriptor")
     if rs.rank != 1:
-        raise ValueError(
-            f"asymptotic verification requires a rank-1 space, got rank {rs.rank}"
-        )
+        raise ValueError(f"asymptotic verification requires a rank-1 space, "
+                         f"got rank {rs.rank}")
     if n < 0:
         raise ValueError("weight coefficient must be nonnegative")
     if n > _MAX_WEIGHT_COEFF:
@@ -398,12 +409,15 @@ def _spherical_log_integrals(rs: RootSystem, n: int,
         # log F(-sinh^2(beta(H))) at chamber coordinates t, via the positive
         # coefficient expansion, less the growth 2 mu(H) that the peak
         # centring takes out; stable for arbitrarily large t
-        log_s = 2.0 * _log_sinh(bu * t)
-        mat = log_ck[None, :] + ks[None, :] * log_s[:, None]
-        mx = np.max(mat, axis=1)
-        return mx + np.log(np.sum(np.exp(mat - mx[:, None]), axis=1)) - slope * t
+        log_s = 2.0 * _log_sinh(bu * t.ravel())  # overwritten block by block
+        step = _EXPANSION_BLOCK // len(ks)
+        for i in range(0, len(log_s), step):
+            mat = log_ck + ks * log_s[i:i + step, None]
+            mx = np.max(mat, axis=1)
+            log_s[i:i + step] = mx + np.log(np.sum(np.exp(mat - mx[:, None]), axis=1))
+        return log_s.reshape(t.shape) - slope * t
 
-    return np.array([_rank1_transformed(rs, mu, t, log_phi) for t in taus])
+    return _rank1_transformed(rs, mu, taus, log_phi)
 
 
 @dataclass(frozen=True)

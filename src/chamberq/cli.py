@@ -72,13 +72,8 @@ class SpaceDescriptor:
     def __post_init__(self):
         if not self.name:
             raise CatalogError("space entry is missing a name")
-        derived = rootsys.root_spec(
-            self.root_type,
-            self.rank,
-            self.multiplicities,
-            metric_scale=self.metric_scale,
-            geometric=True,
-        ).dimension
+        derived = rootsys.root_spec(self.root_type, self.rank, self.multiplicities,
+                                    metric_scale=self.metric_scale, geometric=True).dimension
         if abs(derived - self.dim_m) > 1e-9:
             raise CatalogError(
                 f"entry {self.name!r}: dim {self.dim_m} does not match "
@@ -87,13 +82,8 @@ class SpaceDescriptor:
 
     @cached_property
     def _root_system(self) -> rootsys.RootSystem:
-        return rootsys.build_root_system(
-            self.root_type,
-            self.rank,
-            self.multiplicities,
-            metric_scale=self.metric_scale,
-            geometric=True,
-        )
+        return rootsys.build_root_system(self.root_type, self.rank, self.multiplicities,
+                                         metric_scale=self.metric_scale, geometric=True)
 
     def to_root_system(self) -> rootsys.RootSystem:
         """The space's root system, built on the first call and kept."""

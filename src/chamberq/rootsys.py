@@ -67,16 +67,16 @@ def _match(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
 
 
-def _integral(mults: np.ndarray) -> bool:
-    return bool(np.all(np.abs(mults - np.round(mults)) <= _MATCH_TOL))
+def _integral(mults) -> bool:
+    return all(abs(m - round(m)) <= _MATCH_TOL for m in mults)
 
 
-def _check_geometric(mults: np.ndarray, has_double: np.ndarray) -> None:
+def _check_geometric(mults, has_double) -> None:
     """The geometric rule: integer multiplicities, and an even one wherever
-    the doubled root is present. ``has_double`` aligns with ``mults``."""
+    the doubled root is present. Plain floats; ``has_double`` aligns."""
     if not _integral(mults):
         raise ValueError("geometric multiplicities must be integers")
-    if np.any((np.round(mults) % 2 == 1) & has_double):
+    if any(d and round(m) % 2 for m, d in zip(mults, has_double)):
         raise ValueError("odd multiplicity on a root whose double is present")
 
 
@@ -128,7 +128,7 @@ class RootSystem:
         if np.any((half >= 0) & (double >= 0)):
             raise ValueError("root has both its half and its double in the system")
         if self.geometric:
-            _check_geometric(mults, double >= 0)
+            _check_geometric(mults.tolist(), (double >= 0).tolist())
         object.__setattr__(self, "_half", half)
         object.__setattr__(self, "_double", double)
         object.__setattr__(self, "_simple_idx", self._detect_simple())
@@ -348,12 +348,11 @@ def root_spec(
         raise ValueError("metric_scale must be positive")
     labels, sizes = _class_table(t, rank)
     mults = _resolve_mults(labels, _aliases(t, labels), multiplicities)
-    arr = np.array(mults)
     if geometric is None:
-        geometric = _integral(arr)
+        geometric = _integral(mults)
     if geometric:
         # only the short class of BC has its doubles in the system
-        _check_geometric(arr, np.array([t == "BC"] + [False] * (len(arr) - 1)))
+        _check_geometric(mults, [t == "BC"] + [False] * (len(mults) - 1))
     return RootSpec(t, rank, labels, sizes, tuple(mults), geometric)
 
 
@@ -499,9 +498,5 @@ def rescale(rs: RootSystem, c: float) -> RootSystem:
     """Rescale the metric so every pairing <x, y> is multiplied by c."""
     if not (c > 0 and math.isfinite(c)):
         raise ValueError("scale factor must be positive")
-    return RootSystem(
-        rank=rs.rank,
-        roots=rs.roots * math.sqrt(c),
-        mults=rs.mults,
-        geometric=rs.geometric,
-    )
+    return RootSystem(rank=rs.rank, roots=rs.roots * math.sqrt(c), mults=rs.mults,
+                      geometric=rs.geometric)

@@ -200,7 +200,8 @@ def test_quadrature_stops_at_first_comparison(monkeypatch):
 def test_quadrature_refines_up_to_65536_panels(monkeypatch):
     panels = _count_panels(monkeypatch)
     with pytest.raises(RuntimeError) as info:
-        aq._adaptive(lambda r: np.full_like(r, float(len(r))), 0.0, 1.0)
+        aq._adaptive(lambda y, rows: np.full_like(y, float(y.shape[1])),
+                     np.array([0.0]), np.array([1.0]))
     assert panels == [8 * 2**k for k in range(14)]
     assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
                                "within 14 grids")
@@ -229,6 +230,55 @@ def test_rank2_quadrature_stops_at_node_budget(monkeypatch):
     grids = list(zip(panels[::2], panels[1::2]))
     assert grids == [(8, 4), (16, 8), (32, 16)]
     assert max(32 * n_r * 32 * n_th for n_r, n_th in grids) == 2**19
+
+
+def _stacked_windows(freqs, rows_seen):
+    # log(2 + sin(w y)) on [0, 1]: w = 1 converges on the 2nd grid, and
+    # 800, 1600 and 3200 need 3, 4 and 5 grids
+    freqs = np.asarray(freqs, dtype=float)
+
+    def log_f(y, rows):
+        rows_seen.append(y.shape[0])
+        return np.log(2.0 + np.sin(freqs[rows, None] * y))
+
+    return log_f
+
+
+def test_stacked_windows_converge_independently():
+    freqs = [3200.0, 1.0, 1600.0, 800.0]
+    lo, hi = np.zeros(4), np.ones(4)
+    rows_seen = []
+    vals = aq._adaptive(_stacked_windows(freqs, rows_seen), lo, hi)
+    # a row leaves the stack once two successive grids agree
+    assert rows_seen == [4, 4, 3, 2, 1]
+    for j, w in enumerate(freqs):
+        one_row = []
+        want = aq._adaptive(_stacked_windows([w], one_row), lo[:1], hi[:1])
+        assert vals[j].hex() == want[0].hex()
+        assert len(one_row) == {1.0: 2, 800.0: 3, 1600.0: 4, 3200.0: 5}[w]
+
+
+def test_stacked_windows_fail_with_the_one_window_messages():
+    # a window that never converges, or whose value is not finite, fails
+    # the whole stack with the text of a one-window call
+    def log_f(y, rows):
+        lv = np.zeros_like(y)
+        lv[np.asarray(rows) == 1] = float(y.shape[1])
+        return lv
+
+    with pytest.raises(RuntimeError) as info:
+        aq._adaptive(log_f, np.zeros(3), np.ones(3))
+    assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
+                               "within 14 grids")
+
+    def overflowing(y, rows):
+        lv = np.zeros_like(y)
+        lv[np.asarray(rows) == 2] = math.inf if y.shape[1] > 256 else 0.0
+        return lv
+
+    with np.errstate(invalid="ignore"), pytest.raises(OverflowError) as info:
+        aq._adaptive(overflowing, np.zeros(3), np.ones(3))
+    assert str(info.value) == "log chamber integral is not finite on 512 nodes"
 
 
 # -- exponential integrands ------------------------------------------------------
@@ -789,3 +839,38 @@ def test_asymptotic_report_validation():
             fitted_A=1.0, fitted_B=0.0, predicted_A=1.0, predicted_B=0.0,
             passed=True,
         )
+
+
+# -- the stacked rank-1 quadrature at the CLI's weight bound ----------------------
+
+
+@pytest.mark.parametrize("n", [0, 5, aq._MAX_WEIGHT_COEFF])
+@pytest.mark.parametrize("entry", RANK1_SPACES, ids=lambda e: e.name)
+def test_stacked_spherical_integrals_keep_every_bit(entry, n):
+    # every tau of both verification grids in one stack against one call
+    # per tau; at n = 1000 a block of the expansion holds 261 points, so a
+    # stacked 256-node grid spans several blocks and cuts rows across them
+    rs = entry.to_root_system()
+    taus = np.array(aq._ZERO_GRID + aq._INF_GRID)
+    stacked = aq._spherical_log_integrals(rs, n, taus)
+    for tau, got in zip(taus, stacked):
+        want = aq._spherical_log_integrals(rs, n, np.array([tau]))[0]
+        assert float(got).hex() == float(want).hex(), (entry.name, n, tau)
+
+
+@pytest.mark.parametrize("verify", [verify_tau_zero, verify_tau_infinity])
+def test_rank1_verifier_memory_is_bounded_at_the_weight_bound(catalog, verify):
+    # the spherical expansion at n = 1000 is formed block by block: about
+    # 6 MB at peak in both regimes (a whole (nodes x 1001) matrix per grid
+    # took 12 MB in the zero regime and 188 MB in the infinity regime)
+    import tracemalloc
+
+    entry = catalog.get("SU2")
+    tracemalloc.start()
+    try:
+        rep = verify(entry, aq._MAX_WEIGHT_COEFF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 16 * 2**20
