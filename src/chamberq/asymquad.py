@@ -57,7 +57,7 @@ _LOG2 = math.log(2.0)
 # 65536 panels, so 13 doublings) of at most _MAX_NODES nodes each; windows
 # reach _SIGMA Gaussian widths sqrt(tau) past the peak. Rank 1's largest
 # grid has 2^21 nodes. A rank-2 tensor grid quadruples at each doubling, so
-# the node budget ends it after 5 grids (the 5th has 64 x 32 panels, 2^23
+# the node budget ends it after 5 grids (the 5th has 128 x 64 panels, 2^23
 # nodes), long before 14.
 _REL_TOL = 1e-8
 _MAX_REFINEMENTS = 14
@@ -80,46 +80,24 @@ def _panel_nodes(lo, hi, n_panels: int):
     return pts, wts
 
 
-def _logsum(log_vals: np.ndarray, weights: np.ndarray,
-            col_weights: np.ndarray | None = None) -> list[float]:
-    # log of sum_j w_j e^(v_j) on each row of a stack of values, or of
-    # sum_ij w_i e^(v_ij) w'_j over one grid of values; overwrites log_vals
-    grid = col_weights is not None
-    m = float(np.max(log_vals)) if grid else np.max(log_vals, axis=1, keepdims=True)
-    log_vals -= m
-    e = np.exp(log_vals, out=log_vals)
-    if grid:
-        return [m + math.log(float(weights @ e @ col_weights))]
-    return [mj + math.log(w @ ej) for mj, w, ej in zip(m[:, 0].tolist(), weights, e)]
-
-
-def _adaptive(log_f, lo, hi, sector: tuple[float, float] | None = None) -> list[float]:
-    """Log of the integral of exp(log_f) over each window [lo[j], hi[j]]. A
-    window leaves once it has converged; log_f(y, rows) gets the (len(rows),
-    nodes) grid of the windows still refining, stacked up to _MAX_NODES
-    nodes at a time. With ``sector`` the domain is the one polar region
-    [lo, hi] x sector, on a tensor grid with half as many angular panels;
-    log_f(r, theta) returns the (n_r, n_theta) grid without the jacobian r.
-    A grid over _MAX_NODES nodes is never built: the quadrature fails as if
-    it had not converged. A non-finite log value is a numerical failure."""
-    vals = [math.inf] * (1 if sector else len(lo))
-    live, moved = list(range(len(vals))), [True] * len(vals)
-    n = 8
+def _adaptive(log_grid, n_rows: int, grid_nodes) -> list[float]:
+    """Log integrals of ``n_rows`` windows under the one refinement policy:
+    log_grid(n, rows) returns one log value per window of ``rows``, each on
+    its grid of n panels and grid_nodes(n) nodes. A window leaves once two
+    successive values agree; those still refining reach log_grid in groups
+    of at most _MAX_NODES nodes. A grid over _MAX_NODES nodes is never
+    built: the quadrature fails as if it had not converged. A non-finite
+    log value is a numerical failure."""
+    vals, moved = [math.inf] * n_rows, [True] * n_rows
+    live, n = list(range(n_rows)), 8
     limit = f"{_MAX_REFINEMENTS} grids"
     for _ in range(_MAX_REFINEMENTS):
-        nodes = _GAUSS_ORDER * n * (1 if sector is None else _GAUSS_ORDER * (n // 2))
+        nodes = grid_nodes(n)
         if nodes > _MAX_NODES:
             limit = f"the budget of {_MAX_NODES} nodes per grid"
             break
-        if sector is None:
-            new, step = [], _MAX_NODES // nodes
-            for rows in (live[k:k + step] for k in range(0, len(live), step)):
-                pts, wts = _panel_nodes(lo[rows], hi[rows], n)
-                new += _logsum(log_f(pts, rows), wts)
-        else:
-            pts, wts = _panel_nodes(lo, hi, n)
-            th, th_wts = _panel_nodes(*sector, n // 2)
-            new = _logsum(log_f(pts, th), wts * pts, th_wts)
+        step = _MAX_NODES // nodes
+        new = [v for k in range(0, len(live), step) for v in log_grid(n, live[k:k + step])]
         for i, val in zip(live, new):
             if not math.isfinite(val):
                 raise OverflowError(f"log chamber integral is not finite on {nodes} nodes")
@@ -203,13 +181,18 @@ def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
         half = math.asin(w / rq)
         lo, hi = max(lo, th - half), min(hi, th + half)
 
-    def integrand(r, th):
+    def log_grid(n, rows):
+        r, r_wts = _panel_nodes(max(0.0, rq - w), rq + w, n)
+        th, th_wts = _panel_nodes(lo, hi, n // 2)
         u = np.stack([np.cos(th), np.sin(th)])
         lv = _log_chamber_weight(rs, r, rs.roots @ u, 2.0 * (growth @ u))
         lv.T[...] -= r * r / tau  # the radius is the first axis
-        return lv
+        m = float(np.max(lv))
+        lv -= m
+        np.exp(lv, out=lv)
+        return [m + math.log(float((r_wts * r) @ lv @ th_wts))]  # dH = r dr dth
 
-    return _adaptive(integrand, max(0.0, rq - w), rq + w, (lo, hi))[0]
+    return _adaptive(log_grid, 1, lambda n: _GAUSS_ORDER * n * _GAUSS_ORDER * (n // 2))[0]
 
 
 def _rank1_transformed(rs: RootSystem, mu: np.ndarray, taus: np.ndarray,
@@ -237,16 +220,21 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, taus: np.ndarray,
     # tau a^2 - y^2; so drift cancels the kernel's linear part exactly
     drift = -(rs.mults @ au)
 
-    def integrand(y, rows):
+    def log_grid(n, rows):
+        y, wts = _panel_nodes(lo[rows], hi[rows], n)
         t = sqrt_tau[rows, None] * y + (taus[rows] * a)[:, None]  # chamber coordinate
         lv = _log_chamber_weight(rs, t, au, drift) - y * y
         if log_phi is not None:
             lv = lv + log_phi(t)
-        return lv
+        m = np.max(lv, axis=1, keepdims=True)
+        lv -= m
+        np.exp(lv, out=lv)
+        return [mj + math.log(w @ ej) for mj, w, ej in zip(m[:, 0].tolist(), wts, lv)]
 
     # dt = sqrt(tau) dy
-    return np.array([tau * rate + 0.5 * math.log(tau) + val for tau, val
-                     in zip(taus.tolist(), _adaptive(integrand, lo, hi))])
+    vals = _adaptive(log_grid, len(taus), lambda n: _GAUSS_ORDER * n)
+    return np.array([tau * rate + 0.5 * math.log(tau) + val
+                     for tau, val in zip(taus.tolist(), vals)])
 
 
 def log_I_mu(rs: RootSystem, mu, tau: float) -> float:

@@ -367,6 +367,11 @@ def default_catalog() -> Catalog:
 # the sweep holds every weight, its Q and the report text at once; at this
 # bound a flatness command peaks near 150 MB
 _MAX_FLATNESS_WEIGHTS = 250_000
+# probe-F holds every row of its table at once: near 60 MB at this bound
+_MAX_PROBE_Z = 100_000
+# cfun prints c next to a group manifold's closed form only when they agree to
+# this relative gap; catalog group manifolds agree to 3e-14 at coefficients <= 3
+_CLOSED_FORM_RTOL = 1e-8
 
 
 def run_flatness(catalog: Catalog, space_name: str, max_coeff: int,
@@ -597,7 +602,9 @@ def _cmd_cfun(catalog, args, out) -> int:
     c = hcfun.c_function(rs, w)
     doc = {"space": args.name, "weight": coeffs, "c": c}
     if hcfun.classify_group_manifold(rs):
-        doc["c_closed_form"] = hcfun.group_c_closed_form(rs, w)
+        doc["c_closed_form"] = closed = hcfun.group_c_closed_form(rs, w)
+        if not abs(c - closed) <= _CLOSED_FORM_RTOL * closed:
+            raise ArithmeticError(f"c = {c!r} disagrees with its closed form {closed!r}")
     out.write(_json(doc) + "\n")
     return 0
 
@@ -605,6 +612,8 @@ def _cmd_cfun(catalog, args, out) -> int:
 def _cmd_probe_f(catalog, args, out) -> int:
     if args.zmax < 0:
         raise ValueError("--zmax must be nonnegative")
+    if args.zmax > _MAX_PROBE_Z:
+        raise ValueError(f"--zmax must be at most {_MAX_PROBE_Z}")
     for name in ("a", "b", "c", "d"):
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite")

@@ -197,11 +197,27 @@ def test_quadrature_stops_at_first_comparison(monkeypatch):
     assert 32 * sum(panels) == 768
 
 
+def _row_grids(log_f, lo, hi):
+    # a log_grid as rank 1 builds it: one row of nodes on each window
+    # [lo[j], hi[j]], each row reduced alone with its own max-shift
+    def log_grid(n, rows):
+        y, wts = aq._panel_nodes(lo[rows], hi[rows], n)
+        lv = log_f(y, rows)
+        m = np.max(lv, axis=1)
+        return [mj + math.log(w @ np.exp(v - mj)) for mj, w, v in zip(m, wts, lv)]
+
+    return log_grid
+
+
+def _row_nodes(n):
+    return 32 * n
+
+
 def test_quadrature_refines_up_to_65536_panels(monkeypatch):
     panels = _count_panels(monkeypatch)
     with pytest.raises(RuntimeError) as info:
-        aq._adaptive(lambda y, rows: np.full_like(y, float(y.shape[1])),
-                     np.array([0.0]), np.array([1.0]))
+        aq._adaptive(_row_grids(lambda y, rows: np.full_like(y, float(y.shape[1])),
+                                np.array([0.0]), np.array([1.0])), 1, _row_nodes)
     assert panels == [8 * 2**k for k in range(14)]
     assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
                                "within 14 grids")
@@ -224,9 +240,14 @@ def test_rank2_quadrature_stops_at_node_budget(monkeypatch):
     # an integrand that never converges builds every grid up to the budget
     monkeypatch.setattr(aq, "_MAX_NODES", 2**19)
     panels = _count_panels(monkeypatch)
+    def log_grid(n, rows):
+        # a tensor grid as rank 2 builds it, half as many angular panels
+        r, _ = aq._panel_nodes(0.0, 1.0, n)
+        th, _ = aq._panel_nodes(0.0, 1.0, n // 2)
+        return [float(len(r))]
+
     with pytest.raises(RuntimeError, match="budget of 524288 nodes per grid"):
-        aq._adaptive(lambda r, th: np.full((len(r), len(th)), float(len(r))),
-                     0.0, 1.0, (0.0, 1.0))
+        aq._adaptive(log_grid, 1, lambda n: 32 * n * 32 * (n // 2))
     grids = list(zip(panels[::2], panels[1::2]))
     assert grids == [(8, 4), (16, 8), (32, 16)]
     assert max(32 * n_r * 32 * n_th for n_r, n_th in grids) == 2**19
@@ -248,12 +269,13 @@ def test_stacked_windows_converge_independently():
     freqs = [3200.0, 1.0, 1600.0, 800.0]
     lo, hi = np.zeros(4), np.ones(4)
     rows_seen = []
-    vals = aq._adaptive(_stacked_windows(freqs, rows_seen), lo, hi)
+    vals = aq._adaptive(_row_grids(_stacked_windows(freqs, rows_seen), lo, hi), 4, _row_nodes)
     # a row leaves the stack once two successive grids agree
     assert rows_seen == [4, 4, 3, 2, 1]
     for j, w in enumerate(freqs):
         one_row = []
-        want = aq._adaptive(_stacked_windows([w], one_row), lo[:1], hi[:1])
+        want = aq._adaptive(_row_grids(_stacked_windows([w], one_row), lo[:1], hi[:1]),
+                            1, _row_nodes)
         assert vals[j].hex() == want[0].hex()
         assert len(one_row) == {1.0: 2, 800.0: 3, 1600.0: 4, 3200.0: 5}[w]
 
@@ -267,7 +289,7 @@ def test_stacked_windows_fail_with_the_one_window_messages():
         return lv
 
     with pytest.raises(RuntimeError) as info:
-        aq._adaptive(log_f, np.zeros(3), np.ones(3))
+        aq._adaptive(_row_grids(log_f, np.zeros(3), np.ones(3)), 3, _row_nodes)
     assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
                                "within 14 grids")
 
@@ -277,8 +299,25 @@ def test_stacked_windows_fail_with_the_one_window_messages():
         return lv
 
     with np.errstate(invalid="ignore"), pytest.raises(OverflowError) as info:
-        aq._adaptive(overflowing, np.zeros(3), np.ones(3))
+        aq._adaptive(_row_grids(overflowing, np.zeros(3), np.ones(3)), 3, _row_nodes)
     assert str(info.value) == "log chamber integral is not finite on 512 nodes"
+
+
+def test_stacked_windows_reach_log_grid_within_the_node_budget(monkeypatch):
+    # four windows that never converge, 32 n nodes a row: under a budget of
+    # 1024 nodes all four share the 8-panel grid, two share each 16-panel
+    # one, each 32-panel row goes alone, and 64 panels are over the budget
+    monkeypatch.setattr(aq, "_MAX_NODES", 1024)
+    groups = []
+
+    def log_grid(n, rows):
+        groups.append((n, list(rows)))
+        return [float(n)] * len(rows)
+
+    with pytest.raises(RuntimeError, match="budget of 1024 nodes per grid"):
+        aq._adaptive(log_grid, 4, _row_nodes)
+    assert groups == [(8, [0, 1, 2, 3]), (16, [0, 1]), (16, [2, 3]),
+                      (32, [0]), (32, [1]), (32, [2]), (32, [3])]
 
 
 # -- exponential integrands ------------------------------------------------------

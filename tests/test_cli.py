@@ -509,6 +509,16 @@ def test_cli_probe_f_rejects_negative_zmax(capsys):
     assert err == "error: --zmax must be nonnegative\n"
 
 
+def test_cli_probe_f_rejects_zmax_past_its_bound(capsys):
+    code, out, err = run_cli(
+        ["probe-F", "--a", "1", "--b", "1", "--c", "1", "--d", "0", "--zmax", "100001"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --zmax must be at most 100000\n"
+
+
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(asymquad, "_MAX_REFINEMENTS", 1)
     code, out, err = run_cli(["asym", "S3", "--regime", "zero"], capsys)
@@ -580,8 +590,12 @@ def test_cli_cfun_rejects_weight_past_float_range(space, weight, capsys):
     ("SU4", f"{10**308},0,0", 2, "weight is too large"),
     # the weight vector itself overflows
     ("SU3", f"{17 * 10**307},{17 * 10**307}", 2, "vector has non-finite entries"),
+    # c is finite but lost to cancellation: 1.0000000000000011 against 1.0e-36,
+    # and 5.1e-56 against 2.0e-64
+    ("SU3", f"{10**18},1", 3, "numerical failure: c = "),
+    ("SU4", f"{10**16},1,1", 3, "numerical failure: c = "),
 ], ids=["SU2-1e30", "SU2-1e306", "CP2-1e306", "SU3-1e307", "S2-1e308", "SU4-1e308",
-        "SU3-1.7e308"])
+        "SU3-1.7e308", "SU3-1e18", "SU4-1e16"])
 def test_cli_cfun_huge_weight_is_one_line_error(space, weight, code, message):
     # in a fresh process, so a numpy warning would reach stderr
     proc = _python_m_chamberq(["cfun", space, "--weight", weight],
@@ -590,6 +604,15 @@ def test_cli_cfun_huge_weight_is_one_line_error(space, weight, code, message):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: " + message)
     assert proc.stderr.count("\n") == 1
+
+
+def test_cli_cfun_prints_c_next_to_a_closed_form_it_agrees_with(capsys):
+    # at 10^4 the two differ by 3e-11 relative, inside the bound
+    code, out, err = run_cli(["cfun", "SU2", "--weight", "10000"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert list(doc) == ["space", "weight", "c", "c_closed_form"]
+    assert doc["c"] == pytest.approx(doc["c_closed_form"], rel=1e-8)
 
 
 @pytest.mark.parametrize("space, max_coeff", [("SU2", "250000"), ("SU4", "1000")])
