@@ -21,6 +21,7 @@ from .hcfun import (
     c_function_duplicated,
     classify_group_manifold,
     f_factor,
+    f_factors,
     g_product_probe,
     group_c_closed_form,
     log_gamma,

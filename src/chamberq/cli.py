@@ -365,7 +365,8 @@ def default_catalog() -> Catalog:
 
 
 # the sweep holds every weight, its Q and the report text at once; at this
-# bound a flatness command peaks near 150 MB
+# bound a flatness command peaks at 143 to 150 MB (max RSS of S2, SU2, SU3
+# and SU4 at their largest boxes)
 _MAX_FLATNESS_WEIGHTS = 250_000
 # probe-F holds every row of its table at once: near 60 MB at this bound
 _MAX_PROBE_Z = 100_000
@@ -618,7 +619,7 @@ def _cmd_probe_f(catalog, args, out) -> int:
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"--{name} must be finite")
     zs = range(args.zmax + 1)
-    vals = [hcfun.f_factor(float(z), args.a, args.b, args.c, args.d) for z in zs]
+    vals = hcfun.f_factors(zs, args.a, args.b, args.c, args.d)
     try:
         scale = 2.0 ** args.d
     except OverflowError:

@@ -3,16 +3,21 @@
 Everything here reduces to sums of log-Gamma values over the indivisible
 positive roots, exponentiated once at the end. Products of Gamma values at
 arguments of even moderate size overflow double precision, so no routine
-in this module ever multiplies Gamma values directly. :func:`_log_gamma_sum`
-forms every such sum and :func:`_log_weyl_sum` every sum of Weyl ratios,
-adding left to right from a fixed start: ``sum()`` compensates its rounding
-from CPython 3.12 on, which would move the last bits between interpreters.
+in this module ever multiplies Gamma values directly. Every such sum and
+every sum of Weyl ratios is added left to right from a fixed start:
+``sum()`` compensates its rounding from CPython 3.12 on, which would move
+the last bits between interpreters.
 
 One per-root factor, :func:`_log_c_factor`, forms every Gamma ratio of Q,
-c, A and F: F(z; a, b, c, d) is Q's factor at x = 2(cz + a), m = 4b,
-m2 = 2d and power 2b + d. Two routes that check it stay independent of it:
-:func:`_log_c_factor_raw` (before the duplication formula) and the group
-manifolds' closed form :func:`group_c_closed_form`.
+c, A and F, elementwise over an array: F(z; a, b, c, d) is Q's factor at
+x = 2(cz + a), m = 4b, m2 = 2d and power 2b + d. A single weight passes
+its row of pairings, each one dot; the flatness sweep
+(:func:`q_invariance_test`) forms the pairings of a block of weights as
+one matrix product, which gives the same bits, and passes one root's
+column at a time; ``probe-F`` passes its whole column of z. Two routes
+that check the kernel stay independent of it: :func:`_log_c_factor_raw`
+(before the duplication formula) and the group manifolds' closed form
+:func:`group_c_closed_form`.
 
 Normalization of the c-function is enforced numerically: the product
 formula is evaluated at the weight and at zero, and the ratio is returned,
@@ -35,6 +40,7 @@ __all__ = [
     "group_c_closed_form",
     "q_of_weight",
     "f_factor",
+    "f_factors",
     "g_product_probe",
     "q_invariance_test",
     "classify_group_manifold",
@@ -60,17 +66,47 @@ def log_gamma(x: float) -> float:
 # pairings and per-root factors
 # ---------------------------------------------------------------------------
 
+# rows of pairings that the sweep forms and reduces at once
+_BLOCK_ROWS = 4096
+# fewest rows a pairing product has, padded with zero rows. numpy sends a
+# one-row product to gemv, whose bits differ from the per-root dot's on 13%
+# of pairings; OpenBLAS 0.3.31's gemm gave the dot's bits on all 7.2e6
+# pairings of 30 spaces at boxes 1 to 40, in blocks of 4 to 4096 rows
+_MIN_ROWS = 4
+# unit roundoff of a double
+_U = 2.0 ** -53
 
-def _log_c_factor(x: float, m: float, m2: float, power: float = 0.0) -> float:
-    # unnormalized Gindikin-Karpelevic factor, duplication formula applied,
-    # times x**power; Q takes power (m + m2)/2, F 2b + d, the c-function 0
-    return (
-        log_gamma(0.25 * m + 0.5 * x)
-        + log_gamma(x)
-        + power * math.log(x)
-        - log_gamma(0.5 * m + x)
-        - log_gamma(0.5 * x + 0.25 * m + 0.5 * m2)
-    )
+
+def _log_gammas(args: np.ndarray) -> np.ndarray:
+    """:func:`log_gamma` element by element: ``math.lgamma`` mapped over the
+    floats, so each value has its scalar bits (numpy has no log Gamma, and
+    its SIMD ``log`` and ``exp`` do not match libm's bits)."""
+    vals = args.tolist()
+    try:
+        out = list(map(math.lgamma, vals))
+        # lgamma gives inf only at an infinite argument, which log_gamma rejects
+        if math.inf not in out:
+            return np.array(out)
+    except (OverflowError, ValueError):  # past ~2.55e305, where log_gamma gives inf
+        pass
+    return np.array([log_gamma(v) for v in vals])
+
+
+def _log_c_factor(x: np.ndarray, m, m2, power=0.0) -> np.ndarray:
+    """Unnormalized Gindikin-Karpelevic factor, duplication formula
+    applied, times x**power, elementwise over a float array x (m, m2 and
+    power scalars or aligned arrays); Q takes power (m + m2)/2, F 2b + d,
+    the c-function 0. The one Gamma-factor kernel of Q, c, A and F."""
+    log_x = np.array(list(map(math.log, x.tolist())))
+    # an argument that overflows is log_gamma's error; past ~2.55e305 two log
+    # Gammas are inf and their difference nan, which the callers report
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the last argument is x/2 + m/4 + m2/2 added left to right, and
+        # m/4 + x/2 has the bits of x/2 + m/4: IEEE addition commutes
+        first = 0.25 * m + 0.5 * x
+        args = [first, x, 0.5 * m + x, first + 0.5 * m2]
+        g = _log_gammas(np.concatenate(args)).reshape(4, len(x))
+        return g[0] + g[1] + power * log_x - g[2] - g[3]
 
 
 def _log_c_factor_raw(x: float, m: float, m2: float) -> float:
@@ -84,38 +120,80 @@ def _log_c_factor_raw(x: float, m: float, m2: float) -> float:
     )
 
 
-def _log_q_factor(x: float, m: float, m2: float) -> float:
+def _log_q_factor(x: np.ndarray, m, m2) -> np.ndarray:
     return _log_c_factor(x, m, m2, 0.5 * (m + m2))
 
 
-def _log_gamma_sum(rs: RootSystem, lam: np.ndarray, factor, roots=None) -> float:
-    """Sum of factor(<lam + rho, alpha>/<alpha, alpha>, m, m2) over the
-    (alpha, m, m2) in roots, by default every indivisible root."""
-    v = lam + rs.rho
-    with np.errstate(over="ignore"):
-        terms = [(float(v @ a) / float(a @ a), m, m2)
-                 for a, m, m2 in (rs.indivisible if roots is None else roots)]
-    if not all(math.isfinite(x) for x, _, _ in terms):
-        raise ValueError("weight is too large: a root pairing overflows a float")
-    if any(x <= 0 for x, _, _ in terms):
-        raise ValueError("nonpositive pairing: weight is not dominant")
-    total = 0.0
-    for x, m, m2 in terms:
-        total += factor(x, m, m2)
+def _add(terms, start: float = 0.0) -> float:
+    """start plus the terms, left to right, one float addition at a time."""
+    total = start
+    for t in terms:
+        total += t
     return total
+
+
+def _check_pairings(xs: list, v: np.ndarray, alphas, norms) -> None:
+    """Raise unless every pairing xs[i] = <v, alpha_i>/norms[i] is finite
+    and positive.
+
+    A pairing <= 0 inside the rounding error of its dot has lost its sign,
+    a numerical failure, not an input error. Each entry of v is one rounded
+    sum and the dot adds rank products, so the dot is off by at most
+    gamma_{rank+1} sum_k |v_k alpha_k|, gamma_n = n u/(1 - n u) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+    ch. 3).
+    """
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("weight is too large: a root pairing overflows a float")
+    if min(xs) > 0:
+        return
+    x = np.array(xs)
+    low = x <= 0
+    n = len(v) + 1
+    with np.errstate(over="ignore"):
+        err = (n * _U / (1.0 - n * _U) * (np.abs(np.asarray(alphas)) @ np.abs(v))
+               / np.asarray(norms))
+    if np.any(low & (-x >= err)):
+        raise ValueError("nonpositive pairing: weight is not dominant")
+    i = int(low.argmax())
+    raise ArithmeticError(f"root pairing {x[i]:.3g} is 0 to within its rounding error "
+                          f"{err[i]:.3g}: the weight is too large to tell whether it "
+                          "is dominant")
+
+
+def _log_gamma_sums(rs: RootSystem, lams, factor, roots=None) -> list[float]:
+    """For each weight vector in lams, the sum of factor(x, m, m2) over the
+    (alpha, m, m2) in roots, by default every indivisible root, at
+    x = <lam + rho, alpha>/<alpha, alpha>: one dot per root and weight, one
+    factor call over all the rows, each row's terms added left to right
+    from 0.0."""
+    roots = rs.indivisible if roots is None else roots
+    alphas = [a for a, _, _ in roots]
+    norms = [float(a @ a) for a in alphas]
+    xs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in lams:
+            v = lam + rs.rho
+            row = [float(v @ a) / norm for a, norm in zip(alphas, norms)]
+            _check_pairings(row, v, alphas, norms)
+            xs += row
+    m, m2 = (np.array([r[k] for r in roots] * len(lams)) for k in (1, 2))
+    terms = factor(np.array(xs), m, m2).reshape(len(lams), len(roots))
+    return [_add(row) for row in terms.tolist()]
 
 
 def _log_weyl_sum(rs: RootSystem, lam: np.ndarray, weights, start: float = 0.0) -> float:
     """start plus weights[i] * (log<lam + rho, alpha_i> - log<rho, alpha_i>)
     over the positive roots alpha_i."""
-    v = lam + rs.rho
-    pairs = [(float(v @ a), float(rs.rho @ a)) for a in rs.roots]
-    if any(num <= 0 or den <= 0 for num, den in pairs):
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = lam + rs.rho
+        nums = [float(v @ a) for a in rs.roots]
+    _check_pairings(nums, v, rs.roots, 1.0)
+    dens = [float(rs.rho @ a) for a in rs.roots]
+    if any(den <= 0 for den in dens):
         raise ValueError("nonpositive pairing: weight is not dominant")
-    total = start
-    for w, (num, den) in zip(weights, pairs):
-        total += w * (math.log(num) - math.log(den))
-    return total
+    return _add((w * (math.log(num) - math.log(den))
+                 for w, num, den in zip(weights, nums, dens)), start)
 
 
 def _weight_vec(rs: RootSystem, weight) -> np.ndarray:
@@ -132,8 +210,9 @@ def _exp(log_value: float, name: str) -> float:
 
 
 def _log_c(rs: RootSystem, lam: np.ndarray, factor) -> float:
-    """_log_gamma_sum at lam minus the same sum at the zero weight."""
-    log_c = _log_gamma_sum(rs, lam, factor) - _log_gamma_sum(rs, np.zeros(rs.rank), factor)
+    """The log Gamma sum at lam minus the same sum at the zero weight."""
+    at_lam, at_zero = _log_gamma_sums(rs, [lam, np.zeros(rs.rank)], factor)
+    log_c = at_lam - at_zero
     if not math.isfinite(log_c):
         raise OverflowError("log c is not finite: log Gamma overflows at this weight")
     return log_c
@@ -150,7 +229,11 @@ def c_function_duplicated(rs: RootSystem, weight) -> float:
     """Same value as :func:`c_function` but computed from the product form
     with half-argument Gammas, i.e. without applying the duplication
     formula. Used to cross-validate the two algebraic routes."""
-    return _exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factor_raw), "c")
+    return _exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factors_raw), "c")
+
+
+def _log_c_factors_raw(x: np.ndarray, m: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    return np.array(list(map(_log_c_factor_raw, x.tolist(), m.tolist(), m2.tolist())))
 
 
 def group_c_closed_form(rs: RootSystem, weight) -> float:
@@ -173,10 +256,54 @@ def q_of_weight(rs: RootSystem, weight) -> float:
 
     Constant in mu exactly when the data comes from a group manifold.
     """
-    log_q = _log_gamma_sum(rs, _weight_vec(rs, weight), _log_q_factor)
+    return _q(_log_gamma_sums(rs, [_weight_vec(rs, weight)], _log_q_factor)[0])
+
+
+def _q(log_q: float) -> float:
     if not math.isfinite(log_q):
         raise OverflowError("log Q is not finite: log Gamma overflows at this weight")
     return _exp(log_q, "Q")
+
+
+def _q_sweep(rs: RootSystem, vecs: np.ndarray) -> list[float]:
+    """Q at each row of vecs, as :func:`q_of_weight` gives it, bit for bit,
+    and failing as it fails at the first row that fails.
+
+    The pairings of a block of rows are one product (V + rho) @ A.T over
+    the indivisible roots A, divided by <alpha, alpha> column by column;
+    each root's factor is one kernel call over its column, and the columns
+    are added left to right from 0.0.
+    """
+    alphas = np.array([a for a, _, _ in rs.indivisible])
+    norms = np.array([float(a @ a) for a, _, _ in rs.indivisible])
+    q_values: list[float] = []
+    for start in range(0, len(vecs), _BLOCK_ROWS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = vecs[start:start + _BLOCK_ROWS] + rs.rho
+            pad = np.zeros((max(_MIN_ROWS - len(v), 0), rs.rank))
+            x = (np.concatenate([v, pad]) @ alphas.T)[:len(v)] / norms
+        ok = (np.isfinite(x) & (x > 0)).all(axis=1)
+        n_ok = len(v) if ok.all() else int(ok.argmin())
+        q_values += _q_rows(rs, x[:n_ok])
+        if n_ok < len(v):
+            _check_pairings(x[n_ok].tolist(), v[n_ok], alphas, norms)
+    return q_values
+
+
+def _q_rows(rs: RootSystem, x: np.ndarray) -> list[float]:
+    """Q at each row of checked pairings; the first row that fails raises."""
+    try:
+        log_q = np.zeros(len(x))
+        with np.errstate(over="ignore"):
+            for j, (_, m, m2) in enumerate(rs.indivisible):
+                log_q += _log_q_factor(x[:, j], m, m2)
+    except ValueError:
+        # log_gamma rejected an argument, which only a multiplicity past
+        # 1e290 can overflow: redo the rows in order, so that an earlier
+        # row's failure comes first
+        m, m2 = (np.array([r[k] for r in rs.indivisible]) for k in (1, 2))
+        return [_q(_add(_log_q_factor(row, m, m2).tolist())) for row in x]
+    return list(map(_q, log_q.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +317,38 @@ def f_factor(z: float, a: float, b: float, c: float, d: float) -> float:
 
     Tends to 2^d as z grows; identically 1 when b = 1/2 and d = 0.
     """
+    return f_factors([z], a, b, c, d)[0]
+
+
+def f_factors(zs, a: float, b: float, c: float, d: float) -> list[float]:
+    """:func:`f_factor` at each z of zs, with one kernel call; the first z
+    at which F fails raises."""
     if a <= 0:
         raise ValueError("parameter a must be positive")
     if min(b, c, d) < 0:
         raise ValueError("parameters b, c, d must be nonnegative")
-    if z < 0:
+    zs = np.array(zs, dtype=float)
+    if np.any(zs < 0):
         raise ValueError("z must be nonnegative")
-    x, m, m2 = 2.0 * (c * z + a), 4.0 * b, 2.0 * d
-    # log Gamma overflows past ~2.5e305, so an infinite argument and an
-    # infinite log F are the same failure
-    finite = math.isfinite(x + m + m2)
-    val = _log_c_factor(x, m, m2, 2.0 * b + d) if finite else math.inf
-    if not math.isfinite(val):
+    m, m2 = 4.0 * b, 2.0 * d
+    with np.errstate(over="ignore"):
+        x = 2.0 * (c * zs + a)
+        # log Gamma overflows past ~2.5e305, so an infinite argument and an
+        # infinite log F are the same failure
+        finite = np.isfinite(x + m + m2)
+    n = len(zs) if finite.all() else int(finite.argmin())
+    out = [_f(val, z) for val, z in
+           zip(_log_c_factor(x[:n], m, m2, 2.0 * b + d).tolist(), zs.tolist())]
+    if n < len(zs):
+        raise OverflowError(f"log F overflows a float at z = {float(zs[n]):g}")
+    return out
+
+
+def _f(log_f: float, z: float) -> float:
+    if not math.isfinite(log_f):
         raise OverflowError(f"log F overflows a float at z = {z:g}")
     try:
-        return math.exp(val)
+        return math.exp(log_f)
     except OverflowError:
         raise OverflowError(f"F overflows a float at z = {z:g}") from None
 
@@ -225,8 +369,8 @@ def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
         raise ValueError("n_max must be a positive integer")
     mu_j = mus[j]
     on_ray = [r for r in rs.indivisible if float(mu_j @ r[0]) / float(r[0] @ r[0]) > 2e-12]
-    return [math.exp(_log_gamma_sum(rs, n * mu_j, _log_q_factor, on_ray))
-            for n in range(n_max + 1)]
+    rays = [n * mu_j for n in range(n_max + 1)]
+    return list(map(math.exp, _log_gamma_sums(rs, rays, _log_q_factor, on_ray)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +398,15 @@ class QInvarianceReport:
 
 
 def q_invariance_test(rs: RootSystem, weights, tol: float) -> QInvarianceReport:
-    """Evaluate Q at every weight and compare the spread against tol."""
+    """Evaluate Q at every weight, in one sweep that gives the values and
+    raises the errors of :func:`q_of_weight`, and compare the spread
+    against tol."""
     weights = tuple(weights)
     if not weights:
         raise ValueError("weight set must be nonempty")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    q_values = tuple(q_of_weight(rs, w) for w in weights)
+    q_values = tuple(_q_sweep(rs, np.array([_weight_vec(rs, w) for w in weights])))
     q_min = min(q_values)
     q_max = max(q_values)
     if not (q_min > 0 and math.isfinite(q_max)):

@@ -47,16 +47,19 @@ _MATCH_TOL = 1e-9
 
 
 def as_vector(coords, rank: int | None = None) -> np.ndarray:
-    """Validate and freeze a coordinate vector (finite entries, right length)."""
+    """Validate and freeze a coordinate vector (finite entries, right length).
+    A read-only view of a read-only array is frozen already and is kept."""
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D coordinate vector, got shape {v.shape}")
     if rank is not None and v.shape[0] != rank:
         raise ValueError(f"vector has length {v.shape[0]}, expected rank {rank}")
-    if not np.all(np.isfinite(v)):
+    # vectors have rank entries: the math module beats a ufunc call on so few
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError("vector has non-finite entries")
-    v = v.copy()
-    v.flags.writeable = False
+    if v.flags.writeable or not isinstance(v.base, np.ndarray) or v.base.flags.writeable:
+        v = v.copy()
+        v.flags.writeable = False
     return v
 
 
@@ -442,11 +445,13 @@ def dimension(rs: RootSystem) -> float:
     return rs.rank + float(np.sum(rs.mults))
 
 
-def _realize(mus, coeffs) -> SphericalWeight:
-    vec = np.zeros(len(mus))
-    for n, mu in zip(coeffs, mus):
-        vec = vec + n * mu
-    return SphericalWeight(coeffs=tuple(coeffs), vector=vec)
+def _realize(mus, coeffs: np.ndarray) -> np.ndarray:
+    """The vectors sum_k coeffs[:, k] mu_k, one row per row of ``coeffs``,
+    added left to right from zeros, one coefficient at a time."""
+    vecs = np.zeros((len(coeffs), len(mus)))
+    for k, mu in enumerate(mus):
+        vecs += coeffs[:, k:k + 1] * mu
+    return vecs
 
 
 def spherical_weight(rs: RootSystem, coeffs: Sequence[int]) -> SphericalWeight:
@@ -467,16 +472,21 @@ def spherical_weight(rs: RootSystem, coeffs: Sequence[int]) -> SphericalWeight:
             raise ValueError("weight coefficients must be nonnegative")
         ints.append(int(c))
     with np.errstate(over="ignore"):  # an overflowing vector fails its own check
-        return _realize(rs.fundamental_weights, ints)
+        vec = _realize(rs.fundamental_weights, np.array([ints], dtype=float))[0]
+    return SphericalWeight(coeffs=tuple(ints), vector=vec)
 
 
 def dominant_weights(rs: RootSystem, max_coeff: int) -> list[SphericalWeight]:
-    """All dominant weights with coordinates in {0, ..., max_coeff}."""
+    """All dominant weights with coordinates in {0, ..., max_coeff}, the last
+    coordinate running fastest; their vectors are the rows of one
+    read-only array."""
     if max_coeff < 0:
         raise ValueError("max_coeff must be nonnegative")
-    mus = rs.fundamental_weights
-    return [_realize(mus, c)
-            for c in itertools.product(range(max_coeff + 1), repeat=rs.rank)]
+    box = (max_coeff + 1,) * rs.rank
+    vecs = _realize(rs.fundamental_weights, np.indices(box).reshape(rs.rank, -1).T)
+    vecs.flags.writeable = False
+    return [SphericalWeight(coeffs=c, vector=v)
+            for c, v in zip(itertools.product(range(max_coeff + 1), repeat=rs.rank), vecs)]
 
 
 def rho_pairing_identity(rs: RootSystem, j: int) -> tuple[float, float]:

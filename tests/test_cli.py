@@ -594,8 +594,12 @@ def test_cli_cfun_rejects_weight_past_float_range(space, weight, capsys):
     # and 5.1e-56 against 2.0e-64
     ("SU3", f"{10**18},1", 3, "numerical failure: c = "),
     ("SU4", f"{10**16},1,1", 3, "numerical failure: c = "),
+    # a pairing that is 0 in exact arithmetic reads -38 at 10^18, inside its
+    # rounding error: the sign is lost, the weight is not shown nondominant
+    ("SU4", f"{10**18},0,0", 3, "numerical failure: root pairing -38.1 is 0 to within"),
+    ("SU4", f"{10**18},1,1", 3, "numerical failure: root pairing "),
 ], ids=["SU2-1e30", "SU2-1e306", "CP2-1e306", "SU3-1e307", "S2-1e308", "SU4-1e308",
-        "SU3-1.7e308", "SU3-1e18", "SU4-1e16"])
+        "SU3-1.7e308", "SU3-1e18", "SU4-1e16", "SU4-1e18", "SU4-1e18-1-1"])
 def test_cli_cfun_huge_weight_is_one_line_error(space, weight, code, message):
     # in a fresh process, so a numpy warning would reach stderr
     proc = _python_m_chamberq(["cfun", space, "--weight", weight],

@@ -7,7 +7,9 @@ unedited. Every weight box is small enough that each pairing
 x = <weight + rho, alpha>/<alpha, alpha> stays below 20, which the last test
 checks, so a large-argument log-Gamma ratio kernel that starts at x = 20
 keeps those bits. The F-factor rows reach x = 2(cz + a) = 560 and pin the
-plain log-Gamma differences of today. The last digits of the ray probe
+plain log-Gamma differences of today. The flatness sweep forms its
+pairings as one product per block of weights, not one dot per root, and
+must give every weight's pinned Q bits too. The last digits of the ray probe
 ``g_product_probe`` depend on how the pairings along the ray are formed, so
 its values are compared at rel 1e-12 instead of bit for bit. ``log_gamma``
 itself is pinned at fixed arguments from the smallest subnormal to past its
@@ -147,6 +149,33 @@ def test_pinned_pairings_stay_below_bound(name):
     assert max(pairings) < X_BOUND
 
 
+def sweep_values(name: str) -> list[str]:
+    """Q over the box as the flatness sweep forms it: one pairing product
+    per block of weights instead of one dot per root."""
+    rs = SPACES[name]()
+    return [q.hex() for q in hcfun.q_invariance_test(rs, _weights(rs), 1.0).q_values]
+
+
+def golden_q(name: str) -> list[str]:
+    return [GOLDEN["weights"][name][_key(w)]["Q"] for w in _weights(SPACES[name]())]
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+def test_sweep_q_bits_match_pinned_weights(name):
+    assert sweep_values(name) == golden_q(name)
+
+
+# the benchmark's three large boxes: SU4 and SU4_SO4 at box 10 (1331 weights
+# each) and A6 with multiplicity 1 at box 2 (729 weights)
+@pytest.mark.parametrize("label, rank, mult, box", [
+    ("SU4", 3, 2, 10), ("SU4_SO4", 3, 1, 10), ("SU7_SO7", 6, 1, 2)])
+def test_sweep_q_bits_match_q_of_weight_on_large_boxes(label, rank, mult, box):
+    rs = rootsys.build_root_system("A", rank, {"all": mult}, geometric=True)
+    weights = rootsys.dominant_weights(rs, box)
+    swept = hcfun.q_invariance_test(rs, weights, 1.0).q_values
+    assert [q.hex() for q in swept] == [hcfun.q_of_weight(rs, w).hex() for w in weights]
+
+
 def test_exact_side_does_not_depend_on_builtin_sum(monkeypatch):
     # from CPython 3.12 on the builtin sum() compensates its rounding; under
     # it the exact side must keep every pinned bit, as on 3.10 and 3.11
@@ -154,6 +183,7 @@ def test_exact_side_does_not_depend_on_builtin_sum(monkeypatch):
     monkeypatch.setattr(hcfun, "sum", oracles.compensated_sum, raising=False)
     for name in SPACES:
         assert weight_values(name) == GOLDEN["weights"][name], name
+        assert sweep_values(name) == golden_q(name), name
         assert probe_values(name) == probes[name], name
     for name in GROUPS:
         assert closed_form_values(name) == GOLDEN["group_c_closed_form"][name], name

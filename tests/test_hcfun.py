@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +289,78 @@ def test_q_invariance_infinite_tolerance():
 def test_q_invariance_empty_weights():
     with pytest.raises(ValueError):
         q_invariance_test(sphere(1), [], 1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("second, error, message", [
+    (10**308, ValueError, "weight is too large: a root pairing overflows a float"),
+    (10**306, OverflowError, "log Q is not finite"),
+], ids=["pairing", "log-q"])
+def test_q_invariance_raises_at_first_failing_weight(second, error, message):
+    # the second weight fails, and so does the third, which is not dominant:
+    # the sweep raises what q_of_weight raises at the second
+    rs = sphere(1)
+    weights = [spherical_weight(rs, [1]), spherical_weight(rs, [second]),
+               -2.0 * rs.roots[0]]
+    with pytest.raises(error, match=message):
+        q_of_weight(rs, weights[1])
+    with pytest.raises(error, match=message):
+        q_invariance_test(rs, weights, 1e-6)
+    with pytest.raises(ValueError, match="weight is not dominant"):
+        q_invariance_test(rs, weights[::2], 1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_q_invariance_raises_in_weight_order_when_log_gamma_rejects():
+    # m = 1.7e308: Q's log is nan at the zero weight, and at 5e307 the
+    # argument m/2 + x of one log Gamma overflows to inf, which log_gamma
+    # rejects; the sweep fails as q_of_weight does at the first weight
+    rs = rootsys.RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([1.7e308]))
+    zero, big = np.zeros(1), np.array([5e307])
+    with pytest.raises(ValueError, match="log_gamma requires a positive argument, got inf"):
+        q_of_weight(rs, big)
+    with pytest.raises(OverflowError, match="log Q is not finite"):
+        q_invariance_test(rs, [zero, big], 1e-6)
+    with pytest.raises(ValueError, match="log_gamma requires a positive argument, got inf"):
+        q_invariance_test(rs, [big, zero], 1e-6)
+
+
+@pytest.mark.parametrize("fn", [q_of_weight, c_function, c_function_duplicated,
+                                group_c_closed_form, predicted_constants,
+                                lambda rs, w: q_invariance_test(rs, [w], 1e-6)])
+def test_pairing_sign_lost_to_rounding_is_numerical_failure(fn):
+    # <mu_1, alpha> realizes as -8e-17 for one root of SU4, so at 10^18 that
+    # pairing reads below 0 by much less than its rounding bound
+    rs = build_root_system("A", 3, {"all": 2})
+    w = spherical_weight(rs, [10**18, 0, 0])
+    with pytest.raises(ArithmeticError, match="to within its rounding error"):
+        fn(rs, w)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_pairing_overflow_is_input_error():
+    rs = build_root_system("A", 1, {"all": 2})
+    w = spherical_weight(rs, [10**308])
+    for fn in (c_function, group_c_closed_form):
+        with pytest.raises(ValueError, match="a root pairing overflows a float"):
+            fn(rs, w)
+
+
+def test_f_factors_match_f_factor_bits():
+    zs = [0.0, 0.5, 3.0, 17.0, 250.0]
+    for params in ((0.3, 1.7, 0.9, 0.35), (1e-3, 0.6, 7.0, 0.45)):
+        want = [f_factor(z, *params).hex() for z in zs]
+        assert [v.hex() for v in hcfun.f_factors(zs, *params)] == want
+
+
+@pytest.mark.parametrize("zs, message", [
+    ([0.0, 1.0, 2.0], "F overflows a float at z = 1"),
+    ([0.0, 1e308, 1.0], "log F overflows a float at z = 1e+308"),
+])
+def test_f_factors_raise_at_first_failing_z(zs, message):
+    # F(1) overflows (log F = 761.9); at z = 1e308 the Gamma argument does
+    with pytest.raises(OverflowError, match=re.escape(message)):
+        hcfun.f_factors(zs, 1.0, 0.5, 1e6, 1100.0)
 
 
 def test_classify_group_manifold():
