@@ -10,13 +10,13 @@ the last bits between interpreters.
 
 One per-root factor, :func:`_log_c_factor`, forms every Gamma ratio of Q,
 c, A and F, elementwise over an array: F(z; a, b, c, d) is Q's factor at
-x = 2(cz + a), m = 4b, m2 = 2d and power 2b + d. A single weight passes
-its row of pairings, each one dot; the flatness sweep
-(:func:`q_invariance_test`) forms the pairings of a block of weights as
-one matrix product, which gives the same bits, and passes one root's
-column at a time; ``probe-F`` passes its whole column of z. Two routes
-that check the kernel stay independent of it: :func:`_log_c_factor_raw`
-(before the duplication formula) and the group manifolds' closed form
+x = 2(cz + a), m = 4b, m2 = 2d and power 2b + d. One function,
+:func:`_pairings`, forms every root pairing, a block of weights at a time
+as one matrix product with the bits of one dot per root; a single weight
+is a one-row block, and each block's pairings reach the kernel in one
+call; ``probe-F`` passes its whole column of z. Two routes that check the
+kernel stay independent of it: :func:`_log_c_factor_raw` (before the
+duplication formula) and the group manifolds' closed form
 :func:`group_c_closed_form`.
 
 Normalization of the c-function is enforced numerically: the product
@@ -66,27 +66,30 @@ def log_gamma(x: float) -> float:
 # pairings and per-root factors
 # ---------------------------------------------------------------------------
 
-# rows of pairings that the sweep forms and reduces at once
-_BLOCK_ROWS = 4096
+# pairings (rows x roots) that one block forms and reduces at once: mapping
+# math.lgamma over 4 x 16384 floats ran 16% slower per float than over
+# 4 x 1331, while a block's fixed cost is a few dozen small numpy calls
+_BLOCK_ENTRIES = 2048
 # fewest rows a pairing product has, padded with zero rows. numpy sends a
 # one-row product to gemv, whose bits differ from the per-root dot's on 13%
 # of pairings; OpenBLAS 0.3.31's gemm gave the dot's bits on all 7.2e6
-# pairings of 30 spaces at boxes 1 to 40, in blocks of 4 to 4096 rows
+# pairings of 30 spaces at boxes 1 to 40, and on 8.3e5 pairings of both
+# catalogs at coefficients 10 to 1e18 in blocks of 1 to 3000 rows
 _MIN_ROWS = 4
 # unit roundoff of a double
 _U = 2.0 ** -53
 
 
 def _log_gammas(args: np.ndarray) -> np.ndarray:
-    """:func:`log_gamma` element by element: ``math.lgamma`` mapped over the
-    floats, so each value has its scalar bits (numpy has no log Gamma, and
-    its SIMD ``log`` and ``exp`` do not match libm's bits)."""
-    vals = args.tolist()
+    """:func:`log_gamma` element by element, flattened: ``math.lgamma``
+    mapped over the floats, so each value has its scalar bits (numpy has no
+    log Gamma, and its SIMD ``log`` and ``exp`` do not match libm's bits)."""
+    vals = args.ravel().tolist()
     try:
-        out = list(map(math.lgamma, vals))
+        out = np.array(list(map(math.lgamma, vals)))
         # lgamma gives inf only at an infinite argument, which log_gamma rejects
-        if math.inf not in out:
-            return np.array(out)
+        if not np.isinf(out).any():
+            return out
     except (OverflowError, ValueError):  # past ~2.55e305, where log_gamma gives inf
         pass
     return np.array([log_gamma(v) for v in vals])
@@ -94,19 +97,21 @@ def _log_gammas(args: np.ndarray) -> np.ndarray:
 
 def _log_c_factor(x: np.ndarray, m, m2, power=0.0) -> np.ndarray:
     """Unnormalized Gindikin-Karpelevic factor, duplication formula
-    applied, times x**power, elementwise over a float array x (m, m2 and
-    power scalars or aligned arrays); Q takes power (m + m2)/2, F 2b + d,
-    the c-function 0. The one Gamma-factor kernel of Q, c, A and F."""
-    log_x = np.array(list(map(math.log, x.tolist())))
-    # an argument that overflows is log_gamma's error; past ~2.55e305 two log
-    # Gammas are inf and their difference nan, which the callers report
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the last argument is x/2 + m/4 + m2/2 added left to right, and
-        # m/4 + x/2 has the bits of x/2 + m/4: IEEE addition commutes
-        first = 0.25 * m + 0.5 * x
-        args = [first, x, 0.5 * m + x, first + 0.5 * m2]
-        g = _log_gammas(np.concatenate(args)).reshape(4, len(x))
-        return g[0] + g[1] + power * log_x - g[2] - g[3]
+    applied, times x**power, elementwise over a float array x, such as the
+    (roots x rows) pairings of a block (m, m2 and power scalars or arrays
+    that broadcast to x's shape); Q takes power (m + m2)/2, F 2b + d, the
+    c-function 0. The one Gamma-factor kernel of Q, c, A and F.
+
+    Callers ignore numpy's overflow and invalid warnings: an argument that
+    overflows is log_gamma's error; past ~2.55e305 two log Gammas are inf
+    and their difference nan, which the callers report."""
+    log_x = np.array(list(map(math.log, x.ravel().tolist()))).reshape(x.shape)
+    # the last argument is x/2 + m/4 + m2/2 added left to right, and
+    # m/4 + x/2 has the bits of x/2 + m/4: IEEE addition commutes
+    first = 0.25 * m + 0.5 * x
+    args = np.concatenate([first, x, 0.5 * m + x, first + 0.5 * m2])
+    g = _log_gammas(args).reshape(4, *x.shape)
+    return g[0] + g[1] + power * log_x - g[2] - g[3]
 
 
 def _log_c_factor_raw(x: float, m: float, m2: float) -> float:
@@ -161,37 +166,58 @@ def _check_pairings(xs: list, v: np.ndarray, alphas, norms) -> None:
                           "is dominant")
 
 
-def _log_gamma_sums(rs: RootSystem, lams, factor, roots=None) -> list[float]:
-    """For each weight vector in lams, the sum of factor(x, m, m2) over the
-    (alpha, m, m2) in roots, by default every indivisible root, at
-    x = <lam + rho, alpha>/<alpha, alpha>: one dot per root and weight, one
-    factor call over all the rows, each row's terms added left to right
-    from 0.0."""
-    roots = rs.indivisible if roots is None else roots
-    alphas = [a for a, _, _ in roots]
-    norms = [float(a @ a) for a in alphas]
-    xs = []
+def _pairings(rs: RootSystem, vecs: np.ndarray, alphas: np.ndarray, norms):
+    """The root pairings x = <v, alpha>/norm, v = vec + rho, of the rows of
+    vecs with the rows of alphas: one product (V + rho) @ A.T padded to
+    _MIN_ROWS rows. Returns V + rho, x (rows x roots) and the number of
+    leading rows whose pairings are all finite and positive. Callers
+    ignore numpy's overflow and invalid warnings."""
+    padded = np.zeros((max(_MIN_ROWS, len(vecs)), rs.rank))
+    v = np.add(vecs, rs.rho, out=padded[:len(vecs)])
+    x = (padded @ alphas.T)[:len(v)] / norms
+    if x.min() > 0 and x.max() < math.inf:  # a nan fails both
+        return v, x, len(v)
+    return v, x, int((np.isfinite(x) & (x > 0)).all(axis=1).argmin())
+
+
+def _gamma_sums(rs: RootSystem, vecs: np.ndarray, factor, finish,
+                on=slice(None)) -> list:
+    """finish(log) at each row of vecs, log the sum of factor(x, m, m2)
+    over the indivisible roots that on selects, added left to right from
+    0.0. Per block of at most _BLOCK_ENTRIES pairings, factor takes the
+    (roots x rows) pairings of the rows before the first that fails in one
+    call, finish runs row by row, and then the failing row raises: each
+    error comes where a loop over the rows would raise it."""
+    alphas, norms, m, m2 = (col[on] for col in rs.indivisible_arrays)
+    m, m2 = m[:, None], m2[:, None]
+    step = max(_BLOCK_ENTRIES // len(norms), 1)
+    out: list = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for lam in lams:
-            v = lam + rs.rho
-            row = [float(v @ a) / norm for a, norm in zip(alphas, norms)]
-            _check_pairings(row, v, alphas, norms)
-            xs += row
-    m, m2 = (np.array([r[k] for r in roots] * len(lams)) for k in (1, 2))
-    terms = factor(np.array(xs), m, m2).reshape(len(lams), len(roots))
-    return [_add(row) for row in terms.tolist()]
+        for start in range(0, len(vecs), step):
+            v, x, n_ok = _pairings(rs, vecs[start:start + step], alphas, norms)
+            xt = x[:n_ok].T
+            try:
+                logs = _add(factor(xt, m, m2), np.zeros(n_ok)).tolist()
+            except ValueError:
+                # log_gamma rejected an argument, which only a multiplicity
+                # past 1e290 can overflow: redo the rows in order, so that an
+                # earlier row's failure comes first
+                logs = (_add(factor(xt[:, i], m[:, 0], m2[:, 0]).tolist())
+                        for i in range(n_ok))
+            out += map(finish, logs)
+            if n_ok < len(v):
+                _check_pairings(x[n_ok].tolist(), v[n_ok], alphas, norms)
+    return out
 
 
 def _log_weyl_sum(rs: RootSystem, lam: np.ndarray, weights, start: float = 0.0) -> float:
     """start plus weights[i] * (log<lam + rho, alpha_i> - log<rho, alpha_i>)
     over the positive roots alpha_i."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = lam + rs.rho
-        nums = [float(v @ a) for a in rs.roots]
-    _check_pairings(nums, v, rs.roots, 1.0)
-    dens = [float(rs.rho @ a) for a in rs.roots]
-    if any(den <= 0 for den in dens):
-        raise ValueError("nonpositive pairing: weight is not dominant")
+        v, x, n_ok = _pairings(rs, np.array([lam, np.zeros(rs.rank)]), rs.roots, 1.0)
+    if n_ok < 2:
+        _check_pairings(x[n_ok].tolist(), v[n_ok], rs.roots, 1.0)
+    nums, dens = x.tolist()
     return _add((w * (math.log(num) - math.log(den))
                  for w, num, den in zip(weights, nums, dens)), start)
 
@@ -211,7 +237,7 @@ def _exp(log_value: float, name: str) -> float:
 
 def _log_c(rs: RootSystem, lam: np.ndarray, factor) -> float:
     """The log Gamma sum at lam minus the same sum at the zero weight."""
-    at_lam, at_zero = _log_gamma_sums(rs, [lam, np.zeros(rs.rank)], factor)
+    at_lam, at_zero = _gamma_sums(rs, np.array([lam, np.zeros(rs.rank)]), factor, float)
     log_c = at_lam - at_zero
     if not math.isfinite(log_c):
         raise OverflowError("log c is not finite: log Gamma overflows at this weight")
@@ -233,7 +259,8 @@ def c_function_duplicated(rs: RootSystem, weight) -> float:
 
 
 def _log_c_factors_raw(x: np.ndarray, m: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    return np.array(list(map(_log_c_factor_raw, x.tolist(), m.tolist(), m2.tolist())))
+    m, m2 = (np.broadcast_to(a, x.shape).ravel().tolist() for a in (m, m2))
+    return np.array(list(map(_log_c_factor_raw, x.ravel().tolist(), m, m2))).reshape(x.shape)
 
 
 def group_c_closed_form(rs: RootSystem, weight) -> float:
@@ -256,54 +283,13 @@ def q_of_weight(rs: RootSystem, weight) -> float:
 
     Constant in mu exactly when the data comes from a group manifold.
     """
-    return _q(_log_gamma_sums(rs, [_weight_vec(rs, weight)], _log_q_factor)[0])
+    return _gamma_sums(rs, _weight_vec(rs, weight)[None], _log_q_factor, _q)[0]
 
 
 def _q(log_q: float) -> float:
     if not math.isfinite(log_q):
         raise OverflowError("log Q is not finite: log Gamma overflows at this weight")
     return _exp(log_q, "Q")
-
-
-def _q_sweep(rs: RootSystem, vecs: np.ndarray) -> list[float]:
-    """Q at each row of vecs, as :func:`q_of_weight` gives it, bit for bit,
-    and failing as it fails at the first row that fails.
-
-    The pairings of a block of rows are one product (V + rho) @ A.T over
-    the indivisible roots A, divided by <alpha, alpha> column by column;
-    each root's factor is one kernel call over its column, and the columns
-    are added left to right from 0.0.
-    """
-    alphas = np.array([a for a, _, _ in rs.indivisible])
-    norms = np.array([float(a @ a) for a, _, _ in rs.indivisible])
-    q_values: list[float] = []
-    for start in range(0, len(vecs), _BLOCK_ROWS):
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = vecs[start:start + _BLOCK_ROWS] + rs.rho
-            pad = np.zeros((max(_MIN_ROWS - len(v), 0), rs.rank))
-            x = (np.concatenate([v, pad]) @ alphas.T)[:len(v)] / norms
-        ok = (np.isfinite(x) & (x > 0)).all(axis=1)
-        n_ok = len(v) if ok.all() else int(ok.argmin())
-        q_values += _q_rows(rs, x[:n_ok])
-        if n_ok < len(v):
-            _check_pairings(x[n_ok].tolist(), v[n_ok], alphas, norms)
-    return q_values
-
-
-def _q_rows(rs: RootSystem, x: np.ndarray) -> list[float]:
-    """Q at each row of checked pairings; the first row that fails raises."""
-    try:
-        log_q = np.zeros(len(x))
-        with np.errstate(over="ignore"):
-            for j, (_, m, m2) in enumerate(rs.indivisible):
-                log_q += _log_q_factor(x[:, j], m, m2)
-    except ValueError:
-        # log_gamma rejected an argument, which only a multiplicity past
-        # 1e290 can overflow: redo the rows in order, so that an earlier
-        # row's failure comes first
-        m, m2 = (np.array([r[k] for r in rs.indivisible]) for k in (1, 2))
-        return [_q(_add(_log_q_factor(row, m, m2).tolist())) for row in x]
-    return list(map(_q, log_q.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +317,14 @@ def f_factors(zs, a: float, b: float, c: float, d: float) -> list[float]:
     if np.any(zs < 0):
         raise ValueError("z must be nonnegative")
     m, m2 = 4.0 * b, 2.0 * d
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         x = 2.0 * (c * zs + a)
         # log Gamma overflows past ~2.5e305, so an infinite argument and an
         # infinite log F are the same failure
         finite = np.isfinite(x + m + m2)
-    n = len(zs) if finite.all() else int(finite.argmin())
-    out = [_f(val, z) for val, z in
-           zip(_log_c_factor(x[:n], m, m2, 2.0 * b + d).tolist(), zs.tolist())]
+        n = len(zs) if finite.all() else int(finite.argmin())
+        log_f = _log_c_factor(x[:n], m, m2, 2.0 * b + d)
+    out = [_f(val, z) for val, z in zip(log_f.tolist(), zs.tolist())]
     if n < len(zs):
         raise OverflowError(f"log F overflows a float at z = {float(zs[n]):g}")
     return out
@@ -368,9 +354,10 @@ def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     mu_j = mus[j]
-    on_ray = [r for r in rs.indivisible if float(mu_j @ r[0]) / float(r[0] @ r[0]) > 2e-12]
-    rays = [n * mu_j for n in range(n_max + 1)]
-    return list(map(math.exp, _log_gamma_sums(rs, rays, _log_q_factor, on_ray)))
+    alphas, norms = rs.indivisible_arrays[:2]
+    on_ray = np.flatnonzero(alphas @ mu_j / norms > 2e-12)
+    rays = np.array([n * mu_j for n in range(n_max + 1)])
+    return _gamma_sums(rs, rays, _log_q_factor, math.exp, on_ray)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +393,8 @@ def q_invariance_test(rs: RootSystem, weights, tol: float) -> QInvarianceReport:
         raise ValueError("weight set must be nonempty")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    q_values = tuple(_q_sweep(rs, np.array([_weight_vec(rs, w) for w in weights])))
+    q_values = tuple(_gamma_sums(rs, np.array([_weight_vec(rs, w) for w in weights]),
+                                 _log_q_factor, _q))
     q_min = min(q_values)
     q_max = max(q_values)
     if not (q_min > 0 and math.isfinite(q_max)):

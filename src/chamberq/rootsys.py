@@ -187,6 +187,16 @@ class RootSystem:
         )
 
     @cached_property
+    def indivisible_arrays(self) -> tuple[np.ndarray, ...]:
+        """:attr:`indivisible` as read-only arrays: the (n, rank) roots alpha,
+        then <alpha, alpha> (one dot per root), m_alpha and m_2alpha."""
+        alphas, m, m2 = (np.array(col) for col in zip(*self.indivisible))
+        cols = (alphas, np.array([float(a @ a) for a in alphas]), m, m2)
+        for col in cols:
+            col.flags.writeable = False
+        return cols
+
+    @cached_property
     def fundamental_weights(self) -> tuple[np.ndarray, ...]:
         """Basis of the dominant weight lattice, dual to the unmultipliable
         basis.

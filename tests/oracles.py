@@ -6,12 +6,17 @@ magnitude), root-system data found by one-vector-at-a-time searches, the
 Weyl group by closure under the simple reflections, series summed term by
 term, closed forms in mpmath, and frozen high-precision reference values.
 None of it shares code with the package's Gauss-Legendre panel machinery
-or its vectorized root matching.
+or its vectorized root matching. The one exception is the reference
+pairing route at the end, which forms each root pairing as its own dot and
+hands it to the package's Gamma-factor kernel, so that a comparison with
+the package isolates how the pairings are formed.
 """
 
 import math
 
 import numpy as np
+
+from chamberq import hcfun
 
 
 def simpson_plain(f, lo: float, hi: float, n: int) -> float:
@@ -371,3 +376,74 @@ def compensated_sum(items, start=0):
     if comp and math.isfinite(comp):
         total += comp
     return total
+
+
+# -- reference pairing route: one dot per root ----------------------------------
+
+
+def _left_to_right(terms, start=0.0):
+    total = start
+    for t in terms:
+        total += t
+    return total
+
+
+def _gamma_sums_by_dots(rs, lams, factor):
+    """Per weight of lams, the sum of factor(x, m, m2) over the indivisible
+    roots, added left to right from 0.0, where each pairing
+    x = <lam + rho, alpha>/<alpha, alpha> is its own dot ``float(v @ a)``:
+    no matrix product, no blocks. The pairing check, the kernel and the
+    finishers are the package's."""
+    alphas = [a for a, _, _ in rs.indivisible]
+    norms = [float(a @ a) for a in alphas]
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in lams:
+            v = lam + rs.rho
+            row = [float(v @ a) / norm for a, norm in zip(alphas, norms)]
+            hcfun._check_pairings(row, v, alphas, norms)
+            rows.append(row)
+        m, m2 = (np.array([[r[k]] for r in rs.indivisible]) for k in (1, 2))
+        terms = factor(np.array(rows).T, m, m2)
+    return [_left_to_right(col) for col in terms.T.tolist()]
+
+
+def _log_c_by_dots(rs, lam, factor):
+    at_lam, at_zero = _gamma_sums_by_dots(rs, [lam, np.zeros(rs.rank)], factor)
+    log_c = at_lam - at_zero
+    if not math.isfinite(log_c):
+        raise OverflowError("log c is not finite: log Gamma overflows at this weight")
+    return log_c
+
+
+def _log_weyl_sum_by_dots(rs, lam, weights, start=0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = lam + rs.rho
+        nums = [float(v @ a) for a in rs.roots]
+    hcfun._check_pairings(nums, v, rs.roots, 1.0)
+    dens = [float(rs.rho @ a) for a in rs.roots]
+    if any(den <= 0 for den in dens):
+        raise ValueError("nonpositive pairing: weight is not dominant")
+    return _left_to_right((w * (math.log(num) - math.log(den))
+                           for w, num, den in zip(weights, nums, dens)), start)
+
+
+def exact_by_dots(rs, lam) -> dict:
+    """The exact side at the weight vector lam through the reference route,
+    as zero-argument callables keyed by the package function each one
+    mirrors: q_of_weight, c_function, c_function_duplicated, A of
+    predicted_constants and, on group manifolds, group_c_closed_form."""
+    out = {
+        "q_of_weight": lambda: hcfun._q(
+            _gamma_sums_by_dots(rs, [lam], hcfun._log_q_factor)[0]),
+        "c_function": lambda: hcfun._exp(
+            _log_c_by_dots(rs, lam, hcfun._log_c_factor), "c"),
+        "c_function_duplicated": lambda: hcfun._exp(
+            _log_c_by_dots(rs, lam, hcfun._log_c_factors_raw), "c"),
+        "predicted_constants": lambda: hcfun._exp(_log_weyl_sum_by_dots(
+            rs, lam, 0.5 * rs.mults, _log_c_by_dots(rs, lam, hcfun._log_c_factor)), "A"),
+    }
+    if hcfun.classify_group_manifold(rs):
+        out["group_c_closed_form"] = lambda: math.exp(
+            -_log_weyl_sum_by_dots(rs, lam, [1.0] * len(rs.roots)))
+    return out

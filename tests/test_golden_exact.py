@@ -7,9 +7,10 @@ unedited. Every weight box is small enough that each pairing
 x = <weight + rho, alpha>/<alpha, alpha> stays below 20, which the last test
 checks, so a large-argument log-Gamma ratio kernel that starts at x = 20
 keeps those bits. The F-factor rows reach x = 2(cz + a) = 560 and pin the
-plain log-Gamma differences of today. The flatness sweep forms its
-pairings as one product per block of weights, not one dot per root, and
-must give every weight's pinned Q bits too. The last digits of the ray probe
+plain log-Gamma differences of today. Every entry point forms its
+pairings as one padded product per block of weights, a single weight as a
+one-row block; the flatness sweep, whose blocks hold many weights, must
+give every weight's pinned Q bits too. The last digits of the ray probe
 ``g_product_probe`` depend on how the pairings along the ray are formed, so
 its values are compared at rel 1e-12 instead of bit for bit. ``log_gamma``
 itself is pinned at fixed arguments from the smallest subnormal to past its
@@ -150,8 +151,8 @@ def test_pinned_pairings_stay_below_bound(name):
 
 
 def sweep_values(name: str) -> list[str]:
-    """Q over the box as the flatness sweep forms it: one pairing product
-    per block of weights instead of one dot per root."""
+    """Q over the box as the flatness sweep forms it: many weights per
+    pairing product, where a single weight is a block of its own."""
     rs = SPACES[name]()
     return [q.hex() for q in hcfun.q_invariance_test(rs, _weights(rs), 1.0).q_values]
 

@@ -1,11 +1,12 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from chamberq import hcfun, rootsys
+from chamberq import cli, hcfun, rootsys
 from chamberq.hcfun import (
     c_function,
     c_function_duplicated,
@@ -455,3 +456,80 @@ def test_nongroup_rank1_spread(catalog):
             continue
         rep = q_invariance_test(rs, dominant_weights(rs, 10), 1e-6)
         assert rep.max_rel_deviation > 0.05, entry.name
+
+
+# -- one pairing route -----------------------------------------------------------
+
+BOTH_CATALOGS = [
+    (label, entry)
+    for label, catalog in (
+        ("builtin", cli.default_catalog()),
+        ("bench", cli.load_catalog(Path(__file__).parents[1] / "bench" / "spaces.txt")),
+    )
+    for entry in catalog.entries
+]
+REFERENCE_WEIGHTS = 40
+
+
+def _outcome(fn):
+    """fn()'s value as float.hex, or the type and text of what it raised."""
+    try:
+        return fn().hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_PACKAGE = {
+    "q_of_weight": q_of_weight,
+    "c_function": c_function,
+    "c_function_duplicated": c_function_duplicated,
+    "predicted_constants": lambda rs, w: predicted_constants(rs, w)[0],
+    "group_c_closed_form": group_c_closed_form,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, entry", list(enumerate(e for _, e in BOTH_CATALOGS)),
+                         ids=[f"{label}-{e.name}" for label, e in BOTH_CATALOGS])
+def test_exact_side_matches_one_dot_per_root_route(k, entry):
+    # golden_exact.json pins pairings below 20; these weights have
+    # coefficients from 10 to 10^18, with about a quarter of them 0, so
+    # that some pairings lose their sign to rounding and raise
+    rs = entry.to_root_system()
+    rng = np.random.default_rng([1019, k])
+    for _ in range(REFERENCE_WEIGHTS):
+        exps = rng.uniform(1.0, 18.0, rs.rank)
+        zero = rng.random(rs.rank) < 0.25
+        coeffs = [0 if z else int(10.0 ** e) for e, z in zip(exps, zero)]
+        w = spherical_weight(rs, coeffs)
+        for name, reference in oracles.exact_by_dots(rs, w.vector).items():
+            got = _outcome(lambda: _PACKAGE[name](rs, w))
+            assert got == _outcome(reference), (name, coeffs)
+
+
+def _s2_box(max_coeff):
+    rs = cli.default_catalog().get("S2").to_root_system()
+    return rs, dominant_weights(rs, max_coeff)
+
+
+def test_sweep_of_several_blocks_matches_q_of_weight():
+    # S2 has one indivisible root, so its 9001 weights fill five blocks
+    rs, weights = _s2_box(9000)
+    assert len(weights) > 4 * hcfun._BLOCK_ENTRIES
+    swept = q_invariance_test(rs, weights, 1.0).q_values
+    assert [q.hex() for q in swept] == [q_of_weight(rs, w).hex() for w in weights]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad, error, message", [
+    ([1.7e308], ValueError, "weight is too large: a root pairing overflows a float"),
+    ([-3.0], ValueError, "nonpositive pairing: weight is not dominant"),
+    ([1e306], OverflowError, "log Q is not finite"),
+], ids=["pairing-overflow", "not-dominant", "log-q"])
+def test_sweep_raises_at_failing_weight_in_second_block(bad, error, message):
+    rs, weights = _s2_box(9000)
+    weights[hcfun._BLOCK_ENTRIES + 5] = bad = np.array(bad)
+    with pytest.raises(error, match=message):
+        q_of_weight(rs, bad)
+    with pytest.raises(error, match=message):
+        q_invariance_test(rs, weights, 1.0)

@@ -373,6 +373,19 @@ def test_indivisible_positive_examples():
     assert all((m, m2) == (2.0, 0.0) for _, m, m2 in entries)
 
 
+def test_indivisible_arrays_are_indivisible_derived_once(catalog):
+    for entry in catalog.entries:
+        rs = entry.to_root_system()
+        cols = rs.indivisible_arrays
+        assert rs.indivisible_arrays is cols
+        assert not any(col.flags.writeable for col in cols)
+        alphas, norms, m, m2 = cols
+        assert len(alphas) == len(rs.indivisible)
+        for i, (a, ma, m2a) in enumerate(rs.indivisible):
+            assert alphas[i].tolist() == a.tolist()
+            assert (norms[i], m[i], m2[i]) == (float(a @ a), ma, m2a)
+
+
 def test_dimension_examples():
     assert dimension(build_root_system("A", 1, {"all": 2})) == pytest.approx(3)
     assert dimension(build_root_system("A", 1, {"all": 1})) == pytest.approx(2)
