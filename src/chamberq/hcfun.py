@@ -235,7 +235,7 @@ def _exp(log_value: float, name: str) -> float:
         raise OverflowError(f"{name} overflows a float at this weight") from None
 
 
-def _log_c(rs: RootSystem, lam: np.ndarray, factor) -> float:
+def _log_c(rs: RootSystem, lam: np.ndarray, factor=_log_c_factor) -> float:
     """The log Gamma sum at lam minus the same sum at the zero weight."""
     at_lam, at_zero = _gamma_sums(rs, np.array([lam, np.zeros(rs.rank)]), factor, float)
     log_c = at_lam - at_zero
@@ -248,7 +248,7 @@ def c_function(rs: RootSystem, weight) -> float:
     """Harish-Chandra c-function at the shifted weight, via the
     Gindikin-Karpelevic product over indivisible roots, normalized so the
     zero weight maps to exactly 1."""
-    return _exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factor), "c")
+    return _exp(_log_c(rs, _weight_vec(rs, weight)), "c")
 
 
 def c_function_duplicated(rs: RootSystem, weight) -> float:
@@ -419,7 +419,12 @@ def predicted_constants(rs: RootSystem, weight) -> tuple[float, float]:
     metric normalization.
     """
     lam = _weight_vec(rs, weight)
-    log_a = _log_weyl_sum(rs, lam, 0.5 * rs.mults, _log_c(rs, lam, _log_c_factor))
+    return _constants(rs, lam, _log_c(rs, lam))
+
+
+def _constants(rs: RootSystem, lam: np.ndarray, log_c: float) -> tuple[float, float]:
+    """(A, B) at lam from its log c, which a caller may also need."""
+    log_a = _log_weyl_sum(rs, lam, 0.5 * rs.mults, log_c)
     with np.errstate(over="ignore", invalid="ignore"):
         b = float((lam + rs.rho) @ (lam + rs.rho)) - float(rs.rho @ rs.rho)
     if not math.isfinite(b):

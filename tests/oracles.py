@@ -6,10 +6,12 @@ magnitude), root-system data found by one-vector-at-a-time searches, the
 Weyl group by closure under the simple reflections, series summed term by
 term, closed forms in mpmath, and frozen high-precision reference values.
 None of it shares code with the package's Gauss-Legendre panel machinery
-or its vectorized root matching. The one exception is the reference
-pairing route at the end, which forms each root pairing as its own dot and
-hands it to the package's Gamma-factor kernel, so that a comparison with
-the package isolates how the pairings are formed.
+or its vectorized root matching. The exceptions are the two reference
+routes at the end. The pairing route forms each root pairing as its own
+dot and hands it to the package's Gamma-factor kernel, so that a
+comparison with the package isolates how the pairings are formed. The
+chamber-weight route is the log kernel's formula evaluated at every node,
+so that a comparison isolates which nodes the kernel skips.
 """
 
 import math
@@ -447,3 +449,29 @@ def exact_by_dots(rs, lam) -> dict:
         out["group_c_closed_form"] = lambda: math.exp(
             -_log_weyl_sum_by_dots(rs, lam, [1.0] * len(rs.roots)))
     return out
+
+
+# -- reference chamber-weight route: the class term at every node ----------------
+
+
+def log_chamber_weight_every_node(rs, r, c, drift=0.0):
+    """asymquad._log_chamber_weight's formula, with its arguments and
+    shapes, evaluated with one expm1 per root and one log per multiplicity
+    class at every node: none is skipped past the saturation radius. Each
+    node sees the same operations in the same order as in the kernel, so
+    the two agree bit for bit exactly when every skipped class term is 0.0."""
+    classes = {}
+    for i, m in enumerate(rs.mults.tolist()):
+        classes.setdefault(m, []).append(i)
+    rates = -4.0 * c
+    lw = np.add.outer(0.5 * math.fsum(rs.mults.tolist()) * np.log(0.5 * r),
+                      0.5 * rs.mults @ np.log(c))
+    lw += np.multiply.outer(r, rs.mults @ c + drift)
+    for m, roots in classes.items():
+        prod = np.expm1(np.multiply.outer(r, rates[roots[0]]))
+        for i in roots[1:]:
+            prod *= np.expm1(np.multiply.outer(r, rates[i]))
+        if len(roots) % 2:
+            prod = -prod
+        lw += 0.5 * m * np.log(prod)
+    return lw

@@ -1,4 +1,6 @@
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -547,6 +549,78 @@ def test_leading_infinity_sphere2():
 def test_leading_infinity_wall_raises():
     with pytest.raises(ValueError):
         leading_infinity(S3, -S3.rho)
+
+
+# -- the rank-2 chamber weight past the saturation radius -------------------------
+
+RANK2_SPACES = [e for cat in (cli.default_catalog(), cli.load_catalog(
+    Path(__file__).parents[1] / "bench" / "spaces.txt")) for e in cat.entries if e.rank == 2]
+SATURATION_TAUS = (10.0, 30.0, 50.0, 200.0, 800.0)
+
+
+@functools.cache
+def _rank2_grids(name):
+    """(rs, r, c, drift) of every kernel call that log_I_mu makes on the
+    space at SATURATION_TAUS: at the zero weight, at mu_1 + mu_2, and at
+    each Weyl image of mu_1, whose windows sit at a wall or at the origin."""
+    rs = next(e for e in RANK2_SPACES if e.name == name).to_root_system()
+    mu1, mu2 = rs.fundamental_weights
+    grids, kernel = [], aq._log_chamber_weight
+
+    def recording(rs, r, c, drift=0.0):
+        grids.append((rs, r, c, drift))
+        return kernel(rs, r, c, drift)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aq, "_log_chamber_weight", recording)
+        for mu in [0 * mu1, mu1 + mu2] + [v for v, _ in _weyl_images(rs, mu1)]:
+            for tau in SATURATION_TAUS:
+                log_I_mu(rs, mu, tau)
+    return grids
+
+
+def _cuts(r, c):
+    # per angular Gauss panel, the number of radii below 10 / min c, which
+    # the kernel evaluates the class term on; the rest it skips
+    return np.searchsorted(r, 10.0 / c.reshape(len(c), -1, aq._GAUSS_ORDER).min(axis=(0, 2)))
+
+
+@pytest.mark.parametrize("name", [e.name for e in RANK2_SPACES])
+def test_chamber_weight_skip_keeps_every_bit(name):
+    # against the formula at every node, on grids that skip part of their
+    # panels at one cut or at several different cuts, or skip every node;
+    # grids that skip nothing (tau <= 1) keep their bits in the golden files
+    kinds = set()
+    for rs, r, c, drift in _rank2_grids(name):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            got = aq._log_chamber_weight(rs, r, c, drift)
+            want = oracles.log_chamber_weight_every_node(rs, r, c, drift)
+        bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert not bad.size, [(float(got.flat[i]).hex(), float(want.flat[i]).hex())
+                              for i in bad[:3]]
+        cuts = set(_cuts(r, c).tolist())
+        kinds.add("none" if cuts == {len(r)} else "all" if cuts == {0}
+                  else "mixed" if len(cuts - {0, len(r)}) > 1 else "some")
+    assert {"some", "mixed", "all"} <= kinds, kinds
+
+
+def test_expm1_is_exactly_minus_one_past_the_saturation_radius():
+    # the premise of the skip: a numpy whose expm1 leaves -1 here must fail
+    # this test, not move the bits that the golden files pin
+    x = np.concatenate([np.linspace(-1e6, -40.0, 200_001), -np.geomspace(40.0, 1e6, 200_001),
+                        -40.0 - np.spacing(40.0) * np.arange(100_000)])
+    assert np.all(np.expm1(x) == -1.0)
+    # and on the products r (-4 c) of every node that the kernel skips
+    skipped = 0
+    for e in RANK2_SPACES:
+        for rs, r, c, drift in _rank2_grids(e.name):
+            rates = -4.0 * c
+            for j, k in enumerate(_cuts(r, c).tolist()):
+                panel = rates[:, j * aq._GAUSS_ORDER:(j + 1) * aq._GAUSS_ORDER]
+                products = np.multiply.outer(r[k:], panel)
+                assert np.all(np.expm1(products) == -1.0), (e.name, j, k)
+                skipped += products.size
+    assert skipped
 
 
 # -- hypergeometric polynomials ----------------------------------------------------
