@@ -365,8 +365,8 @@ def default_catalog() -> Catalog:
 
 
 # the sweep holds every weight, its Q and the report text at once; at this
-# bound a flatness command peaks at 143 to 150 MB (max RSS of S2, SU2, SU3
-# and SU4 at their largest boxes)
+# bound a flatness command peaks at 94 to 134 MB (max RSS of SU2, SU3 and
+# SU4 at their largest boxes, json and csv)
 _MAX_FLATNESS_WEIGHTS = 250_000
 # probe-F holds every row of its table at once: near 60 MB at this bound
 _MAX_PROBE_Z = 100_000
@@ -448,7 +448,7 @@ def _report_doc(r) -> dict:
     # the report's fields in declaration order, weights as coefficient lists
     doc = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
     if isinstance(r, QInvarianceReport):
-        doc["weights"] = [w.coeffs for w in r.weights]
+        doc["weights"] = r.weights.tolist()
     return doc
 
 
@@ -494,7 +494,7 @@ def emit(report, fmt: str = "json") -> str:
     byte-identical output.
     """
     if isinstance(report, QInvarianceReport):
-        labels = (" ".join(str(c) for c in w.coeffs) for w in report.weights)
+        labels = (" ".join(map(str, c)) for c in report.weights.tolist())
         header, rows = ("weight", "q_value"), zip(labels, report.q_values)
     elif isinstance(report, AsymptoticReport):
         header = ("tau", "log_q", "log_predicted")

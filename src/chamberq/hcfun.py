@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rootsys import RootSystem, SphericalWeight, is_reduced
+from .rootsys import RootSystem, SphericalWeight, _realize, is_reduced
 
 __all__ = [
     "log_gamma",
@@ -372,11 +372,12 @@ def classify_group_manifold(rs: RootSystem) -> bool:
     return bool(np.all(np.abs(rs.mults - 2.0) <= 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QInvarianceReport:
-    """Q sampled over a weight set, with deviation statistics and verdict."""
+    """Q sampled over a weight set, with deviation statistics and verdict:
+    ``q_values[i]`` is Q at row i of ``weights``, the lattice coordinates."""
 
-    weights: tuple[SphericalWeight, ...]
+    weights: np.ndarray
     q_values: tuple[float, ...]
     max_rel_deviation: float
     tol: float
@@ -384,24 +385,25 @@ class QInvarianceReport:
     group_manifold_predicted: bool
 
 
-def q_invariance_test(rs: RootSystem, weights, tol: float) -> QInvarianceReport:
-    """Evaluate Q at every weight, in one sweep that gives the values and
-    raises the errors of :func:`q_of_weight`, and compare the spread
-    against tol."""
-    weights = tuple(weights)
-    if not weights:
-        raise ValueError("weight set must be nonempty")
+def q_invariance_test(rs: RootSystem, coeffs, tol: float) -> QInvarianceReport:
+    """Evaluate Q at each row of lattice coordinates, as
+    :func:`rootsys.dominant_weights` gives them, realized at once, in one
+    sweep that gives the values and raises the errors of :func:`q_of_weight`,
+    and compare the spread against tol. Rows may hold any numbers."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 2 or coeffs.shape[1] != rs.rank or not len(coeffs):
+        raise ValueError(f"expected a nonempty (n, {rs.rank}) array of weight coordinates")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    q_values = tuple(_gamma_sums(rs, np.array([_weight_vec(rs, w) for w in weights]),
-                                 _log_q_factor, _q))
+    vecs = _realize(rs.fundamental_weights, coeffs.astype(float))
+    q_values = tuple(_gamma_sums(rs, vecs, _log_q_factor, _q))
     q_min = min(q_values)
     q_max = max(q_values)
     if not (q_min > 0 and math.isfinite(q_max)):
         raise ValueError("Q values must be positive and finite")
     dev = (q_max - q_min) / q_min
     return QInvarianceReport(
-        weights=weights,
+        weights=coeffs,
         q_values=q_values,
         max_rel_deviation=dev,
         tol=tol,

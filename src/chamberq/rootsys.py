@@ -47,9 +47,8 @@ _MATCH_TOL = 1e-9
 
 
 def as_vector(coords, rank: int | None = None) -> np.ndarray:
-    """Validate and freeze a coordinate vector (finite entries, right length).
-    A read-only view of a read-only array is frozen already and is kept."""
-    v = np.asarray(coords, dtype=float)
+    """Validate and freeze a copy of a coordinate vector (finite entries, right length)."""
+    v = np.array(coords, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D coordinate vector, got shape {v.shape}")
     if rank is not None and v.shape[0] != rank:
@@ -57,9 +56,7 @@ def as_vector(coords, rank: int | None = None) -> np.ndarray:
     # vectors have rank entries: the math module beats a ufunc call on so few
     if not all(map(math.isfinite, v.tolist())):
         raise ValueError("vector has non-finite entries")
-    if v.flags.writeable or not isinstance(v.base, np.ndarray) or v.base.flags.writeable:
-        v = v.copy()
-        v.flags.writeable = False
+    v.flags.writeable = False
     return v
 
 
@@ -459,8 +456,9 @@ def _realize(mus, coeffs: np.ndarray) -> np.ndarray:
     """The vectors sum_k coeffs[:, k] mu_k, one row per row of ``coeffs``,
     added left to right from zeros, one coefficient at a time."""
     vecs = np.zeros((len(coeffs), len(mus)))
-    for k, mu in enumerate(mus):
-        vecs += coeffs[:, k:k + 1] * mu
+    with np.errstate(over="ignore"):  # an overflowing vector fails its caller's check
+        for k, mu in enumerate(mus):
+            vecs += coeffs[:, k:k + 1] * mu
     return vecs
 
 
@@ -481,22 +479,19 @@ def spherical_weight(rs: RootSystem, coeffs: Sequence[int]) -> SphericalWeight:
         if c < 0:
             raise ValueError("weight coefficients must be nonnegative")
         ints.append(int(c))
-    with np.errstate(over="ignore"):  # an overflowing vector fails its own check
-        vec = _realize(rs.fundamental_weights, np.array([ints], dtype=float))[0]
+    vec = _realize(rs.fundamental_weights, np.array([ints], dtype=float))[0]
     return SphericalWeight(coeffs=tuple(ints), vector=vec)
 
 
-def dominant_weights(rs: RootSystem, max_coeff: int) -> list[SphericalWeight]:
-    """All dominant weights with coordinates in {0, ..., max_coeff}, the last
-    coordinate running fastest; their vectors are the rows of one
-    read-only array."""
+def dominant_weights(rs: RootSystem, max_coeff: int) -> np.ndarray:
+    """All dominant weights with coordinates in {0, ..., max_coeff}, as one
+    read-only (n, rank) integer array of coordinates, the last running
+    fastest; :func:`spherical_weight` realizes a row."""
     if max_coeff < 0:
         raise ValueError("max_coeff must be nonnegative")
-    box = (max_coeff + 1,) * rs.rank
-    vecs = _realize(rs.fundamental_weights, np.indices(box).reshape(rs.rank, -1).T)
-    vecs.flags.writeable = False
-    return [SphericalWeight(coeffs=c, vector=v)
-            for c, v in zip(itertools.product(range(max_coeff + 1), repeat=rs.rank), vecs)]
+    coeffs = np.indices((max_coeff + 1,) * rs.rank).reshape(rs.rank, -1).T
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def rho_pairing_identity(rs: RootSystem, j: int) -> tuple[float, float]:

@@ -66,8 +66,8 @@ def test_criterion_02_group_q_constant():
     worst = 0.0
     for name in GROUP_NAMES:
         rs = CATALOG.get(name).to_root_system()
-        for w in dominant_weights(rs, 5):
-            worst = max(worst, abs(q_of_weight(rs, w) - 1.0))
+        for c in dominant_weights(rs, 5):
+            worst = max(worst, abs(q_of_weight(rs, spherical_weight(rs, c)) - 1.0))
     elapsed = time.perf_counter() - t0
     _report(
         2,
@@ -84,7 +84,8 @@ def test_criterion_03_c_function_cross_validation():
     for entry in CATALOG.entries:
         rs = entry.to_root_system()
         is_group = classify_group_manifold(rs)
-        for w in dominant_weights(rs, 5):
+        for c in dominant_weights(rs, 5):
+            w = spherical_weight(rs, c)
             via_product = c_function(rs, w)
             if is_group:
                 closed = group_c_closed_form(rs, w)

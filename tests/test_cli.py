@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -362,6 +363,30 @@ def test_cli_flatness_json(capsys):
     assert code == 0  # verdict agrees with the classification
     doc = json.loads(out)
     assert doc["is_constant"] is False
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_flatness_of_several_blocks_matches_q_of_weight(fmt, capsys):
+    # SU4's 1331 weights fill 4 blocks of the sweep; each printed Q must be
+    # the one q_of_weight gives at that weight alone
+    code, out, _ = run_cli(["flatness", "SU4", "--max-coeff", "10", "--format", fmt],
+                           capsys)
+    assert code == 0
+    rs = default_catalog().get("SU4").to_root_system()
+    if fmt == "json":
+        doc = json.loads(out, parse_float=str, parse_int=str)
+        coeffs = [tuple(map(int, c)) for c in doc["weights"]]
+        q_text = doc["q_values"]
+    else:
+        lines = out.split("\r\n")
+        assert lines[0] == "weight,q_value" and lines[-1] == "\n"
+        labels, q_text = zip(*(line.split(",") for line in lines[1:-1]))
+        coeffs = [tuple(map(int, label.split())) for label in labels]
+    assert coeffs == list(itertools.product(range(11), repeat=3))
+    assert len(coeffs) > 3 * (hcfun._BLOCK_ENTRIES // len(rs.indivisible))
+    assert list(q_text) == [
+        format(hcfun.q_of_weight(rs, rootsys.spherical_weight(rs, c)), ".17g")
+        for c in coeffs]
 
 
 def test_cli_flatness_group_exit_zero(capsys):

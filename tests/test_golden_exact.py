@@ -63,7 +63,8 @@ def _key(w) -> str:
 
 
 def _weights(rs):
-    return rootsys.dominant_weights(rs, BOX[rs.rank])
+    coeffs = rootsys.dominant_weights(rs, BOX[rs.rank])
+    return [rootsys.spherical_weight(rs, c) for c in coeffs]
 
 
 def weight_values(name: str) -> dict:
@@ -154,7 +155,8 @@ def sweep_values(name: str) -> list[str]:
     """Q over the box as the flatness sweep forms it: many weights per
     pairing product, where a single weight is a block of its own."""
     rs = SPACES[name]()
-    return [q.hex() for q in hcfun.q_invariance_test(rs, _weights(rs), 1.0).q_values]
+    coeffs = rootsys.dominant_weights(rs, BOX[rs.rank])
+    return [q.hex() for q in hcfun.q_invariance_test(rs, coeffs, 1.0).q_values]
 
 
 def golden_q(name: str) -> list[str]:
@@ -172,9 +174,10 @@ def test_sweep_q_bits_match_pinned_weights(name):
     ("SU4", 3, 2, 10), ("SU4_SO4", 3, 1, 10), ("SU7_SO7", 6, 1, 2)])
 def test_sweep_q_bits_match_q_of_weight_on_large_boxes(label, rank, mult, box):
     rs = rootsys.build_root_system("A", rank, {"all": mult}, geometric=True)
-    weights = rootsys.dominant_weights(rs, box)
-    swept = hcfun.q_invariance_test(rs, weights, 1.0).q_values
-    assert [q.hex() for q in swept] == [hcfun.q_of_weight(rs, w).hex() for w in weights]
+    coeffs = rootsys.dominant_weights(rs, box)
+    swept = hcfun.q_invariance_test(rs, coeffs, 1.0).q_values
+    assert [q.hex() for q in swept] == [
+        hcfun.q_of_weight(rs, rootsys.spherical_weight(rs, c)).hex() for c in coeffs]
 
 
 def test_exact_side_does_not_depend_on_builtin_sum(monkeypatch):

@@ -120,7 +120,8 @@ def test_group_closed_form_matches_product_a2():
 def test_duplication_route_agreement(catalog):
     for entry in catalog.entries:
         rs = entry.to_root_system()
-        for w in dominant_weights(rs, 3):
+        for c in dominant_weights(rs, 3):
+            w = spherical_weight(rs, c)
             assert c_function_duplicated(rs, w) == pytest.approx(
                 c_function(rs, w), rel=1e-10
             )
@@ -298,26 +299,28 @@ def test_q_invariance_empty_weights():
     (10**306, OverflowError, "log Q is not finite"),
 ], ids=["pairing", "log-q"])
 def test_q_invariance_raises_at_first_failing_weight(second, error, message):
-    # the second weight fails, and so does the third, which is not dominant:
-    # the sweep raises what q_of_weight raises at the second
+    # the second weight fails, and so does the third, which is not dominant
+    # (its vector is -2 times the root): the sweep raises what q_of_weight
+    # raises at the second
     rs = sphere(1)
-    weights = [spherical_weight(rs, [1]), spherical_weight(rs, [second]),
-               -2.0 * rs.roots[0]]
+    coeffs = [[1], [second], [-2]]
     with pytest.raises(error, match=message):
-        q_of_weight(rs, weights[1])
+        q_of_weight(rs, spherical_weight(rs, [second]))
     with pytest.raises(error, match=message):
-        q_invariance_test(rs, weights, 1e-6)
+        q_invariance_test(rs, coeffs, 1e-6)
     with pytest.raises(ValueError, match="weight is not dominant"):
-        q_invariance_test(rs, weights[::2], 1e-6)
+        q_invariance_test(rs, coeffs[::2], 1e-6)
 
 
 @pytest.mark.filterwarnings("error")
 def test_q_invariance_raises_in_weight_order_when_log_gamma_rejects():
     # m = 1.7e308: Q's log is nan at the zero weight, and at 5e307 the
     # argument m/2 + x of one log Gamma overflows to inf, which log_gamma
-    # rejects; the sweep fails as q_of_weight does at the first weight
+    # rejects; the sweep fails as q_of_weight does at the first weight. The
+    # one fundamental weight is the root, so coordinates are the vectors
     rs = rootsys.RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([1.7e308]))
-    zero, big = np.zeros(1), np.array([5e307])
+    zero, big = [0.0], [5e307]
+    assert rs.fundamental_weights[0].tolist() == [1.0]
     with pytest.raises(ValueError, match="log_gamma requires a positive argument, got inf"):
         q_of_weight(rs, big)
     with pytest.raises(OverflowError, match="log Q is not finite"):
@@ -328,7 +331,7 @@ def test_q_invariance_raises_in_weight_order_when_log_gamma_rejects():
 
 @pytest.mark.parametrize("fn", [q_of_weight, c_function, c_function_duplicated,
                                 group_c_closed_form, predicted_constants,
-                                lambda rs, w: q_invariance_test(rs, [w], 1e-6)])
+                                lambda rs, w: q_invariance_test(rs, [w.coeffs], 1e-6)])
 def test_pairing_sign_lost_to_rounding_is_numerical_failure(fn):
     # <mu_1, alpha> realizes as -8e-17 for one root of SU4, so at 10^18 that
     # pairing reads below 0 by much less than its rounding bound
@@ -444,8 +447,8 @@ def test_exceptional_group_manifolds(label, rank, dim):
     rs = build_root_system(label, rank, {"short": 2, "long": 2})
     assert classify_group_manifold(rs)
     assert rootsys.dimension(rs) == pytest.approx(dim)
-    for w in dominant_weights(rs, 2):
-        assert q_of_weight(rs, w) == pytest.approx(1.0, abs=1e-10)
+    for c in dominant_weights(rs, 2):
+        assert q_of_weight(rs, spherical_weight(rs, c)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_nongroup_rank1_spread(catalog):
@@ -514,22 +517,26 @@ def _s2_box(max_coeff):
 
 def test_sweep_of_several_blocks_matches_q_of_weight():
     # S2 has one indivisible root, so its 9001 weights fill five blocks
-    rs, weights = _s2_box(9000)
-    assert len(weights) > 4 * hcfun._BLOCK_ENTRIES
-    swept = q_invariance_test(rs, weights, 1.0).q_values
-    assert [q.hex() for q in swept] == [q_of_weight(rs, w).hex() for w in weights]
+    rs, coeffs = _s2_box(9000)
+    assert len(coeffs) > 4 * hcfun._BLOCK_ENTRIES
+    swept = q_invariance_test(rs, coeffs, 1.0).q_values
+    assert [q.hex() for q in swept] == [q_of_weight(rs, spherical_weight(rs, c)).hex()
+                                        for c in coeffs]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad, error, message", [
-    ([1.7e308], ValueError, "weight is too large: a root pairing overflows a float"),
-    ([-3.0], ValueError, "nonpositive pairing: weight is not dominant"),
-    ([1e306], OverflowError, "log Q is not finite"),
+    (1.2e308, ValueError, "weight is too large: a root pairing overflows a float"),
+    (-2.0, ValueError, "nonpositive pairing: weight is not dominant"),
+    (1e306, OverflowError, "log Q is not finite"),
 ], ids=["pairing-overflow", "not-dominant", "log-q"])
 def test_sweep_raises_at_failing_weight_in_second_block(bad, error, message):
-    rs, weights = _s2_box(9000)
-    weights[hcfun._BLOCK_ENTRIES + 5] = bad = np.array(bad)
+    # the bad coordinate realizes to bad * mu_1, mu_1 = sqrt(2): the vectors
+    # 1.7e308, -2.8 and 1.4e306
+    rs, coeffs = _s2_box(9000)
+    coeffs = coeffs.astype(float)
+    coeffs[hcfun._BLOCK_ENTRIES + 5] = bad
     with pytest.raises(error, match=message):
-        q_of_weight(rs, bad)
+        q_of_weight(rs, bad * rs.fundamental_weights[0])
     with pytest.raises(error, match=message):
-        q_invariance_test(rs, weights, 1.0)
+        q_invariance_test(rs, coeffs, 1.0)

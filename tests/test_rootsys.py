@@ -9,6 +9,7 @@ realizations re-records it with
 """
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -255,6 +256,13 @@ def test_spherical_weight_examples():
         spherical_weight(a1, [1, 2])
 
 
+def test_dominant_weights_is_one_read_only_coordinate_array():
+    rs = build_root_system("A", 3, {"all": 2})
+    coeffs = dominant_weights(rs, 2)
+    assert coeffs.dtype.kind == "i" and not coeffs.flags.writeable
+    assert [tuple(c) for c in coeffs.tolist()] == list(itertools.product(range(3), repeat=3))
+
+
 def test_weight_lattice_coordinates_recover(catalog):
     # <vector, beta_k / |beta_k|^2> reproduces the integer coordinates
     for entry in catalog.entries:
@@ -263,7 +271,8 @@ def test_weight_lattice_coordinates_recover(catalog):
         betas = []
         for a in simple:
             betas.append(2.0 * a if oracles.find_row(rs.roots, 2.0 * a) >= 0 else a)
-        for w in dominant_weights(rs, 2):
+        for c in dominant_weights(rs, 2):
+            w = spherical_weight(rs, c)
             for k, b in enumerate(betas):
                 got = float(w.vector @ b) / float(b @ b)
                 assert got == pytest.approx(w.coeffs[k], abs=1e-12)
@@ -297,8 +306,8 @@ def test_rho_strictly_dominant(catalog):
 def test_weight_dominance(catalog):
     for entry in catalog.entries:
         rs = entry.to_root_system()
-        for w in dominant_weights(rs, 3):
-            assert np.all(rs.roots @ w.vector >= -1e-12)
+        for c in dominant_weights(rs, 3):
+            assert np.all(rs.roots @ spherical_weight(rs, c).vector >= -1e-12)
 
 
 def test_strict_ratio_gap(catalog):
