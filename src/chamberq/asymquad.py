@@ -14,12 +14,13 @@ factored into radial, angular and r-linear parts plus a bounded remainder
 that needs transcendentals only where it is not exactly 0.0. exp(2 mu(H))
 joins the r-linear part, so exponential integrands need no grid of points.
 
-Quadrature is composite Gauss-Legendre with panel doubling until two
-successive refinements agree in log value to one fixed tolerance, on grids
-of at most a fixed number of nodes. Both ranks integrate over a window of
-8 Gaussian widths sqrt(tau) around the shifted peak tau (mu + rho), with
-the peak projected onto the closed chamber when it lies outside; both take
-the chamber's edge rays from RootSystem.chamber_edges. Rank 1 takes the
+Quadrature is composite Gauss-Legendre with panel doubling, from 2 panels
+at rank 1 and 8 at rank 2, until two successive refinements agree in log
+value to one fixed tolerance, on grids of at most a fixed number of panels
+and of nodes. Both ranks integrate over a window of 8 Gaussian widths
+sqrt(tau) around the shifted peak tau (mu + rho), with the peak projected
+onto the closed chamber when it lies outside; both take the chamber's edge
+rays from RootSystem.chamber_edges. Rank 1 takes the
 coordinate centred at the peak, where the integrand is bounded: every tau
 of a call is one row of a stacked grid, and a row leaves the stack once it
 has converged. Rank 2 takes a tensor grid in polar coordinates over the
@@ -53,15 +54,26 @@ _GAUSS_ORDER = 32
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
 _LOG2 = math.log(2.0)
 
-# The one quadrature policy: panel counts double from 8 until two successive
-# log values agree to _REL_TOL, over at most _MAX_REFINEMENTS grids (8 to
-# 65536 panels, so 13 doublings) of at most _MAX_NODES nodes each; windows
-# reach _SIGMA Gaussian widths sqrt(tau) past the peak. Rank 1's largest
-# grid has 2^21 nodes. A rank-2 tensor grid quadruples at each doubling, so
-# the node budget ends it after 5 grids (the 5th has 128 x 64 panels, 2^23
-# nodes), long before 14.
+# The one quadrature policy: panel counts double from each rank's first
+# count until two successive log values agree to _REL_TOL, up to grids of
+# _MAX_PANELS panels and of at most _MAX_NODES nodes; windows reach _SIGMA
+# Gaussian widths sqrt(tau) past the peak.
+# - Rank 1 starts at 2 panels, so a row that agrees at once costs 64 + 128
+#   nodes; it ends at 65536 panels (16 grids, the last of 2^21 nodes). In
+#   the peak-centred coordinate y the integrand is exp(-y^2) times the
+#   chamber weight, which varies on the scale tau a of the peak's distance
+#   from the wall, not of y. The window spans at most 16 units of y and
+#   holds the peak: at y = 0, the edge the two panels share, or at the wall
+#   end when the peak lies outside the chamber. One 32-point rule over 8
+#   units integrates exp(-y^2) to 3.4e-15 relative, so the first grid
+#   already resolves the peak; 2 and 4 panels cannot agree by missing it.
+# - Rank 2 starts at 8 radial by 4 angular panels. A tensor grid quadruples
+#   at each doubling, so the node budget ends it after 5 grids (the 5th has
+#   128 x 64 panels, 2^23 nodes), long before 65536 panels.
+_RANK1_FIRST_PANELS = 2
+_RANK2_FIRST_PANELS = 8
 _REL_TOL = 1e-8
-_MAX_REFINEMENTS = 14
+_MAX_PANELS = 65536
 _MAX_NODES = 2**23
 _SIGMA = 8.0
 
@@ -72,27 +84,30 @@ _SIGMA = 8.0
 
 
 def _panel_nodes(lo, hi, n_panels: int):
-    # with arrays lo and hi, one C-ordered row of nodes per window
-    edges = np.linspace(lo, hi, n_panels + 1, axis=np.ndim(lo))
+    # with arrays lo and hi, one C-ordered row of nodes per window; the edges
+    # are np.linspace's own arithmetic, without its per-call overhead
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    edges = np.arange(n_panels + 1) * ((hi - lo) / n_panels)[..., None] + lo[..., None]
+    edges[..., -1] = hi
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    pts = (mid[..., None] + half[..., None] * _GL_X).reshape(*np.shape(lo), -1)
-    wts = (half[..., None] * _GL_W).reshape(*np.shape(lo), -1)
+    pts = (mid[..., None] + half[..., None] * _GL_X).reshape(*lo.shape, -1)
+    wts = (half[..., None] * _GL_W).reshape(*lo.shape, -1)
     return pts, wts
 
 
-def _adaptive(log_grid, n_rows: int, grid_nodes) -> list[float]:
-    """Log integrals of ``n_rows`` windows under the one refinement policy:
-    log_grid(n, rows) returns one log value per window of ``rows``, each on
-    its grid of n panels and grid_nodes(n) nodes. A window leaves once two
-    successive values agree; those still refining reach log_grid in groups
-    of at most _MAX_NODES nodes. A grid over _MAX_NODES nodes is never
-    built: the quadrature fails as if it had not converged. A non-finite
-    log value is a numerical failure."""
+def _adaptive(log_grid, n_rows: int, grid_nodes, n: int) -> list[float]:
+    """Log integrals of ``n_rows`` windows under the one refinement policy,
+    from grids of ``n`` panels: log_grid(n, rows) returns one log value per
+    window of ``rows``, each on its grid of n panels and grid_nodes(n) nodes.
+    A window leaves once two successive values agree; those still refining
+    reach log_grid in groups of at most _MAX_NODES nodes. A grid over
+    _MAX_PANELS panels or _MAX_NODES nodes is never built: the quadrature
+    fails as if it had not converged. A non-finite log value is a numerical
+    failure."""
     vals, moved = [math.inf] * n_rows, [True] * n_rows
-    live, n = list(range(n_rows)), 8
-    limit = f"{_MAX_REFINEMENTS} grids"
-    for _ in range(_MAX_REFINEMENTS):
+    live, grids = list(range(n_rows)), 0
+    while n <= _MAX_PANELS:
         nodes = grid_nodes(n)
         if nodes > _MAX_NODES:
             limit = f"the budget of {_MAX_NODES} nodes per grid"
@@ -106,7 +121,9 @@ def _adaptive(log_grid, n_rows: int, grid_nodes) -> list[float]:
         live = [i for i in live if moved[i]]
         if not live:
             return vals
-        n *= 2
+        n, grids = 2 * n, grids + 1
+    else:
+        limit = f"{grids} grids"
     raise RuntimeError(
         f"quadrature did not converge to rel_tol={_REL_TOL} within {limit}"
     )
@@ -206,14 +223,17 @@ def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
         np.exp(lv, out=lv)
         return [m + math.log(float((r_wts * r) @ lv @ th_wts))]  # dH = r dr dth
 
-    return _adaptive(log_grid, 1, lambda n: _GAUSS_ORDER * n * _GAUSS_ORDER * (n // 2))[0]
+    return _adaptive(log_grid, 1, lambda n: _GAUSS_ORDER * n * _GAUSS_ORDER * (n // 2),
+                     _RANK2_FIRST_PANELS)[0]
 
 
 def _rank1_transformed(rs: RootSystem, mu: np.ndarray, taus: np.ndarray,
-                       log_phi=None) -> np.ndarray:
+                       log_phi=None) -> tuple[np.ndarray, np.ndarray]:
     """Log of the rank-1 q(tau, phi * exp(2 mu(H))) at each tau of ``taus``,
     one stacked window each, through the affine change of coordinates
-    centered at the shifted Gaussian peak tau * (mu + rho).
+    centered at the shifted Gaussian peak tau * (mu + rho); and the same log
+    less its peak term tau |mu + rho|^2, formed without that term, whose
+    rounding (it reaches 4e8 at the weight bound) the first value carries.
 
     The transformed integrand is bounded at every tau. The window reaches
     _SIGMA widths on each side of the peak, cut at the chamber wall; when
@@ -246,9 +266,10 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, taus: np.ndarray,
         return [mj + math.log(w @ ej) for mj, w, ej in zip(m[:, 0].tolist(), wts, lv)]
 
     # dt = sqrt(tau) dy
-    vals = _adaptive(log_grid, len(taus), lambda n: _GAUSS_ORDER * n)
-    return np.array([tau * rate + 0.5 * math.log(tau) + val
-                     for tau, val in zip(taus.tolist(), vals)])
+    vals = _adaptive(log_grid, len(taus), lambda n: _GAUSS_ORDER * n, _RANK1_FIRST_PANELS)
+    half_logs = [0.5 * math.log(tau) for tau in taus.tolist()]
+    return (np.array([tau * rate + h + val for tau, h, val in zip(taus.tolist(), half_logs, vals)]),
+            np.array([h + val for h, val in zip(half_logs, vals)]))
 
 
 def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
@@ -265,7 +286,7 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
         raise ValueError("tau must be positive and finite")
     mu = as_vector(mu, rs.rank)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val = (float(_rank1_transformed(rs, mu, np.array([tau]))[0]) if rs.rank == 1
+        val = (float(_rank1_transformed(rs, mu, np.array([tau]))[0][0]) if rs.rank == 1
                else _q_log_direct(rs, tau, mu))
     if not math.isfinite(val):  # rank 1's peak term tau |mu + rho|^2 can overflow
         raise OverflowError("log chamber integral is not finite at this weight")
@@ -396,13 +417,17 @@ def _rank1_params(rs: RootSystem):
 
 
 def _spherical_log_integrals(rs: RootSystem, n: int,
-                             taus: np.ndarray) -> np.ndarray:
+                             taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log of the chamber integral against the degree-n spherical function
-    at each tau in ``taus``."""
+    at each tau in ``taus``, and that log less its peak term, as
+    _rank1_transformed gives them. The growth weight is n mu_1 as
+    spherical_weight realizes it, the weight that the large-tau law takes."""
     beta, m_beta, m_half = _rank1_params(rs)
+    mu = spherical_weight(rs, [n]).vector
+    if n == 0:  # F = 1
+        return _rank1_transformed(rs, mu, taus)
     u = rs.chamber_edges[0]
     bu = float(beta @ u)
-    mu = float(n) * beta  # the rank-1 fundamental weight is beta itself
     slope = 2.0 * float(mu @ u)
     log_ck = _spherical_log_coeffs(m_beta, m_half, n)
     ks = np.arange(len(log_ck), dtype=float)
@@ -459,13 +484,14 @@ _INF_GRID = (25.0, 50.0, 100.0, 200.0)
 
 
 def _measure(rs: RootSystem, n: int, taus: np.ndarray):
-    """(log q_n, log q_0, fitted A, fitted B) on the grid, with A and B the
-    least-squares fit of log(q_n / q_0) = log A + B tau."""
-    log_qn = _spherical_log_integrals(rs, n, taus)
-    log_q0 = log_qn if n == 0 else _spherical_log_integrals(rs, 0, taus)
+    """(log q_n, log q_n less its peak term, log q_0, fitted A, fitted B) on
+    the grid, with A and B the least-squares fit of log(q_n / q_0) = log A
+    + B tau."""
+    log_qn, rem_n = _spherical_log_integrals(rs, n, taus)
+    log_q0 = log_qn if n == 0 else _spherical_log_integrals(rs, 0, taus)[0]
     design = np.vstack([np.ones_like(taus), taus]).T
     coef, *_ = np.linalg.lstsq(design, log_qn - log_q0, rcond=None)
-    return log_qn, log_q0, math.exp(float(coef[0])), float(coef[1])
+    return log_qn, rem_n, log_q0, math.exp(float(coef[0])), float(coef[1])
 
 
 def verify_tau_zero(space, n: int) -> AsymptoticReport:
@@ -484,7 +510,7 @@ def verify_tau_zero(space, n: int) -> AsymptoticReport:
     a_pred, b_pred = 1.0, 0.5 * dimension(rs) * series  # series is 0 at n = 0
     taus = np.array(_ZERO_GRID) * (5.0 / b_pred if b_pred > 5.0 else 1.0)
 
-    log_qn, log_q0, fitted_a, fitted_b = _measure(rs, n, taus)
+    log_qn, _, log_q0, fitted_a, fitted_b = _measure(rs, n, taus)
     log_pred = log_q0 + b_pred * taus  # log A = 0
     b_ok = (abs(fitted_b) <= 1e-8 if n == 0
             else abs(fitted_b - b_pred) <= 0.02 * abs(b_pred))
@@ -498,7 +524,9 @@ def verify_tau_infinity(space, n: int) -> AsymptoticReport:
     the shifted Gaussian normal form) on a large-tau grid.
 
     Passes when the absolute gap is non-increasing along the grid (within
-    quadrature noise) and at most 0.02 at the last point.
+    quadrature noise) and at most 0.02 at the last point. Both sides of the
+    gap leave out their shared peak term tau |lam + rho|^2, so that its
+    rounding cannot decide the verdict.
     """
     rs, name = _coerce_rank1(space, n)
     taus = np.array(_INF_GRID)
@@ -507,9 +535,10 @@ def verify_tau_infinity(space, n: int) -> AsymptoticReport:
     c_val = hcfun._exp(log_c, "c")
     log_coeff, power, rate = leading_infinity(rs, lam)
 
-    log_qn, _, fitted_a, fitted_b = _measure(rs, n, taus)
-    log_pred = math.log(c_val) + log_coeff + power * np.log(taus) + rate * taus
-    gaps = np.abs(log_qn - log_pred)
+    log_qn, rem_n, _, fitted_a, fitted_b = _measure(rs, n, taus)
+    rem_pred = math.log(c_val) + log_coeff + power * np.log(taus)
+    log_pred = rem_pred + rate * taus
+    gaps = np.abs(rem_n - rem_pred)
     ok = np.all(gaps[1:] <= gaps[:-1] + 10.0 * _REL_TOL) and gaps[-1] <= 0.02
     return AsymptoticReport("infinity", name, n, taus, log_qn, log_pred, fitted_a,
                             fitted_b, *hcfun._constants(rs, lam, log_c), ok)

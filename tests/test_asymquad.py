@@ -174,7 +174,8 @@ def test_log_I_mu_non_finite_value_is_a_numerical_failure(catalog, name, mu):
 
 
 def test_q_tau_nonconvergence_raises(monkeypatch):
-    monkeypatch.setattr(aq, "_MAX_REFINEMENTS", 1)
+    # one grid, so no two grids to agree
+    monkeypatch.setattr(aq, "_MAX_PANELS", aq._RANK1_FIRST_PANELS)
     with pytest.raises(RuntimeError):
         log_q(S3, 1.0)
 
@@ -191,12 +192,51 @@ def _count_panels(monkeypatch):
     return panels
 
 
+def _linspace_panel_nodes(lo, hi, n_panels):
+    # the panel construction from np.linspace edges, the reference for the bits
+    edges = np.linspace(lo, hi, n_panels + 1, axis=np.ndim(lo))
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    return ((mid[..., None] + half[..., None] * aq._GL_X).reshape(*np.shape(lo), -1),
+            (half[..., None] * aq._GL_W).reshape(*np.shape(lo), -1))
+
+
+def test_panel_nodes_keep_the_bits_of_linspace_edges(monkeypatch):
+    rng = np.random.default_rng(2024)
+    windows = []
+    for n in (1, 2, 3, 4, 7, 8, 64, 4096):
+        lo = rng.uniform(-30.0, 30.0, 6) * 10.0 ** rng.integers(-3, 6, 6)
+        hi = lo + rng.uniform(0.0, 30.0, 6) * 10.0 ** rng.integers(-3, 6, 6)
+        windows += [(float(a), float(b), n) for a, b in zip(lo, hi)]  # scalar
+        windows += [(lo, hi, n), (lo[:1], hi[:1], n), (lo[:, None], hi[:, None], n)]  # stacked
+    windows += [(0.0, 0.0, 4), (np.zeros(3), np.zeros(3), 8)]  # empty windows
+    # and every window of rank 2's radial and angular grids, and of rank 1's
+    panel_nodes = aq._panel_nodes
+
+    def recording(lo, hi, n_panels):
+        windows.append((lo, hi, n_panels))
+        return panel_nodes(lo, hi, n_panels)
+
+    monkeypatch.setattr(aq, "_panel_nodes", recording)
+    for e in RANK2_SPACES[:3]:
+        rs = e.to_root_system()
+        mu1 = rs.fundamental_weights[0]
+        for mu in (0 * mu1, mu1, -3.0 * mu1):
+            for tau in (0.01, 2.0, 800.0):
+                log_I_mu(rs, mu, tau)
+    aq._spherical_log_integrals(CP2, 3, np.array(aq._ZERO_GRID + aq._INF_GRID))
+    assert any(np.ndim(lo) == 0 and lo > 0 for lo, _, _ in windows)  # an annulus
+    for lo, hi, n in windows:
+        for got, want in zip(panel_nodes(lo, hi, n), _linspace_panel_nodes(lo, hi, n)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (lo, hi, n)
+
+
 def test_quadrature_stops_at_first_comparison(monkeypatch):
-    # S2 at tau = 1 agrees between 8 and 16 panels: 24 panels of 32 nodes
+    # S2 at tau = 1 agrees between 2 and 4 panels: 6 panels of 32 nodes
     panels = _count_panels(monkeypatch)
     log_I_mu(S2, [0.0], 1.0)
-    assert panels == [8, 16]
-    assert 32 * sum(panels) == 768
+    assert panels == [2, 4]
+    assert 32 * sum(panels) == 192
 
 
 def _row_grids(log_f, lo, hi):
@@ -219,10 +259,11 @@ def test_quadrature_refines_up_to_65536_panels(monkeypatch):
     panels = _count_panels(monkeypatch)
     with pytest.raises(RuntimeError) as info:
         aq._adaptive(_row_grids(lambda y, rows: np.full_like(y, float(y.shape[1])),
-                                np.array([0.0]), np.array([1.0])), 1, _row_nodes)
-    assert panels == [8 * 2**k for k in range(14)]
+                                np.array([0.0]), np.array([1.0])), 1, _row_nodes,
+                     aq._RANK1_FIRST_PANELS)
+    assert panels == [2 * 2**k for k in range(16)]
     assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
-                               "within 14 grids")
+                               "within 16 grids")
 
 
 def test_rank2_grid_over_node_budget_is_never_built(monkeypatch):
@@ -249,7 +290,7 @@ def test_rank2_quadrature_stops_at_node_budget(monkeypatch):
         return [float(len(r))]
 
     with pytest.raises(RuntimeError, match="budget of 524288 nodes per grid"):
-        aq._adaptive(log_grid, 1, lambda n: 32 * n * 32 * (n // 2))
+        aq._adaptive(log_grid, 1, lambda n: 32 * n * 32 * (n // 2), 8)
     grids = list(zip(panels[::2], panels[1::2]))
     assert grids == [(8, 4), (16, 8), (32, 16)]
     assert max(32 * n_r * 32 * n_th for n_r, n_th in grids) == 2**19
@@ -271,13 +312,14 @@ def test_stacked_windows_converge_independently():
     freqs = [3200.0, 1.0, 1600.0, 800.0]
     lo, hi = np.zeros(4), np.ones(4)
     rows_seen = []
-    vals = aq._adaptive(_row_grids(_stacked_windows(freqs, rows_seen), lo, hi), 4, _row_nodes)
+    vals = aq._adaptive(_row_grids(_stacked_windows(freqs, rows_seen), lo, hi), 4,
+                        _row_nodes, 8)
     # a row leaves the stack once two successive grids agree
     assert rows_seen == [4, 4, 3, 2, 1]
     for j, w in enumerate(freqs):
         one_row = []
         want = aq._adaptive(_row_grids(_stacked_windows([w], one_row), lo[:1], hi[:1]),
-                            1, _row_nodes)
+                            1, _row_nodes, 8)
         assert vals[j].hex() == want[0].hex()
         assert len(one_row) == {1.0: 2, 800.0: 3, 1600.0: 4, 3200.0: 5}[w]
 
@@ -291,7 +333,7 @@ def test_stacked_windows_fail_with_the_one_window_messages():
         return lv
 
     with pytest.raises(RuntimeError) as info:
-        aq._adaptive(_row_grids(log_f, np.zeros(3), np.ones(3)), 3, _row_nodes)
+        aq._adaptive(_row_grids(log_f, np.zeros(3), np.ones(3)), 3, _row_nodes, 8)
     assert str(info.value) == ("quadrature did not converge to rel_tol=1e-08 "
                                "within 14 grids")
 
@@ -301,7 +343,7 @@ def test_stacked_windows_fail_with_the_one_window_messages():
         return lv
 
     with np.errstate(invalid="ignore"), pytest.raises(OverflowError) as info:
-        aq._adaptive(_row_grids(overflowing, np.zeros(3), np.ones(3)), 3, _row_nodes)
+        aq._adaptive(_row_grids(overflowing, np.zeros(3), np.ones(3)), 3, _row_nodes, 8)
     assert str(info.value) == "log chamber integral is not finite on 512 nodes"
 
 
@@ -317,7 +359,7 @@ def test_stacked_windows_reach_log_grid_within_the_node_budget(monkeypatch):
         return [float(n)] * len(rows)
 
     with pytest.raises(RuntimeError, match="budget of 1024 nodes per grid"):
-        aq._adaptive(log_grid, 4, _row_nodes)
+        aq._adaptive(log_grid, 4, _row_nodes, 8)
     assert groups == [(8, [0, 1, 2, 3]), (16, [0, 1]), (16, [2, 3]),
                       (32, [0]), (32, [1]), (32, [2]), (32, [3])]
 
@@ -930,6 +972,17 @@ def test_verify_tau_infinity_trivial_weight():
     assert gaps[-1] <= 0.02
 
 
+@pytest.mark.parametrize("first", [2, 8])
+@pytest.mark.parametrize("entry", RANK1_SPACES, ids=lambda e: e.name)
+def test_verify_tau_infinity_verdict_holds_from_either_first_grid(monkeypatch, entry, first):
+    # the gap compares log q and its prediction less their shared peak term
+    # tau |lam + rho|^2 (4e8 on CP3 at n = 1000), so that the last bits of a
+    # value, which the first grid moves, cannot decide the verdict
+    monkeypatch.setattr(aq, "_RANK1_FIRST_PANELS", first)
+    for n in (0, 1, 10, 100, 1000):
+        assert verify_tau_infinity(entry, n).passed, (entry.name, n)
+
+
 def test_highest_weight_dominance():
     lam = spherical_weight(S2, [1]).vector
     for tau in (25.0, 50.0):
@@ -966,9 +1019,11 @@ def test_stacked_spherical_integrals_keep_every_bit(entry, n):
     rs = entry.to_root_system()
     taus = np.array(aq._ZERO_GRID + aq._INF_GRID)
     stacked = aq._spherical_log_integrals(rs, n, taus)
-    for tau, got in zip(taus, stacked):
-        want = aq._spherical_log_integrals(rs, n, np.array([tau]))[0]
-        assert float(got).hex() == float(want).hex(), (entry.name, n, tau)
+    for k, tau in enumerate(taus):
+        # both the log values and the same logs less their peak terms
+        alone = aq._spherical_log_integrals(rs, n, np.array([tau]))
+        for got, want in zip(stacked, alone, strict=True):
+            assert float(got[k]).hex() == float(want[0]).hex(), (entry.name, n, tau)
 
 
 @pytest.mark.parametrize("verify", [verify_tau_zero, verify_tau_infinity])

@@ -545,7 +545,7 @@ def test_cli_probe_f_rejects_zmax_past_its_bound(capsys):
 
 
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(asymquad, "_MAX_REFINEMENTS", 1)
+    monkeypatch.setattr(asymquad, "_MAX_PANELS", asymquad._RANK1_FIRST_PANELS)
     code, out, err = run_cli(["asym", "S3", "--regime", "zero"], capsys)
     assert code == 3
     assert out == ""
