@@ -372,7 +372,7 @@ def watson_expand(n: int, q_degree: float, angular_integrals) -> list[tuple[floa
     out = []
     for j, val in enumerate(angular_integrals):
         power = 0.5 * (n + q_degree + j)
-        coeff = 0.5 * math.exp(hcfun.log_gamma(power)) * val
+        coeff = 0.5 * hcfun._exp(hcfun.log_gamma(power), "Gamma", f"at {power:g}") * val
         out.append((coeff, power))
     return out
 
@@ -490,8 +490,8 @@ def _measure(rs: RootSystem, n: int, taus: np.ndarray):
     log_qn, rem_n = _spherical_log_integrals(rs, n, taus)
     log_q0 = log_qn if n == 0 else _spherical_log_integrals(rs, 0, taus)[0]
     design = np.vstack([np.ones_like(taus), taus]).T
-    coef, *_ = np.linalg.lstsq(design, log_qn - log_q0, rcond=None)
-    return log_qn, rem_n, log_q0, math.exp(float(coef[0])), float(coef[1])
+    (log_a, b), *_ = np.linalg.lstsq(design, log_qn - log_q0, rcond=None)
+    return log_qn, rem_n, log_q0, hcfun._exp(log_a, "fitted A", "on this grid"), float(b)
 
 
 def verify_tau_zero(space, n: int) -> AsymptoticReport:
@@ -506,7 +506,7 @@ def verify_tau_zero(space, n: int) -> AsymptoticReport:
     beta, m_beta, m_half = _rank1_params(rs)
     series, weight_form = b_delta_rank1(m_beta, m_half, n, float(beta @ beta))
     if abs(series - weight_form) > 1e-12 * max(1.0, abs(weight_form)):
-        raise AssertionError("quadratic coefficient closed forms disagree")
+        raise ArithmeticError(f"closed forms of b disagree: {series!r} against {weight_form!r}")
     a_pred, b_pred = 1.0, 0.5 * dimension(rs) * series  # series is 0 at n = 0
     taus = np.array(_ZERO_GRID) * (5.0 / b_pred if b_pred > 5.0 else 1.0)
 

@@ -1,9 +1,11 @@
 """Gamma-function products on root data: c-function, Q invariant, F factor.
 
 Everything here reduces to sums of log-Gamma values over the indivisible
-positive roots, exponentiated once at the end. Products of Gamma values at
-arguments of even moderate size overflow double precision, so no routine
-in this module ever multiplies Gamma values directly. Every such sum and
+positive roots, exponentiated once at the end by :func:`_exp`: a Q, c, A
+or F outside the float range, on either side, is an OverflowError, never
+0.0 or inf. Products of Gamma values at arguments of even moderate size
+overflow double precision, so no routine in this module ever multiplies
+Gamma values directly. Every such sum and
 every sum of Weyl ratios is added left to right from a fixed start:
 ``sum()`` compensates its rounding from CPython 3.12 on, which would move
 the last bits between interpreters.
@@ -180,14 +182,15 @@ def _pairings(rs: RootSystem, vecs: np.ndarray, alphas: np.ndarray, norms):
     return v, x, int((np.isfinite(x) & (x > 0)).all(axis=1).argmin())
 
 
-def _gamma_sums(rs: RootSystem, vecs: np.ndarray, factor, finish,
+def _gamma_sums(rs: RootSystem, vecs: np.ndarray, factor, name=None,
                 on=slice(None)) -> list:
-    """finish(log) at each row of vecs, log the sum of factor(x, m, m2)
-    over the indivisible roots that on selects, added left to right from
-    0.0. Per block of at most _BLOCK_ENTRIES pairings, factor takes the
-    (roots x rows) pairings of the rows before the first that fails in one
-    call, finish runs row by row, and then the failing row raises: each
-    error comes where a loop over the rows would raise it."""
+    """At each row of vecs, the log sum of factor(x, m, m2) over the
+    indivisible roots that on selects, added left to right from 0.0; given
+    a name, the quantity itself, through :func:`_exp`. Per block of at most
+    _BLOCK_ENTRIES pairings, factor takes the (roots x rows) pairings of the
+    rows before the first that fails in one call, _exp runs row by row, and
+    then the failing row raises: each error comes where a loop over the
+    rows would raise it."""
     alphas, norms, m, m2 = (col[on] for col in rs.indivisible_arrays)
     m, m2 = m[:, None], m2[:, None]
     step = max(_BLOCK_ENTRIES // len(norms), 1)
@@ -204,7 +207,7 @@ def _gamma_sums(rs: RootSystem, vecs: np.ndarray, factor, finish,
                 # earlier row's failure comes first
                 logs = (_add(factor(xt[:, i], m[:, 0], m2[:, 0]).tolist())
                         for i in range(n_ok))
-            out += map(finish, logs)
+            out += logs if name is None else [_exp(log, name) for log in logs]
             if n_ok < len(v):
                 _check_pairings(x[n_ok].tolist(), v[n_ok], alphas, norms)
     return out
@@ -228,20 +231,24 @@ def _weight_vec(rs: RootSystem, weight) -> np.ndarray:
     return np.asarray(weight, dtype=float)
 
 
-def _exp(log_value: float, name: str) -> float:
+def _exp(log_value: float, name: str, where: str = "at this weight") -> float:
+    """The quantity ``name`` from its log; a log that is not finite, or a
+    value that overflows or underflows to 0.0, raises OverflowError."""
+    if not math.isfinite(log_value):
+        raise OverflowError(f"log {name} is not finite: log Gamma overflows {where}")
     try:
-        return math.exp(log_value)
+        value = math.exp(log_value)
     except OverflowError:
-        raise OverflowError(f"{name} overflows a float at this weight") from None
+        raise OverflowError(f"{name} overflows a float {where}") from None
+    if value == 0.0:
+        raise OverflowError(f"{name} underflows a float {where}")
+    return value
 
 
 def _log_c(rs: RootSystem, lam: np.ndarray, factor=_log_c_factor) -> float:
     """The log Gamma sum at lam minus the same sum at the zero weight."""
-    at_lam, at_zero = _gamma_sums(rs, np.array([lam, np.zeros(rs.rank)]), factor, float)
-    log_c = at_lam - at_zero
-    if not math.isfinite(log_c):
-        raise OverflowError("log c is not finite: log Gamma overflows at this weight")
-    return log_c
+    at_lam, at_zero = _gamma_sums(rs, np.array([lam, np.zeros(rs.rank)]), factor)
+    return at_lam - at_zero
 
 
 def c_function(rs: RootSystem, weight) -> float:
@@ -269,7 +276,8 @@ def group_c_closed_form(rs: RootSystem, weight) -> float:
     every multiplicity equal to 2."""
     if not classify_group_manifold(rs):
         raise ValueError("closed form requires reduced roots with multiplicity 2")
-    return math.exp(-_log_weyl_sum(rs, _weight_vec(rs, weight), [1.0] * len(rs.roots)))
+    return _exp(-_log_weyl_sum(rs, _weight_vec(rs, weight), [1.0] * len(rs.roots)),
+                "closed-form c")
 
 
 def q_of_weight(rs: RootSystem, weight) -> float:
@@ -283,13 +291,7 @@ def q_of_weight(rs: RootSystem, weight) -> float:
 
     Constant in mu exactly when the data comes from a group manifold.
     """
-    return _gamma_sums(rs, _weight_vec(rs, weight)[None], _log_q_factor, _q)[0]
-
-
-def _q(log_q: float) -> float:
-    if not math.isfinite(log_q):
-        raise OverflowError("log Q is not finite: log Gamma overflows at this weight")
-    return _exp(log_q, "Q")
+    return _gamma_sums(rs, _weight_vec(rs, weight)[None], _log_q_factor, "Q")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +325,8 @@ def f_factors(zs, a: float, b: float, c: float, d: float) -> list[float]:
         # infinite log F are the same failure
         finite = np.isfinite(x + m + m2)
         n = len(zs) if finite.all() else int(finite.argmin())
-        log_f = _log_c_factor(x[:n], m, m2, 2.0 * b + d)
-    out = [_f(val, z) for val, z in zip(log_f.tolist(), zs.tolist())]
-    if n < len(zs):
-        raise OverflowError(f"log F overflows a float at z = {float(zs[n]):g}")
-    return out
-
-
-def _f(log_f: float, z: float) -> float:
-    if not math.isfinite(log_f):
-        raise OverflowError(f"log F overflows a float at z = {z:g}")
-    try:
-        return math.exp(log_f)
-    except OverflowError:
-        raise OverflowError(f"F overflows a float at z = {z:g}") from None
+        logs = _log_c_factor(x[:n], m, m2, 2.0 * b + d).tolist() + [math.inf] * (len(zs) - n)
+    return [_exp(val, "F", f"at z = {z:g}") for val, z in zip(logs, zs.tolist())]
 
 
 def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
@@ -357,7 +347,7 @@ def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
     alphas, norms = rs.indivisible_arrays[:2]
     on_ray = np.flatnonzero(alphas @ mu_j / norms > 2e-12)
     rays = np.array([n * mu_j for n in range(n_max + 1)])
-    return _gamma_sums(rs, rays, _log_q_factor, math.exp, on_ray)
+    return _gamma_sums(rs, rays, _log_q_factor, "ray product", on_ray)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +386,9 @@ def q_invariance_test(rs: RootSystem, coeffs, tol: float) -> QInvarianceReport:
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     vecs = _realize(rs.fundamental_weights, coeffs.astype(float))
-    q_values = tuple(_gamma_sums(rs, vecs, _log_q_factor, _q))
+    q_values = tuple(_gamma_sums(rs, vecs, _log_q_factor, "Q"))
     q_min = min(q_values)
     q_max = max(q_values)
-    if not (q_min > 0 and math.isfinite(q_max)):
-        raise ValueError("Q values must be positive and finite")
     dev = (q_max - q_min) / q_min
     return QInvarianceReport(
         weights=coeffs,

@@ -436,8 +436,8 @@ def exact_by_dots(rs, lam) -> dict:
     mirrors: q_of_weight, c_function, c_function_duplicated, A of
     predicted_constants and, on group manifolds, group_c_closed_form."""
     out = {
-        "q_of_weight": lambda: hcfun._q(
-            _gamma_sums_by_dots(rs, [lam], hcfun._log_q_factor)[0]),
+        "q_of_weight": lambda: hcfun._exp(
+            _gamma_sums_by_dots(rs, [lam], hcfun._log_q_factor)[0], "Q"),
         "c_function": lambda: hcfun._exp(
             _log_c_by_dots(rs, lam, hcfun._log_c_factor), "c"),
         "c_function_duplicated": lambda: hcfun._exp(

@@ -554,9 +554,10 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
 
 
 def test_cli_probe_f_overflow_is_numerical_failure(capsys):
-    # F / 2**d with d = 2000: 2.0 ** 2000 overflows
+    # F / 2**d with d = 2000: 2.0 ** 2000 overflows, while every F is in
+    # range (log F = 91.0 at z = 0 and 99.95 at z = 10, mpmath)
     code, out, err = run_cli(
-        ["probe-F", "--a", "1", "--b", "0", "--c", "1", "--d", "2000"], capsys
+        ["probe-F", "--a", "1000", "--b", "0", "--c", "1", "--d", "2000"], capsys
     )
     assert code == 3
     assert out == ""
@@ -585,13 +586,49 @@ def test_cli_probe_f_tiny_a(capsys):
 
 def test_cli_probe_f_value_overflow_is_numerical_failure(capsys):
     # log F is finite at z = 1, F = exp(log F) is not: log F(1) = 761.857
-    # (mpmath), above log(max float) = 709.78
+    # (mpmath), above log(max float) = 709.78; F(0) is in range (log F(0) =
+    # 1.42), so z = 1 is the first failure
     code, out, err = run_cli(
-        ["probe-F", "--a", "1", "--b", "0.5", "--c", "1e6", "--d", "1100"], capsys
+        ["probe-F", "--a", "500", "--b", "0.5", "--c", "1e6", "--d", "1100"], capsys
     )
     assert code == 3
     assert out == ""
     assert err == "error: numerical failure: F overflows a float at z = 1\n"
+
+
+# rank 1 with multiplicity 1e10: Q at every weight of a small box, c at
+# 10^6 and F(0) at a = 1e-300, b = 300 underflow a float
+HUGE_MULT_CATALOG = ("name = X\nroot_type = A\nrank = 1\nmult.short = 10000000000\n"
+                     "dim = 10000000001\n")
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["flatness", "X", "--max-coeff", "3"], "Q"),
+    (["cfun", "X", "--weight", "1000000"], "c"),
+    (["probe-F", "--a", "1e-300", "--b", "300", "--c", "1", "--d", "0", "--zmax", "2"], "F"),
+], ids=["flatness", "cfun", "probe-F"])
+def test_cli_underflow_is_numerical_failure(argv, quantity, tmp_path, capsys):
+    p = tmp_path / "x.txt"
+    p.write_text(HUGE_MULT_CATALOG, encoding="utf-8")
+    code, out, err = run_cli(["--catalog", str(p), *argv], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: numerical failure: {quantity} underflows a float ")
+    assert err.count("\n") == 1
+
+
+def test_cli_asym_zero_closed_forms_of_b_disagree_is_numerical_failure(tmp_path):
+    # the weight form (n + rho)^2 - rho^2 of b cancels at rho = 7e9: a
+    # numerical failure, in a fresh process so a traceback would reach stderr
+    p = tmp_path / "x.txt"
+    p.write_text(HUGE_MULT_CATALOG, encoding="utf-8")
+    proc = _python_m_chamberq(["--catalog", str(p), "asym", "X", "--regime", "zero",
+                               "--weight", "1"], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: numerical failure: closed forms of b "
+                                  "disagree")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("space, weight", [("SU2", str(10**400)),
@@ -663,7 +700,8 @@ def test_cli_probe_f_huge_finite_inputs_are_numerical_failures(a, c, capsys):
     )
     assert code == 3
     assert out == ""
-    assert err == "error: numerical failure: log F overflows a float at z = 0\n"
+    assert err == ("error: numerical failure: log F is not finite: "
+                   "log Gamma overflows at z = 0\n")
 
 
 @pytest.mark.parametrize("flag", ["--a", "--b", "--c", "--d"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from chamberq import cli, hcfun, rootsys
+from chamberq import asymquad, cli, hcfun, rootsys
 from chamberq.hcfun import (
     c_function,
     c_function_duplicated,
@@ -359,12 +359,109 @@ def test_f_factors_match_f_factor_bits():
 
 @pytest.mark.parametrize("zs, message", [
     ([0.0, 1.0, 2.0], "F overflows a float at z = 1"),
-    ([0.0, 1e308, 1.0], "log F overflows a float at z = 1e+308"),
+    ([0.0, 1e308, 1.0], "log F is not finite: log Gamma overflows at z = 1e+308"),
 ])
 def test_f_factors_raise_at_first_failing_z(zs, message):
-    # F(1) overflows (log F = 761.9); at z = 1e308 the Gamma argument does
+    # F(0) is in range (log F = 1.42); F(1) overflows (log F = 761.9); at
+    # z = 1e308 the Gamma argument does
     with pytest.raises(OverflowError, match=re.escape(message)):
-        hcfun.f_factors(zs, 1.0, 0.5, 1e6, 1100.0)
+        hcfun.f_factors(zs, 500.0, 0.5, 1e6, 1100.0)
+
+
+# -- the float-range guard ------------------------------------------------------------
+
+# rank 1, multiplicity 1e10: Q(0), c at 10^6 and the ray product underflow
+_HUGE_M = build_root_system("A", 1, {"all": 1e10})
+# type BC, doubled multiplicity 5000: log Q(0) = 767 and it grows along the ray
+_HUGE_M2 = build_root_system("BC", 1, {"short": 2, "long": 5000})
+
+
+def _at(rs, *coeffs):
+    return np.array(coeffs, dtype=float) @ rs.fundamental_weights
+
+
+def _shifted_near_origin(rs, eps):
+    # a vector v whose v + rho is eps rho: every pairing eps times rho's
+    return -rs.rho * (1.0 - eps)
+
+
+def _fitted_a(monkeypatch, log_a):
+    # log(q_n / q_0) = log_a + tau on the grid, which _measure fits
+    taus = np.array([1.0, 2.0, 3.0])
+    monkeypatch.setattr(asymquad, "_spherical_log_integrals",
+                        lambda rs, n, t: (log_a * (n > 0) + n * t, t))
+    return asymquad._measure(sphere(2), 1, taus)[3]
+
+
+def _su(n):
+    return build_root_system("A", n - 1, {"all": 2})
+
+
+# (site, the way out of the float range, the quantity named, the call)
+_GUARDED = [
+    ("q_of_weight", "underflows", "Q", lambda mp: q_of_weight(_HUGE_M, [0.0])),
+    ("q_of_weight", "overflows", "Q", lambda mp: q_of_weight(_HUGE_M2, [0.0])),
+    ("q_invariance_test", "underflows", "Q",
+     lambda mp: q_invariance_test(_HUGE_M, [[0], [1]], 1e-6)),
+    ("q_invariance_test", "overflows", "Q",
+     lambda mp: q_invariance_test(_HUGE_M2, [[0], [1]], 1e-6)),
+    # on SU10, c = pi(rho)/pi(v + rho) is 1e360 when the 45 pairings of
+    # v + rho are 1e-8 times rho's (log c = 828.9); on SU3 it is 1e-1380 at
+    # (10^200, 10^200)
+    ("c_function", "underflows", "c", lambda mp: c_function(_HUGE_M, _at(_HUGE_M, 10**6))),
+    ("c_function", "overflows", "c",
+     lambda mp: c_function(_su(10), _shifted_near_origin(_su(10), 1e-8))),
+    ("c_function_duplicated", "underflows", "c",
+     lambda mp: c_function_duplicated(_HUGE_M, _at(_HUGE_M, 10**6))),
+    ("c_function_duplicated", "overflows", "c",
+     lambda mp: c_function_duplicated(_su(10), _shifted_near_origin(_su(10), 1e-8))),
+    ("group_c_closed_form", "underflows", "closed-form c",
+     lambda mp: group_c_closed_form(_su(3), _at(_su(3), 1e200, 1e200))),
+    ("group_c_closed_form", "overflows", "closed-form c",
+     lambda mp: group_c_closed_form(_su(10), _shifted_near_origin(_su(10), 1e-8))),
+    # A is c times a pairing ratio to the power m/2: log A = -837 at m = 100
+    # with v + rho = 1e-8 rho, and 306803 at 10^6 with m = 1e10
+    ("predicted_constants", "underflows", "A",
+     lambda mp: predicted_constants(sphere(100), _shifted_near_origin(sphere(100), 1e-8))),
+    ("predicted_constants", "overflows", "A",
+     lambda mp: predicted_constants(_HUGE_M, _at(_HUGE_M, 10**6))),
+    ("g_product_probe", "underflows", "ray product",
+     lambda mp: g_product_probe(_HUGE_M, 0, 3)),
+    ("g_product_probe", "overflows", "ray product",
+     lambda mp: g_product_probe(_HUGE_M2, 0, 3)),
+    # log F(0) = -4.1e5; log F(1) = 761.9 after an F(0) in range
+    ("f_factors", "underflows", "F",
+     lambda mp: hcfun.f_factors([0.0, 1.0], 1e-300, 300.0, 1.0, 0.0)),
+    ("f_factors", "overflows", "F",
+     lambda mp: hcfun.f_factors([0.0, 1.0], 500.0, 0.5, 1e6, 1100.0)),
+    ("fitted A", "underflows", "fitted A", lambda mp: _fitted_a(mp, -1000.0)),
+    ("fitted A", "overflows", "fitted A", lambda mp: _fitted_a(mp, 1000.0)),
+    # log Gamma is at least -0.1216 on the positive reals, so the Watson
+    # coefficient's Gamma cannot underflow; Gamma(200.5) overflows
+    ("watson_expand", "overflows", "Gamma",
+     lambda mp: asymquad.watson_expand(1, 400.0, [1.0])),
+]
+
+
+@pytest.mark.parametrize("site, way, name, call", _GUARDED,
+                         ids=[f"{site}-{way}" for site, way, *_ in _GUARDED])
+def test_every_gamma_product_leaves_log_space_through_the_guard(site, way, name, call,
+                                                                monkeypatch):
+    # a value outside the float range is an OverflowError that names the
+    # quantity, never a 0.0, inf or nan
+    with pytest.raises(OverflowError, match=f"^{re.escape(name)} {way} a float "):
+        call(monkeypatch)
+
+
+def test_guard_returns_subnormal_values():
+    # a log between -745.1 and -708.4 gives a positive subnormal value
+    for log_value in (-708.5, -740.0, -745.0):
+        value = hcfun._exp(log_value, "c")
+        assert 0.0 < value < 2.2250738585072014e-308
+        assert value == math.exp(log_value)
+    # c at 1050 on multiplicity 1e10: log c = -727.8
+    c = c_function(_HUGE_M, _at(_HUGE_M, 1050))
+    assert 0.0 < c < 2.2250738585072014e-308
 
 
 def test_classify_group_manifold():
