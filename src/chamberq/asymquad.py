@@ -491,7 +491,8 @@ def _measure(rs: RootSystem, n: int, taus: np.ndarray):
     log_q0 = log_qn if n == 0 else _spherical_log_integrals(rs, 0, taus)[0]
     design = np.vstack([np.ones_like(taus), taus]).T
     (log_a, b), *_ = np.linalg.lstsq(design, log_qn - log_q0, rcond=None)
-    return log_qn, rem_n, log_q0, hcfun._exp(log_a, "fitted A", "on this grid"), float(b)
+    fitted_a = hcfun._exp(log_a, "fitted A", "on this grid", gamma=False)
+    return log_qn, rem_n, log_q0, fitted_a, float(b)
 
 
 def verify_tau_zero(space, n: int) -> AsymptoticReport:

@@ -519,54 +519,6 @@ def emit(report, fmt: str = "json") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="chamberq",
-        description="Root-system invariants and chamber-integral asymptotics "
-        "for quantization flatness checks.",
-    )
-    p.add_argument("--catalog", help="path to a catalog file (default: built in)")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("catalog", help="catalog operations")
-    pc.add_argument("action", choices=["list"])
-    pc.set_defaults(run=_cmd_catalog)
-
-    ps = sub.add_parser("space", help="space operations")
-    ps.add_argument("action", choices=["show"])
-    ps.add_argument("name")
-    ps.set_defaults(run=_cmd_space)
-
-    pf = sub.add_parser("flatness", help="Q-invariance sweep for one space")
-    pf.add_argument("name")
-    pf.add_argument("--max-coeff", type=int, default=5)
-    pf.add_argument("--tol", type=float, default=1e-6)
-    pf.add_argument("--format", choices=["json", "csv"], default="json")
-    pf.set_defaults(run=_cmd_flatness)
-
-    pa = sub.add_parser("asym", help="asymptotic regime verification (rank 1)")
-    pa.add_argument("name")
-    pa.add_argument("--regime", choices=["zero", "infinity"], required=True)
-    pa.add_argument("--weight", type=int, default=1)
-    pa.add_argument("--format", choices=["json", "csv"], default="json")
-    pa.set_defaults(run=_cmd_asym)
-
-    pcf = sub.add_parser("cfun", help="evaluate the c-function at a weight")
-    pcf.add_argument("name")
-    pcf.add_argument("--weight", required=True,
-                     help="comma separated coefficients, e.g. 1,0")
-    pcf.set_defaults(run=_cmd_cfun)
-
-    pp = sub.add_parser("probe-F", help="evaluate the Gamma-ratio factor F")
-    pp.add_argument("--a", type=float, required=True)
-    pp.add_argument("--b", type=float, required=True)
-    pp.add_argument("--c", type=float, required=True)
-    pp.add_argument("--d", type=float, required=True)
-    pp.add_argument("--zmax", type=int, default=10)
-    pp.set_defaults(run=_cmd_probe_f)
-    return p
-
-
 def _cmd_catalog(catalog, args, out) -> int:
     for e in catalog.entries:
         out.write(f"{e.name}\t{e.root_type}{e.rank}\tdim={e.dim_m}\n")
@@ -629,8 +581,53 @@ def _cmd_probe_f(catalog, args, out) -> int:
     return 0
 
 
+_FORMAT = ("--format", {"choices": ["json", "csv"], "default": "json"})
+
+# (name, help, arguments as (flag, add_argument keywords), run)
+_COMMANDS = (
+    ("catalog", "catalog operations", [("action", {"choices": ["list"]})], _cmd_catalog),
+    ("space", "space operations",
+     [("action", {"choices": ["show"]}), ("name", {})], _cmd_space),
+    ("flatness", "Q-invariance sweep for one space",
+     [("name", {}), ("--max-coeff", {"type": int, "default": 5}),
+      ("--tol", {"type": float, "default": 1e-6}), _FORMAT], _cmd_flatness),
+    ("asym", "asymptotic regime verification (rank 1)",
+     [("name", {}), ("--regime", {"choices": ["zero", "infinity"], "required": True}),
+      ("--weight", {"type": int, "default": 1}), _FORMAT], _cmd_asym),
+    ("cfun", "evaluate the c-function at a weight",
+     [("name", {}), ("--weight", {"required": True,
+                                  "help": "comma separated coefficients, e.g. 1,0"})],
+     _cmd_cfun),
+    ("probe-F", "evaluate the Gamma-ratio factor F",
+     [*((f"--{k}", {"type": float, "required": True}) for k in "abcd"),
+      ("--zmax", {"type": int, "default": 10})], _cmd_probe_f),
+)
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The command line parser for ``argv``. Every subcommand is listed, so
+    usage, help and choice errors read the same, but only those whose name
+    occurs in argv get their arguments, help and run: no parse reaches the
+    others, and building them all took a third of a small command's time."""
+    p = argparse.ArgumentParser(
+        prog="chamberq",
+        description="Root-system invariants and chamber-integral asymptotics "
+        "for quantization flatness checks.",
+    )
+    p.add_argument("--catalog", help="path to a catalog file (default: built in)")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, help_text, arguments, run in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text, add_help=name in argv)
+        if name in argv:
+            for flag, options in arguments:
+                sp.add_argument(flag, **options)
+            sp.set_defaults(run=run)
+    return p
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         catalog = load_catalog(args.catalog) if args.catalog else default_catalog()
         code = args.run(catalog, args, sys.stdout)

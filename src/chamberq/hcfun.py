@@ -231,11 +231,13 @@ def _weight_vec(rs: RootSystem, weight) -> np.ndarray:
     return np.asarray(weight, dtype=float)
 
 
-def _exp(log_value: float, name: str, where: str = "at this weight") -> float:
+def _exp(log_value: float, name: str, where: str = "at this weight", gamma=True) -> float:
     """The quantity ``name`` from its log; a log that is not finite, or a
-    value that overflows or underflows to 0.0, raises OverflowError."""
+    value that overflows or underflows to 0.0, raises OverflowError, which
+    blames log Gamma for a Gamma product's (``gamma``) log."""
     if not math.isfinite(log_value):
-        raise OverflowError(f"log {name} is not finite: log Gamma overflows {where}")
+        cause = ": log Gamma overflows" if gamma else ""
+        raise OverflowError(f"log {name} is not finite{cause} {where}")
     try:
         value = math.exp(log_value)
     except OverflowError:
@@ -277,7 +279,7 @@ def group_c_closed_form(rs: RootSystem, weight) -> float:
     if not classify_group_manifold(rs):
         raise ValueError("closed form requires reduced roots with multiplicity 2")
     return _exp(-_log_weyl_sum(rs, _weight_vec(rs, weight), [1.0] * len(rs.roots)),
-                "closed-form c")
+                "closed-form c", gamma=False)
 
 
 def q_of_weight(rs: RootSystem, weight) -> float:
@@ -417,6 +419,7 @@ def _constants(rs: RootSystem, lam: np.ndarray, log_c: float) -> tuple[float, fl
     log_a = _log_weyl_sum(rs, lam, 0.5 * rs.mults, log_c)
     with np.errstate(over="ignore", invalid="ignore"):
         b = float((lam + rs.rho) @ (lam + rs.rho)) - float(rs.rho @ rs.rho)
-    if not math.isfinite(b):
+    # where log A is not finite, log Gamma failed: _exp names that first
+    if not math.isfinite(b) and math.isfinite(log_a):
         raise OverflowError("B overflows a float at this weight")
     return _exp(log_a, "A"), b

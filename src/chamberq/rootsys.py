@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-9
+# a match block holds n * rank queries against n roots, at most n * n * rank
+# float entries, but at least _MIN_BLOCK queries: fewer cost more than they save
+_MIN_BLOCK = 64
 
 
 def as_vector(coords, rank: int | None = None) -> np.ndarray:
@@ -62,9 +65,20 @@ def as_vector(coords, rank: int | None = None) -> np.ndarray:
 
 def _match(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """For each query vector (the last axis), the index of the first row
-    equal to it within tolerance, or -1."""
-    hit = np.all(np.abs(rows - queries[..., None, :]) <= _MATCH_TOL, axis=-1)
-    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
+    equal to it within tolerance, or -1. Blocks of queries are compared
+    with every row one coordinate at a time: np.all over the short rank
+    axis would cost more than the comparisons."""
+    flat = queries.reshape(-1, rows.shape[1])
+    found = np.empty(len(flat), dtype=np.intp)
+    step = max(rows.size, _MIN_BLOCK)
+    d = np.empty((min(step, len(flat)), len(rows)))  # one buffer for every block
+    for s in range(0, len(flat), step):
+        block = flat[s:s + step]
+        diff, hit = d[:len(block)], True
+        for q, r in zip(block.T, rows.T):
+            hit &= np.abs(np.subtract(q[:, None], r, out=diff), out=diff) <= _MATCH_TOL
+        found[s:s + step] = np.where(hit.any(1), hit.argmax(1), -1)
+    return found.reshape(queries.shape[:-1])
 
 
 def _integral(mults) -> bool:
@@ -103,14 +117,12 @@ class RootSystem:
             raise ValueError("roots must be a nonempty (n, rank) array")
         if mults.shape != (roots.shape[0],):
             raise ValueError("mults must align with roots")
-        if not (np.all(np.isfinite(roots)) and np.all(np.isfinite(mults))):
+        if not (np.isfinite(roots).all() and np.isfinite(mults).all()):
             raise ValueError("non-finite root data")
-        if np.any(np.linalg.norm(roots, axis=1) <= _MATCH_TOL):
+        if (np.linalg.norm(roots, axis=1) <= _MATCH_TOL).any():
             raise ValueError("zero vector listed as a root")
-        if np.any(mults <= 0):
+        if (mults <= 0).any():
             raise ValueError("multiplicities must be positive")
-        if np.any(_match(roots, roots) != np.arange(len(roots))):
-            raise ValueError("duplicate positive root")
         roots = roots.copy()
         mults = mults.copy()
         roots.flags.writeable = False
@@ -122,10 +134,12 @@ class RootSystem:
     # -- structural checks -------------------------------------------------
 
     def _validate_structure(self):
-        roots, mults = self.roots, self.mults
-        half = _match(roots, 0.5 * roots)
-        double = _match(roots, 2.0 * roots)
-        if np.any((half >= 0) & (double >= 0)):
+        roots, mults, n = self.roots, self.mults, len(self.roots)
+        # one match: each root, its half and its double
+        same, half, double = _match(roots, np.array([roots, 0.5 * roots, 2.0 * roots]))
+        if (same != np.arange(n)).any():
+            raise ValueError("duplicate positive root")
+        if ((half >= 0) & (double >= 0)).any():
             raise ValueError("root has both its half and its double in the system")
         if self.geometric:
             _check_geometric(mults.tolist(), (double >= 0).tolist())
@@ -135,32 +149,37 @@ class RootSystem:
         self._check_weyl_invariance()
 
     def _detect_simple(self) -> tuple[int, ...]:
-        # simple = positive root not expressible as a sum of two positive roots
-        roots = self.roots
-        simple = [i for i, a in enumerate(roots)
-                  if np.all(_match(roots, a - roots) < 0)]
+        # simple = positive root a with no root a - b, b a positive root;
+        # the differences of a block of roots are one match block
+        roots, n = self.roots, len(self.roots)
+        step = max(self.rank, _MIN_BLOCK // n)
+        composite = np.concatenate([
+            (_match(roots, roots[s:s + step, None] - roots) >= 0).any(1)
+            for s in range(0, n, step)])
+        simple = np.flatnonzero(~composite).tolist()
         # deterministic order: lexicographic on rounded coordinates
         simple.sort(key=lambda i: tuple(np.round(roots[i], 9)))
         return tuple(simple)
 
     def _check_weyl_invariance(self):
         # m must be constant on orbits; for geometric systems the reflected
-        # root additionally has to be present (closure under the Weyl group).
+        # root additionally has to be present (closure under the Weyl
+        # group). Every root is reflected in every simple root at once, and
+        # the first simple root with a failure names it.
         roots, mults = self.roots, self.mults
-        for j in self._simple_idx:
-            s = roots[j]
-            refl = roots - np.outer(2.0 * (roots @ s) / float(s @ s), s)
-            k = _match(roots, refl)
-            neg = k < 0
-            k[neg] = _match(roots, -refl[neg])
-            found = k >= 0
-            if self.geometric and not np.all(found):
-                raise ValueError(
-                    "geometric system not closed under a simple reflection"
-                )
-            m, mk = mults[found], mults[k[found]]
-            if np.any(np.abs(mk - m) > _MATCH_TOL * np.maximum(1.0, m)):
-                raise ValueError("multiplicity is not Weyl invariant")
+        s = roots[list(self._simple_idx)]
+        refl = roots[:, None] - (2.0 * (roots @ s.T) / (s * s).sum(1))[..., None] * s
+        refl = np.array([refl, -refl])  # a negated reflection may be the root
+        k, k_neg = _match(roots, refl)
+        k = np.where(k >= 0, k, k_neg)
+        found, m = k >= 0, mults[:, None]
+        uneven = found & (np.abs(mults[k] - m) > _MATCH_TOL * np.maximum(1.0, m))
+        missing = ~found & self.geometric
+        failed = (missing | uneven).any(0)
+        if failed.any():
+            if missing[:, failed.argmax()].any():
+                raise ValueError("geometric system not closed under a simple reflection")
+            raise ValueError("multiplicity is not Weyl invariant")
 
     def _double_mult(self, i: int) -> float:
         """Multiplicity of twice root i, or 0 when it is not a root."""

@@ -779,6 +779,60 @@ def _python_m_chamberq(argv, **kwargs):
                           env=env, timeout=60, **kwargs)
 
 
+COMMANDS = [name for name, *_ in cli._COMMANDS]
+
+
+def _parse(parser, argv, capsys):
+    """stdout, stderr and the exit code, or the parsed fields."""
+    try:
+        result = sorted(vars(parser.parse_args(argv)).items())
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, result
+
+
+# (argv, exit code, or None where it parses)
+PARSER_CASES = [
+    (["-h"], 0),
+    *(([name, "-h"], 0) for name in COMMANDS),
+    (["asym", "S2"], 2),  # a missing required option
+    (["flatness", "S2", "--max-coeff", "x"], 2),
+    (["--bogus", "flatness", "S2"], 2),
+    (["flatness", "S2", "--bogus"], 2),
+    (["nocmd"], 2),
+    ([], 2),
+    (["--catalog", "spaces.txt", "flatness", "S2", "--max-coeff", "2", "--format", "csv"],
+     None),
+]
+
+
+@pytest.mark.parametrize("argv, code", PARSER_CASES,
+                         ids=[" ".join(argv) or "empty" for argv, _ in PARSER_CASES])
+def test_argv_scoped_parser_matches_the_full_parser(argv, code, monkeypatch, capsys):
+    # argparse's help text differs across Python versions, so the parser that
+    # gives only the invoked subcommand its arguments is compared with the
+    # one that gives every subcommand its arguments, not with a golden
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse(cli._build_parser(COMMANDS), argv, capsys)
+    assert (full[2] if isinstance(full[2], int) else None) == code
+    assert _parse(cli._build_parser(argv), argv, capsys) == full
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["chamberq", "probe-F", "-h"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    got = capsys.readouterr()
+    assert (got.out, got.err, exc.value.code) == _parse(
+        cli._build_parser(COMMANDS), ["probe-F", "-h"], capsys)
+    assert "--zmax" in got.out
+    monkeypatch.setattr(sys, "argv", ["chamberq", "space", "show", "CP2"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == run_cli(["space", "show", "CP2"], capsys)[1]
+
+
 def test_python_m_chamberq_runs_cleanly():
     proc = _python_m_chamberq(["catalog", "list"], capture_output=True, text=True)
     assert proc.returncode == 0

@@ -453,6 +453,31 @@ def test_every_gamma_product_leaves_log_space_through_the_guard(site, way, name,
         call(monkeypatch)
 
 
+def _closed_form_with_log(monkeypatch, log_value):
+    monkeypatch.setattr(hcfun, "_log_weyl_sum", lambda *args: log_value)
+    return group_c_closed_form(_su(3), [1.0, 1.0])
+
+
+# (quantity, the rest of the message, the call): a Gamma product's log is
+# not finite where log Gamma overflows; the closed-form c's log is a sum of
+# pairing logs and the fitted A's a least-squares intercept, so their
+# messages name no Gamma
+_NOT_FINITE = [
+    # on SU2 at 10^306 log c is nan and B overflows too: the Gamma failure is named
+    ("A", ": log Gamma overflows at this weight",
+     lambda mp: predicted_constants(_su(2), _at(_su(2), 1e306))),
+    ("closed-form c", " at this weight", lambda mp: _closed_form_with_log(mp, math.inf)),
+    ("fitted A", " on this grid", lambda mp: _fitted_a(mp, math.nan)),
+]
+
+
+@pytest.mark.parametrize("name, rest, call", _NOT_FINITE, ids=[n for n, *_ in _NOT_FINITE])
+def test_not_finite_log_names_its_cause(name, rest, call, monkeypatch):
+    with pytest.raises(OverflowError,
+                       match=f"^log {re.escape(name)} is not finite{re.escape(rest)}$"):
+        call(monkeypatch)
+
+
 def test_guard_returns_subnormal_values():
     # a log between -745.1 and -708.4 gives a positive subnormal value
     for log_value in (-708.5, -740.0, -745.0):

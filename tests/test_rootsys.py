@@ -11,6 +11,7 @@ realizations re-records it with
 import hashlib
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -156,11 +157,12 @@ def test_closed_form_classes_match_built_system(label, rank):
 def test_direct_constructor_validation():
     with pytest.raises(ValueError):
         RootSystem(rank=1, roots=np.array([[0.0]]), mults=np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate positive root$"):
         RootSystem(rank=1, roots=np.array([[1.0], [1.0]]), mults=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([-2.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^root has both its half and its double in the system$"):
         # both the half and the double of the middle root are present
         RootSystem(
             rank=1,
@@ -481,18 +483,53 @@ def test_derived_data_matches_loop_oracle(label, rank, mults):
 
 
 @pytest.mark.parametrize(
-    "roots,mults",
+    "roots,mults,message",
     [
         # reflecting e1 + e2 in e1 gives -e1 + e2, which is missing
-        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0],
+         "geometric system not closed under a simple reflection"),
         # A2 with a multiplicity that is not constant on the Weyl orbit
-        ([[1.0, 0.0], [-0.5, 0.75**0.5], [0.5, 0.75**0.5]], [1.0, 2.0, 1.0]),
+        ([[1.0, 0.0], [-0.5, 0.75**0.5], [0.5, 0.75**0.5]], [1.0, 2.0, 1.0],
+         "multiplicity is not Weyl invariant"),
     ],
+    ids=["not-closed", "not-invariant"],
 )
-def test_weyl_check_matches_loop_oracle(roots, mults):
+def test_weyl_check_matches_loop_oracle(roots, mults, message):
     assert not oracles.root_data_by_loops(roots, mults)["weyl_closed"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         RootSystem(rank=2, roots=np.array(roots), mults=np.array(mults), geometric=True)
+
+
+@pytest.mark.parametrize("third, message", [
+    # with e1 + e2: the reflection in e2 swaps e1 - e2 and e1 + e2, whose
+    # multiplicities differ; the one in e1 - e2 sends e2 to the missing e1
+    ([1.0, 1.0], "multiplicity is not Weyl invariant"),
+    # with e1: the reflection in e2 sends e1 - e2 to the missing e1 + e2;
+    # the one in e1 - e2 swaps e2 and e1, whose multiplicities differ
+    ([1.0, 0.0], "geometric system not closed under a simple reflection"),
+], ids=["uneven-first", "missing-first"])
+def test_weyl_check_names_the_first_failing_simple_root(third, message):
+    # parts of B2 whose simple roots are e2, then e1 - e2: each reflection
+    # fails one way, and the first simple root's failure is the one named,
+    # as a loop over the simple roots raises it
+    roots = np.array([[1.0, -1.0], [0.0, 1.0], third])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RootSystem(rank=2, roots=roots, mults=np.array([1.0, 1.0, 2.0]), geometric=True)
+
+
+def test_build_holds_no_more_memory_than_two_whole_vector_differences():
+    # a whole-vector match of A12's 78 roots held an (n, n, rank) float
+    # difference and its absolute value at once; matching one coordinate
+    # at a time in blocks of n * rank queries stays below that
+    rs = build_root_system("A", 12, {"all": 2})
+    n, rank = rs.roots.shape
+    tracemalloc.start()
+    try:
+        build_root_system("A", 12, {"all": 2})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * rank * 8
 
 
 if __name__ == "__main__":
