@@ -7,10 +7,10 @@ keys mult.short (plus mult.long / mult.double where the type has more
 orbits). Optional: metric_scale, source. The JSON that emit writes for a
 catalog loads too: each entry becomes the same key -> value mapping, its
 multiplicities under mult.<class>, and one validator checks both syntaxes.
-Entries are checked on load by :func:`rootsys.root_spec`, whose closed-form
-root-class sizes give `dim` without realizing a root, so the messages are
-the ones :func:`rootsys.build_root_system` raises; each space's root system
-is built on the first ``to_root_system()`` call and kept.
+A text block is read in one pass. Entries are checked on load by
+:func:`rootsys.root_spec`, which raises what :func:`rootsys.build_root_system`
+raises and gives `dim` in closed form, without realizing a root; an entry
+keeps that spec and builds its root system from it once, on first use.
 
 Reports serialize to JSON (their dataclass fields in declaration order) or
 CSV (RFC 4180, CRLF line ends), floats printed with 17 significant digits
@@ -68,22 +68,23 @@ class SpaceDescriptor:
     dim_m: int
     metric_scale: float = 1.0
     source: str = ""
+    _spec: rootsys.RootSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
             raise CatalogError("space entry is missing a name")
-        derived = rootsys.root_spec(self.root_type, self.rank, self.multiplicities,
-                                    metric_scale=self.metric_scale, geometric=True).dimension
-        if abs(derived - self.dim_m) > 1e-9:
+        spec = rootsys.root_spec(self.root_type, self.rank, self.multiplicities,
+                                 metric_scale=self.metric_scale, geometric=True)
+        if abs(spec.dimension - self.dim_m) > 1e-9:
             raise CatalogError(
                 f"entry {self.name!r}: dim {self.dim_m} does not match "
-                f"rank + total multiplicity = {_fnum(derived)}"
+                f"rank + total multiplicity = {_fnum(spec.dimension)}"
             )
+        object.__setattr__(self, "_spec", spec)
 
     @cached_property
     def _root_system(self) -> rootsys.RootSystem:
-        return rootsys.build_root_system(self.root_type, self.rank, self.multiplicities,
-                                         metric_scale=self.metric_scale, geometric=True)
+        return rootsys._build(self._spec, self.metric_scale)
 
     def to_root_system(self) -> rootsys.RootSystem:
         """The space's root system, built on the first call and kept."""
@@ -235,52 +236,43 @@ source = SU(6)/Sp(3)
 # ---------------------------------------------------------------------------
 
 
+# key -> (conversion, default or None where required) of each key other
+# than the multiplicities, in the order an entry checks them
+_KEYS = {"name": (str, None), "root_type": (str, None), "rank": (int, None),
+         "dim": (int, None), "metric_scale": (float, 1.0), "source": (str, "")}
+
+
 def _entry(fields: dict, where: str) -> SpaceDescriptor:
     """Validate one catalog entry given as ``key -> value`` text, with the
     multiplicities under ``mult.<class>``; ``where`` locates it in errors."""
-    fields = dict(fields)
-
-    def take(key, conv=str, default=None):
-        if key not in fields:
-            if default is None:
-                raise CatalogError(f"{where}: missing required key {key!r}")
-            return default
-        raw = fields.pop(key)
+    values = []
+    for key, (conv, default) in _KEYS.items():
+        raw = fields.get(key, default)  # a value read is text, never None
+        if raw is None:
+            raise CatalogError(f"{where}: missing required key {key!r}")
         try:
-            return conv(raw)
+            values.append(conv(raw))
         except ValueError as exc:
             raise CatalogError(f"{where}: bad value for {key!r}: {raw!r}") from exc
-
-    name = take("name")
-    root_type = take("root_type")
-    rank = take("rank", int)
-    dim_m = take("dim", int)
-    metric_scale = take("metric_scale", float, default=1.0)
-    source = take("source", default="")
-    mults = {}
-    for k in list(fields):
+    mults, unknown = {}, []
+    for k, raw in fields.items():
         if k.startswith("mult."):
             label = k[len("mult."):]
             if label not in _MULT_KEYS:
                 raise CatalogError(f"{where}: unknown multiplicity class {label!r}")
             try:
-                mults[label] = float(fields.pop(k))
+                mults[label] = float(raw)
             except ValueError as exc:
                 raise CatalogError(f"{where}: bad multiplicity {k!r}") from exc
-    if fields:
-        raise CatalogError(f"{where}: unknown keys {sorted(fields)!r}")
+        elif k not in _KEYS:
+            unknown.append(k)
+    if unknown:
+        raise CatalogError(f"{where}: unknown keys {sorted(unknown)!r}")
     if not mults:
         raise CatalogError(f"{where}: no multiplicities given")
+    name, root_type, rank, dim_m, metric_scale, source = values
     try:
-        return SpaceDescriptor(
-            name=name,
-            root_type=root_type,
-            rank=rank,
-            multiplicities=mults,
-            dim_m=dim_m,
-            metric_scale=metric_scale,
-            source=source,
-        )
+        return SpaceDescriptor(name, root_type, rank, mults, dim_m, metric_scale, source)
     except CatalogError:
         raise
     except ValueError as exc:
@@ -288,29 +280,28 @@ def _entry(fields: dict, where: str) -> SpaceDescriptor:
 
 
 def _text_entries(text: str):
-    """(fields, where) of each block of a text catalog."""
-    block: list[tuple[int, str]] = []
+    """(fields, where) of each block of a text catalog, each line checked
+    as it is read; a blank or comment line ends a block."""
+    fields: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines() + [""], start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            block.append((ln, line))
-        elif block:
-            yield _block_fields(block), f"block at line {block[0][0]}"
-            block = []
-
-
-def _block_fields(block: list[tuple[int, str]]) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for ln, line in block:
-        if "=" not in line:
+        if not line or line[0] == "#":
+            if fields:
+                yield fields, f"block at line {start}"
+                fields = {}
+            continue
+        # line is stripped: the key has no leading blank, the value no trailing one
+        key, eq, value = line.partition("=")
+        if not eq:
             raise CatalogError(f"line {ln}: expected 'key = value', got {line!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
+        key = key.rstrip()
         if not key:
             raise CatalogError(f"line {ln}: empty key")
         if key in fields:
             raise CatalogError(f"line {ln}: duplicate key {key!r}")
-        fields[key] = value
-    return fields
+        if not fields:
+            start = ln
+        fields[key] = value.lstrip()
 
 
 def _json_entries(text: str):
@@ -605,20 +596,22 @@ _COMMANDS = (
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
-    """The command line parser for ``argv``. Every subcommand is listed, so
-    usage, help and choice errors read the same, but only those whose name
-    occurs in argv get their arguments, help and run: no parse reaches the
-    others, and building them all took a third of a small command's time."""
+    """The command line parser for ``argv``. Every subcommand is listed by
+    name and help, so usage, help and choice errors read the same, but only
+    one named in argv (only such a name can be chosen) gets a parser, its
+    arguments and its run: building the others was most of the parser's cost."""
     p = argparse.ArgumentParser(
         prog="chamberq",
         description="Root-system invariants and chamber-integral asymptotics "
         "for quantization flatness checks.",
     )
     p.add_argument("--catalog", help="path to a catalog file (default: built in)")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(
+        dest="command", required=True,
+        parser_class=lambda build, **kw: argparse.ArgumentParser(**kw) if build else None)
     for name, help_text, arguments, run in _COMMANDS:
-        sp = sub.add_parser(name, help=help_text, add_help=name in argv)
-        if name in argv:
+        sp = sub.add_parser(name, help=help_text, build=name in argv)
+        if sp is not None:
             for flag, options in arguments:
                 sp.add_argument(flag, **options)
             sp.set_defaults(run=run)

@@ -324,8 +324,7 @@ def _resolve_mults(labels, aliases, multiplicities) -> list[float]:
     given = dict(multiplicities)
     resolved: list[float] = []
     for lab in labels:
-        candidates = [lab] + [k for k, v in aliases.items() if v == lab]
-        hits = [k for k in candidates if k in given]
+        hits = [k for k in given if k == lab or aliases.get(k) == lab]
         if not hits:
             raise ValueError(f"missing multiplicity for root class {lab!r}")
         if len(hits) > 1:
@@ -438,6 +437,13 @@ def build_root_system(
     """
     spec = root_spec(type_label, rank, multiplicities,
                      metric_scale=metric_scale, geometric=geometric)
+    return _build(spec, metric_scale)
+
+
+def _build(spec: RootSpec, metric_scale: float) -> RootSystem:
+    """:func:`build_root_system` after its checks, on a spec that
+    :func:`root_spec` returned for ``metric_scale``."""
+    rank = spec.rank
     roots, d = _positive_roots_standard(spec.type_label, rank)
     if d > rank:
         # isometric coordinates on the span: only type A has d > rank, and

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import itertools
 import json
@@ -76,6 +77,32 @@ def test_parse_error_reports_line():
     text = "name = ok\nroot_type = A\nthis line has no equals sign\n"
     with pytest.raises(CatalogError, match="line 3"):
         parse_catalog(text)
+
+
+# (catalog text, the one error it must raise): the reader reports errors in
+# the order it reads them, a block's line errors before its entry errors and
+# a block's errors before any of the next block's
+READ_ORDER_CASES = {
+    "entry-error-before-next-block-line-error":
+        ("name = a\nroot_type = A\nrank = 1\ndim = 2\n\nname = b\nno equals sign\n",
+         "block at line 1: no multiplicities given"),
+    "line-without-equals-before-duplicate-key":
+        ("name = a\nno equals sign\nname = b\n",
+         "line 2: expected 'key = value', got 'no equals sign'"),
+    "duplicate-key": ("name = a\nrank = 1\n  name=b\n", "line 3: duplicate key 'name'"),
+    "empty-key": ("name = a\n  = value\n", "line 2: empty key"),
+    "block-after-comments-and-blank-lines":
+        ("# a comment\n\n   \n# another\nname = a\nroot_type = A\nrank = 1\ndim = 2\n",
+         "block at line 5: no multiplicities given"),
+}
+
+
+@pytest.mark.parametrize("text, message", READ_ORDER_CASES.values(),
+                         ids=READ_ORDER_CASES.keys())
+def test_catalog_reader_reports_the_first_error_in_read_order(text, message):
+    with pytest.raises(CatalogError) as exc:
+        parse_catalog(text)
+    assert str(exc.value) == message
 
 
 def test_reject_duplicate_names():
@@ -317,10 +344,11 @@ def run_cli(args, capsys):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The argument tuples of every build_root_system call in the test."""
+    """The argument tuples of every root system built in the test: the step
+    that realizes a checked spec, which build_root_system calls too."""
     calls = []
-    build = rootsys.build_root_system
-    monkeypatch.setattr(rootsys, "build_root_system",
+    build = rootsys._build
+    monkeypatch.setattr(rootsys, "_build",
                         lambda *a, **kw: calls.append(a) or build(*a, **kw))
     return calls
 
@@ -804,6 +832,11 @@ PARSER_CASES = [
     ([], 2),
     (["--catalog", "spaces.txt", "flatness", "S2", "--max-coeff", "2", "--format", "csv"],
      None),
+    # a subcommand's name as an option's value; an option and its value in
+    # one token; a "--" separator
+    (["--catalog", "asym", "cfun", "S2", "--weight", "1"], None),
+    (["--catalog=spaces.txt", "flatness", "S2"], None),
+    (["space", "show", "--", "S2"], None),
 ]
 
 
@@ -817,6 +850,46 @@ def test_argv_scoped_parser_matches_the_full_parser(argv, code, monkeypatch, cap
     full = _parse(cli._build_parser(COMMANDS), argv, capsys)
     assert (full[2] if isinstance(full[2], int) else None) == code
     assert _parse(cli._build_parser(argv), argv, capsys) == full
+
+
+# (argv, parsers main builds, exit code); argv names the catalog file "asym"
+MAIN_PARSER_CASES = [
+    (["catalog", "list"], 2, 0),
+    (["space", "show", "S2"], 2, 0),
+    (["flatness", "SU3", "--max-coeff", "1"], 2, 0),
+    (["asym", "S2", "--regime", "infinity"], 2, 0),
+    (["cfun", "S2", "--weight", "1"], 2, 0),
+    (["probe-F", "--a", "1", "--b", "1", "--c", "1", "--d", "0", "--zmax", "1"], 2, 0),
+    (["-h"], 1, 0),
+    ([], 1, 2),
+    (["nocmd"], 1, 2),
+    # asym occurs in argv as a value, so it gets a parser too
+    (["--catalog", "asym", "cfun", "S2", "--weight", "1"], 3, 0),
+    (["--catalog=asym", "cfun", "S2", "--weight", "1"], 2, 0),
+    (["space", "show", "--", "S2"], 2, 0),
+]
+
+
+@pytest.mark.parametrize("argv, parsers, code", MAIN_PARSER_CASES,
+                         ids=[" ".join(argv) or "empty" for argv, *_ in MAIN_PARSER_CASES])
+def test_main_builds_a_parser_only_for_a_subcommand_argv_names(
+        argv, parsers, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "asym").write_text(cli.DEFAULT_CATALOG_TEXT, encoding="utf-8")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        result = cli.main(argv)
+    except SystemExit as exc:
+        result = exc.code
+    capsys.readouterr()
+    assert (len(built), result) == (parsers, code), built
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
