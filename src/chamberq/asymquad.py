@@ -348,7 +348,7 @@ def b_delta_rank1(m_beta: float, m_half: float, n: int,
     series = (a * n / c) * root_norm_sq
     m = 1.0 + m_half + m_beta
     rho_c = 0.25 * m_half + 0.5 * m_beta  # coefficient of beta in rho
-    weight = 2.0 * ((n + rho_c) ** 2 - rho_c**2) * root_norm_sq / m
+    weight = 2.0 * n * (n + 2.0 * rho_c) * root_norm_sq / m  # the squares' gap, uncancelled
     return series, weight
 
 
@@ -531,10 +531,10 @@ def verify_tau_infinity(space, n: int) -> AsymptoticReport:
     """
     rs, name = _coerce_rank1(space, n)
     taus = np.array(_INF_GRID)
-    lam = spherical_weight(rs, [n]).vector
-    log_c = hcfun._log_c(rs, lam)  # one Gamma sum for c and for (A, B)
+    w = spherical_weight(rs, [n])
+    log_c = hcfun._log_c(rs, [n])  # one Gamma sum for c and for (A, B)
     c_val = hcfun._exp(log_c, "c")
-    log_coeff, power, rate = leading_infinity(rs, lam)
+    log_coeff, power, rate = leading_infinity(rs, w.vector)
 
     log_qn, rem_n, _, fitted_a, fitted_b = _measure(rs, n, taus)
     rem_pred = math.log(c_val) + log_coeff + power * np.log(taus)
@@ -542,4 +542,4 @@ def verify_tau_infinity(space, n: int) -> AsymptoticReport:
     gaps = np.abs(rem_n - rem_pred)
     ok = np.all(gaps[1:] <= gaps[:-1] + 10.0 * _REL_TOL) and gaps[-1] <= 0.02
     return AsymptoticReport("infinity", name, n, taus, log_qn, log_pred, fitted_a,
-                            fitted_b, *hcfun._constants(rs, lam, log_c), ok)
+                            fitted_b, *hcfun._constants(rs, w, log_c), ok)

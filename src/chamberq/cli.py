@@ -281,12 +281,12 @@ def _entry(fields: dict, where: str) -> SpaceDescriptor:
 
 def _text_entries(text: str):
     """(fields, where) of each block of a text catalog, each line checked
-    as it is read; a blank or comment line ends a block."""
+    as it is read; a blank line ends a block, a comment line is skipped."""
     fields: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines() + [""], start=1):
         line = raw.strip()
         if not line or line[0] == "#":
-            if fields:
+            if fields and not line:
                 yield fields, f"block at line {start}"
                 fields = {}
             continue
@@ -362,7 +362,7 @@ _MAX_FLATNESS_WEIGHTS = 250_000
 # probe-F holds every row of its table at once: near 60 MB at this bound
 _MAX_PROBE_Z = 100_000
 # cfun prints c next to a group manifold's closed form only when they agree to
-# this relative gap; catalog group manifolds agree to 3e-14 at coefficients <= 3
+# this relative gap; catalog group manifolds agree to 5.4e-15 at coefficients <= 3
 _CLOSED_FORM_RTOL = 1e-8
 
 

@@ -13,13 +13,18 @@ the last bits between interpreters.
 One per-root factor, :func:`_log_c_factor`, forms every Gamma ratio of Q,
 c, A and F, elementwise over an array: F(z; a, b, c, d) is Q's factor at
 x = 2(cz + a), m = 4b, m2 = 2d and power 2b + d. One function,
-:func:`_pairings`, forms every root pairing, a block of weights at a time
-as one matrix product with the bits of one dot per root; a single weight
-is a one-row block, and each block's pairings reach the kernel in one
-call; ``probe-F`` passes its whole column of z. Two routes that check the
-kernel stay independent of it: :func:`_log_c_factor_raw` (before the
-duplication formula) and the group manifolds' closed form
-:func:`group_c_closed_form`.
+:func:`_pairings`, forms every root pairing from a weight's lattice
+coordinates c as x = c P + r, with the integer matrix P and the
+half-integers r that :attr:`RootSystem.lattice_pairings` derives once: one
+float product per block of weights, exact while every partial sum is an
+integer within 2^52, and rational arithmetic rounded once past that. So
+each pairing is exact or correctly rounded, and a nonpositive one means the
+weight is not dominant, at every size. A single weight is a one-row block,
+and each block's pairings reach the kernel in one call; ``probe-F`` passes
+its whole column of z. Entry points take a :class:`SphericalWeight` or a
+sequence of lattice coordinates. Two routes that check the kernel stay
+independent of it: :func:`_log_c_factor_raw` (before the duplication
+formula) and the group manifolds' closed form :func:`group_c_closed_form`.
 
 Normalization of the c-function is enforced numerically: the product
 formula is evaluated at the weight and at zero, and the ratio is returned,
@@ -29,7 +34,10 @@ which pins c(0-weight) = 1 without knowing the closed-form constant.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -72,14 +80,6 @@ def log_gamma(x: float) -> float:
 # math.lgamma over 4 x 16384 floats ran 16% slower per float than over
 # 4 x 1331, while a block's fixed cost is a few dozen small numpy calls
 _BLOCK_ENTRIES = 2048
-# fewest rows a pairing product has, padded with zero rows. numpy sends a
-# one-row product to gemv, whose bits differ from the per-root dot's on 13%
-# of pairings; OpenBLAS 0.3.31's gemm gave the dot's bits on all 7.2e6
-# pairings of 30 spaces at boxes 1 to 40, and on 8.3e5 pairings of both
-# catalogs at coefficients 10 to 1e18 in blocks of 1 to 3000 rows
-_MIN_ROWS = 4
-# unit roundoff of a double
-_U = 2.0 ** -53
 
 
 def _log_gammas(args: np.ndarray) -> np.ndarray:
@@ -139,66 +139,54 @@ def _add(terms, start: float = 0.0) -> float:
     return total
 
 
-def _check_pairings(xs: list, v: np.ndarray, alphas, norms) -> None:
-    """Raise unless every pairing xs[i] = <v, alpha_i>/norms[i] is finite
-    and positive.
-
-    A pairing <= 0 inside the rounding error of its dot has lost its sign,
-    a numerical failure, not an input error. Each entry of v is one rounded
-    sum and the dot adds rank products, so the dot is off by at most
-    gamma_{rank+1} sum_k |v_k alpha_k|, gamma_n = n u/(1 - n u) (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
-    ch. 3).
-    """
+def _check_pairings(xs: list) -> None:
+    """Raise the error of a row of exact pairings not all finite and positive."""
     if not all(map(math.isfinite, xs)):
         raise ValueError("weight is too large: a root pairing overflows a float")
-    if min(xs) > 0:
-        return
-    x = np.array(xs)
-    low = x <= 0
-    n = len(v) + 1
-    with np.errstate(over="ignore"):
-        err = (n * _U / (1.0 - n * _U) * (np.abs(np.asarray(alphas)) @ np.abs(v))
-               / np.asarray(norms))
-    if np.any(low & (-x >= err)):
-        raise ValueError("nonpositive pairing: weight is not dominant")
-    i = int(low.argmax())
-    raise ArithmeticError(f"root pairing {x[i]:.3g} is 0 to within its rounding error "
-                          f"{err[i]:.3g}: the weight is too large to tell whether it "
-                          "is dominant")
+    raise ValueError("nonpositive pairing: weight is not dominant")
 
 
-def _pairings(rs: RootSystem, vecs: np.ndarray, alphas: np.ndarray, norms):
-    """The root pairings x = <v, alpha>/norm, v = vec + rho, of the rows of
-    vecs with the rows of alphas: one product (V + rho) @ A.T padded to
-    _MIN_ROWS rows. Returns V + rho, x (rows x roots) and the number of
-    leading rows whose pairings are all finite and positive. Callers
-    ignore numpy's overflow and invalid warnings."""
-    padded = np.zeros((max(_MIN_ROWS, len(vecs)), rs.rank))
-    v = np.add(vecs, rs.rho, out=padded[:len(vecs)])
-    x = (padded @ alphas.T)[:len(v)] / norms
-    if x.min() > 0 and x.max() < math.inf:  # a nan fails both
-        return v, x, len(v)
-    return v, x, int((np.isfinite(x) & (x > 0)).all(axis=1).argmin())
+def _pairings(rs: RootSystem, coeffs: np.ndarray):
+    """x = c P + r (rows x roots) of :attr:`RootSystem.lattice_pairings` at the
+    rows c of lattice coordinates: one float product, exact on integers within
+    the bound, else rational arithmetic rounded once, -inf in a row past the
+    float range or holding no number. Returns x and the number of leading
+    rows whose pairings are all finite and positive."""
+    P, r, bound = rs.lattice_pairings
+    c = coeffs.astype(float)
+    if np.abs(c).max() <= bound:  # a nan is past the bound
+        x = c @ P + r
+    else:
+        x = np.full((len(c), len(r)), -math.inf)
+        for i, row in enumerate(coeffs.tolist()):
+            with suppress(OverflowError, ValueError):
+                cs = list(map(Fraction, row))
+                x[i] = [float(_add(map(mul, cs, col), Fraction(r_k)))
+                        for col, r_k in zip(P.T.astype(int).tolist(), r.tolist())]
+    return x, len(x) if x.min() > 0 else int((x > 0).all(axis=1).argmin())
 
 
-def _gamma_sums(rs: RootSystem, vecs: np.ndarray, factor, name=None,
+def _coords(weight) -> np.ndarray:
+    """A SphericalWeight's or a coordinate sequence's lattice coordinates, as one row."""
+    return np.asarray([weight.coeffs if isinstance(weight, SphericalWeight) else weight])
+
+
+def _gamma_sums(rs: RootSystem, coeffs: np.ndarray, factor, name=None,
                 on=slice(None)) -> list:
-    """At each row of vecs, the log sum of factor(x, m, m2) over the
+    """At each row of coordinates, the log sum of factor(x, m, m2) over the
     indivisible roots that on selects, added left to right from 0.0; given
     a name, the quantity itself, through :func:`_exp`. Per block of at most
     _BLOCK_ENTRIES pairings, factor takes the (roots x rows) pairings of the
     rows before the first that fails in one call, _exp runs row by row, and
     then the failing row raises: each error comes where a loop over the
     rows would raise it."""
-    alphas, norms, m, m2 = (col[on] for col in rs.indivisible_arrays)
-    m, m2 = m[:, None], m2[:, None]
-    step = max(_BLOCK_ENTRIES // len(norms), 1)
+    m, m2 = (col[on, None] for col in rs.indivisible_arrays[2:])
+    step = max(_BLOCK_ENTRIES // len(m), 1)
     out: list = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(vecs), step):
-            v, x, n_ok = _pairings(rs, vecs[start:start + step], alphas, norms)
-            xt = x[:n_ok].T
+        for start in range(0, len(coeffs), step):
+            x, n_ok = _pairings(rs, coeffs[start:start + step])
+            xt = x[:n_ok, on].T
             try:
                 logs = _add(factor(xt, m, m2), np.zeros(n_ok)).tolist()
             except ValueError:
@@ -208,27 +196,21 @@ def _gamma_sums(rs: RootSystem, vecs: np.ndarray, factor, name=None,
                 logs = (_add(factor(xt[:, i], m[:, 0], m2[:, 0]).tolist())
                         for i in range(n_ok))
             out += logs if name is None else [_exp(log, name) for log in logs]
-            if n_ok < len(v):
-                _check_pairings(x[n_ok].tolist(), v[n_ok], alphas, norms)
+            if n_ok < len(x):
+                _check_pairings(x[n_ok].tolist())
     return out
 
 
-def _log_weyl_sum(rs: RootSystem, lam: np.ndarray, weights, start: float = 0.0) -> float:
-    """start plus weights[i] * (log<lam + rho, alpha_i> - log<rho, alpha_i>)
-    over the positive roots alpha_i."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v, x, n_ok = _pairings(rs, np.array([lam, np.zeros(rs.rank)]), rs.roots, 1.0)
-    if n_ok < 2:
-        _check_pairings(x[n_ok].tolist(), v[n_ok], rs.roots, 1.0)
-    nums, dens = x.tolist()
+def _log_weyl_sum(rs: RootSystem, weight, weights, start: float = 0.0) -> float:
+    """start plus weights[i] * (log x_i - log r_i) over the indivisible
+    roots alpha_i, x_i the pairing at the weight and r_i at 0: the log of
+    <lam + rho, beta>/<rho, beta> at beta = alpha_i, and at beta = 2 alpha_i."""
+    x, n_ok = _pairings(rs, _coords(weight))
+    if not n_ok:
+        _check_pairings(x[0].tolist())
     return _add((w * (math.log(num) - math.log(den))
-                 for w, num, den in zip(weights, nums, dens)), start)
-
-
-def _weight_vec(rs: RootSystem, weight) -> np.ndarray:
-    if isinstance(weight, SphericalWeight):
-        return weight.vector
-    return np.asarray(weight, dtype=float)
+                 for w, num, den in zip(weights, x[0].tolist(),
+                                        rs.lattice_pairings[1].tolist())), start)
 
 
 def _exp(log_value: float, name: str, where: str = "at this weight", gamma=True) -> float:
@@ -247,9 +229,10 @@ def _exp(log_value: float, name: str, where: str = "at this weight", gamma=True)
     return value
 
 
-def _log_c(rs: RootSystem, lam: np.ndarray, factor=_log_c_factor) -> float:
-    """The log Gamma sum at lam minus the same sum at the zero weight."""
-    at_lam, at_zero = _gamma_sums(rs, np.array([lam, np.zeros(rs.rank)]), factor)
+def _log_c(rs: RootSystem, weight, factor=_log_c_factor) -> float:
+    """The log Gamma sum at the weight minus the same sum at the zero weight."""
+    coords = _coords(weight)
+    at_lam, at_zero = _gamma_sums(rs, np.concatenate([coords, np.zeros_like(coords)]), factor)
     return at_lam - at_zero
 
 
@@ -257,14 +240,14 @@ def c_function(rs: RootSystem, weight) -> float:
     """Harish-Chandra c-function at the shifted weight, via the
     Gindikin-Karpelevic product over indivisible roots, normalized so the
     zero weight maps to exactly 1."""
-    return _exp(_log_c(rs, _weight_vec(rs, weight)), "c")
+    return _exp(_log_c(rs, weight), "c")
 
 
 def c_function_duplicated(rs: RootSystem, weight) -> float:
     """Same value as :func:`c_function` but computed from the product form
     with half-argument Gammas, i.e. without applying the duplication
     formula. Used to cross-validate the two algebraic routes."""
-    return _exp(_log_c(rs, _weight_vec(rs, weight), _log_c_factors_raw), "c")
+    return _exp(_log_c(rs, weight, _log_c_factors_raw), "c")
 
 
 def _log_c_factors_raw(x: np.ndarray, m: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -278,7 +261,7 @@ def group_c_closed_form(rs: RootSystem, weight) -> float:
     every multiplicity equal to 2."""
     if not classify_group_manifold(rs):
         raise ValueError("closed form requires reduced roots with multiplicity 2")
-    return _exp(-_log_weyl_sum(rs, _weight_vec(rs, weight), [1.0] * len(rs.roots)),
+    return _exp(-_log_weyl_sum(rs, weight, [1.0] * len(rs.indivisible)),
                 "closed-form c", gamma=False)
 
 
@@ -293,7 +276,7 @@ def q_of_weight(rs: RootSystem, weight) -> float:
 
     Constant in mu exactly when the data comes from a group manifold.
     """
-    return _gamma_sums(rs, _weight_vec(rs, weight)[None], _log_q_factor, "Q")[0]
+    return _gamma_sums(rs, _coords(weight), _log_q_factor, "Q")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +323,12 @@ def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
     with vanishing pairing, so constancy of the sequence is the numeric
     shadow of Q-invariance along the ray.
     """
-    mus = rs.fundamental_weights
-    if not 0 <= j < len(mus):
+    if not 0 <= j < rs.rank:
         raise IndexError(f"basis index {j} out of range")
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
-    mu_j = mus[j]
-    alphas, norms = rs.indivisible_arrays[:2]
-    on_ray = np.flatnonzero(alphas @ mu_j / norms > 2e-12)
-    rays = np.array([n * mu_j for n in range(n_max + 1)])
+    rays = np.outer(np.arange(n_max + 1), np.eye(rs.rank, dtype=int)[j])
+    on_ray = np.flatnonzero(rs.lattice_pairings[0][j] > 0)
     return _gamma_sums(rs, rays, _log_q_factor, "ray product", on_ray)
 
 
@@ -379,16 +359,15 @@ class QInvarianceReport:
 
 def q_invariance_test(rs: RootSystem, coeffs, tol: float) -> QInvarianceReport:
     """Evaluate Q at each row of lattice coordinates, as
-    :func:`rootsys.dominant_weights` gives them, realized at once, in one
-    sweep that gives the values and raises the errors of :func:`q_of_weight`,
-    and compare the spread against tol. Rows may hold any numbers."""
+    :func:`rootsys.dominant_weights` gives them, in one sweep that gives the
+    values and raises the errors of :func:`q_of_weight`, and compare the
+    spread against tol. Rows may hold any numbers."""
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 2 or coeffs.shape[1] != rs.rank or not len(coeffs):
         raise ValueError(f"expected a nonempty (n, {rs.rank}) array of weight coordinates")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    vecs = _realize(rs.fundamental_weights, coeffs.astype(float))
-    q_values = tuple(_gamma_sums(rs, vecs, _log_q_factor, "Q"))
+    q_values = tuple(_gamma_sums(rs, coeffs, _log_q_factor, "Q"))
     q_min = min(q_values)
     q_max = max(q_values)
     dev = (q_max - q_min) / q_min
@@ -410,13 +389,14 @@ def predicted_constants(rs: RootSystem, weight) -> tuple[float, float]:
     |weight + rho|^2 - |rho|^2. A equals Q(weight)/Q(0); B depends on the
     metric normalization.
     """
-    lam = _weight_vec(rs, weight)
-    return _constants(rs, lam, _log_c(rs, lam))
+    return _constants(rs, weight, _log_c(rs, weight))
 
 
-def _constants(rs: RootSystem, lam: np.ndarray, log_c: float) -> tuple[float, float]:
-    """(A, B) at lam from its log c, which a caller may also need."""
-    log_a = _log_weyl_sum(rs, lam, 0.5 * rs.mults, log_c)
+def _constants(rs: RootSystem, weight, log_c: float) -> tuple[float, float]:
+    """(A, B) at the weight from its log c, which a caller may also need."""
+    m, m2 = rs.indivisible_arrays[2:]
+    log_a = _log_weyl_sum(rs, weight, (0.5 * (m + m2)).tolist(), log_c)
+    lam = _realize(rs.fundamental_weights, _coords(weight).astype(float))[0]
     with np.errstate(over="ignore", invalid="ignore"):
         b = float((lam + rs.rho) @ (lam + rs.rho)) - float(rs.rho @ rs.rho)
     # where log A is not finite, log Gamma failed: _exp names that first

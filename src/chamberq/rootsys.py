@@ -213,6 +213,25 @@ class RootSystem:
         return cols
 
     @cached_property
+    def lattice_pairings(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(P, r, bound): at lattice coordinates c the pairings
+        <mu + rho, alpha>/<alpha, alpha> of the indivisible roots are c P + r;
+        P holds the integers <mu_j, alpha>/<alpha, alpha> and r = (m . N)/4,
+        added left to right, N the integers 2<beta, alpha>/<alpha, alpha>. For
+        integer c and m with max |c| <= bound, every partial sum of c P + r is
+        exact, within 2^52. ValueError where P or N is not an integer."""
+        alphas, norms = self.indivisible_arrays[:2]
+        ratios = np.concatenate([self.fundamental_weights, 2.0 * self.roots]) @ alphas.T / norms
+        ints = ratios.round()
+        if not np.abs(ratios - ints).max() <= _MATCH_TOL:
+            raise ValueError("root pairings are not integers: the roots are not crystallographic")
+        P = ints[:self.rank]
+        # a sum over the slow axis: numpy adds the rows in order, left to right
+        r = ((0.25 * self.mults)[:, None] * ints[self.rank:]).sum(0)
+        P.flags.writeable = r.flags.writeable = False
+        return P, r, (2.0**52 - max(map(abs, r.tolist()))) / max(map(sum, np.abs(P).T.tolist()))
+
+    @cached_property
     def fundamental_weights(self) -> tuple[np.ndarray, ...]:
         """Basis of the dominant weight lattice, dual to the unmultipliable
         basis.

@@ -7,14 +7,17 @@ Weyl group by closure under the simple reflections, series summed term by
 term, closed forms in mpmath, and frozen high-precision reference values.
 None of it shares code with the package's Gauss-Legendre panel machinery
 or its vectorized root matching. The exceptions are the two reference
-routes at the end. The pairing route forms each root pairing as its own
-dot and hands it to the package's Gamma-factor kernel, so that a
-comparison with the package isolates how the pairings are formed. The
+routes at the end. The pairing route forms each root pairing in rational
+arithmetic from the weight's lattice coordinates and hands it to the
+package's Gamma-factor kernel, so that a comparison with the package
+isolates how the pairings are formed. The
 chamber-weight route is the log kernel's formula evaluated at every node,
 so that a comparison isolates which nodes the kernel skips.
 """
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -380,7 +383,7 @@ def compensated_sum(items, start=0):
     return total
 
 
-# -- reference pairing route: one dot per root ----------------------------------
+# -- reference pairing route: rational pairings from the coordinates ------------
 
 
 def _left_to_right(terms, start=0.0):
@@ -390,64 +393,102 @@ def _left_to_right(terms, start=0.0):
     return total
 
 
-def _gamma_sums_by_dots(rs, lams, factor):
-    """Per weight of lams, the sum of factor(x, m, m2) over the indivisible
-    roots, added left to right from 0.0, where each pairing
-    x = <lam + rho, alpha>/<alpha, alpha> is its own dot ``float(v @ a)``:
-    no matrix product, no blocks. The pairing check, the kernel and the
-    finishers are the package's."""
-    alphas = [a for a, _, _ in rs.indivisible]
-    norms = [float(a @ a) for a in alphas]
-    rows = []
+def _nearest_integer(value):
+    k = round(value)
+    assert abs(value - k) <= _ROOT_TOL, value
+    return k
+
+
+@functools.lru_cache
+def _lattice_by_dots(rs):
+    """Per indivisible root alpha, the integers 2<rho, alpha>/<alpha, alpha>
+    and <mu_j, alpha>/<alpha, alpha>, each rounded from its own dot on the
+    data of :func:`root_data_by_loops` (integer multiplicities only)."""
+    data = root_data_by_loops(rs.roots, rs.mults)
+    out = []
+    for a, _, _ in data["indivisible"]:
+        norm = float(a @ a)
+        out.append((_nearest_integer(2.0 * float(data["rho"] @ a) / norm),
+                    [_nearest_integer(float(mu @ a) / norm) for mu in data["fundamental"]]))
+    return out
+
+
+def rational_pairings(rs, coeffs):
+    """The pairings <lam + rho, alpha>/<alpha, alpha> of the indivisible
+    roots at the weight with lattice coordinates coeffs, each rounded once
+    from exact rational arithmetic on lam + rho = sum_j c_j mu_j + rho; inf
+    where a pairing overflows a float."""
+    cs = [Fraction(c) for c in coeffs]
+    out = []
+    for two_r, ps in _lattice_by_dots(rs):
+        x = Fraction(two_r, 2)
+        for c, p in zip(cs, ps):
+            x += c * p
+        try:
+            out.append(float(x))
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+def _checked_pairings(rs, coeffs):
+    row = rational_pairings(rs, coeffs)
+    if not all(map(math.isfinite, row)):
+        raise ValueError("weight is too large: a root pairing overflows a float")
+    if min(row) <= 0:
+        raise ValueError("nonpositive pairing: weight is not dominant")
+    return row
+
+
+def _gamma_sums_by_dots(rs, weights, factor):
+    """Per row of lattice coordinates, the sum of factor(x, m, m2) over the
+    indivisible roots, added left to right from 0.0, with the pairings x of
+    :func:`rational_pairings`: no matrix product, no blocks. The kernel and
+    the finishers are the package's."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for lam in lams:
-            v = lam + rs.rho
-            row = [float(v @ a) / norm for a, norm in zip(alphas, norms)]
-            hcfun._check_pairings(row, v, alphas, norms)
-            rows.append(row)
+        rows = [_checked_pairings(rs, coeffs) for coeffs in weights]
         m, m2 = (np.array([[r[k]] for r in rs.indivisible]) for k in (1, 2))
         terms = factor(np.array(rows).T, m, m2)
     return [_left_to_right(col) for col in terms.T.tolist()]
 
 
-def _log_c_by_dots(rs, lam, factor):
-    at_lam, at_zero = _gamma_sums_by_dots(rs, [lam, np.zeros(rs.rank)], factor)
+def _log_c_by_dots(rs, coeffs, factor):
+    at_lam, at_zero = _gamma_sums_by_dots(rs, [coeffs, [0] * rs.rank], factor)
     log_c = at_lam - at_zero
     if not math.isfinite(log_c):
         raise OverflowError("log c is not finite: log Gamma overflows at this weight")
     return log_c
 
 
-def _log_weyl_sum_by_dots(rs, lam, weights, start=0.0):
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = lam + rs.rho
-        nums = [float(v @ a) for a in rs.roots]
-    hcfun._check_pairings(nums, v, rs.roots, 1.0)
-    dens = [float(rs.rho @ a) for a in rs.roots]
-    if any(den <= 0 for den in dens):
-        raise ValueError("nonpositive pairing: weight is not dominant")
+def _log_weyl_sum_by_dots(rs, coeffs, weights, start=0.0):
+    # the ratio <lam + rho, beta>/<rho, beta> of beta = alpha and of beta =
+    # 2 alpha is x/r, so weights holds one entry per indivisible root
+    nums = _checked_pairings(rs, coeffs)
+    dens = _checked_pairings(rs, [0] * rs.rank)
     return _left_to_right((w * (math.log(num) - math.log(den))
                            for w, num, den in zip(weights, nums, dens)), start)
 
 
-def exact_by_dots(rs, lam) -> dict:
-    """The exact side at the weight vector lam through the reference route,
-    as zero-argument callables keyed by the package function each one
-    mirrors: q_of_weight, c_function, c_function_duplicated, A of
-    predicted_constants and, on group manifolds, group_c_closed_form."""
+def exact_by_dots(rs, coeffs) -> dict:
+    """The exact side at the weight with lattice coordinates coeffs through
+    the reference route, as zero-argument callables keyed by the package
+    function each one mirrors: q_of_weight, c_function,
+    c_function_duplicated, A of predicted_constants and, on group
+    manifolds, group_c_closed_form."""
+    halves = [0.5 * (m + m2) for _, m, m2 in rs.indivisible]
     out = {
         "q_of_weight": lambda: hcfun._exp(
-            _gamma_sums_by_dots(rs, [lam], hcfun._log_q_factor)[0], "Q"),
+            _gamma_sums_by_dots(rs, [coeffs], hcfun._log_q_factor)[0], "Q"),
         "c_function": lambda: hcfun._exp(
-            _log_c_by_dots(rs, lam, hcfun._log_c_factor), "c"),
+            _log_c_by_dots(rs, coeffs, hcfun._log_c_factor), "c"),
         "c_function_duplicated": lambda: hcfun._exp(
-            _log_c_by_dots(rs, lam, hcfun._log_c_factors_raw), "c"),
+            _log_c_by_dots(rs, coeffs, hcfun._log_c_factors_raw), "c"),
         "predicted_constants": lambda: hcfun._exp(_log_weyl_sum_by_dots(
-            rs, lam, 0.5 * rs.mults, _log_c_by_dots(rs, lam, hcfun._log_c_factor)), "A"),
+            rs, coeffs, halves, _log_c_by_dots(rs, coeffs, hcfun._log_c_factor)), "A"),
     }
     if hcfun.classify_group_manifold(rs):
         out["group_c_closed_form"] = lambda: math.exp(
-            -_log_weyl_sum_by_dots(rs, lam, [1.0] * len(rs.roots)))
+            -_log_weyl_sum_by_dots(rs, coeffs, [1.0] * len(halves)))
     return out
 
 

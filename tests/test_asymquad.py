@@ -741,6 +741,14 @@ def test_b_delta_closed_forms_agree(m_beta, m_half):
             assert abs(s - w) <= 1e-12 * max(1.0, abs(w))
 
 
+def test_b_delta_weight_form_keeps_its_digits_at_large_rho():
+    # at rho_c = 5e9 the difference of squares (n + rho_c)^2 - rho_c^2 kept
+    # only 7 digits (3.99999959); n (n + 2 rho_c) keeps them all
+    s, w = b_delta_rank1(1e10, 0, 1, 2.0)
+    assert s == pytest.approx(4.0, rel=1e-14)
+    assert abs(s - w) <= 1e-12 * abs(w)
+
+
 # -- cone moments and the small-tau expansion ----------------------------------------
 
 

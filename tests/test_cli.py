@@ -94,6 +94,10 @@ READ_ORDER_CASES = {
     "block-after-comments-and-blank-lines":
         ("# a comment\n\n   \n# another\nname = a\nroot_type = A\nrank = 1\ndim = 2\n",
          "block at line 5: no multiplicities given"),
+    # a comment line is skipped: it does not end the block it sits in
+    "comment-inside-a-block":
+        ("name = a\nroot_type = A\n# from the table\nrank = 1\ndim = 2\n",
+         "block at line 1: no multiplicities given"),
 }
 
 
@@ -103,6 +107,12 @@ def test_catalog_reader_reports_the_first_error_in_read_order(text, message):
     with pytest.raises(CatalogError) as exc:
         parse_catalog(text)
     assert str(exc.value) == message
+
+
+def test_comment_line_inside_a_block_keeps_the_block_whole():
+    cat = parse_catalog("name = X\nroot_type = A\n# from the table\nrank = 1\n"
+                        "mult.short = 1\ndim = 2\n")
+    assert [(e.name, e.rank) for e in cat.entries] == [("X", 1)]
 
 
 def test_reject_duplicate_names():
@@ -268,10 +278,10 @@ def test_emit_q_report_csv_bytes(catalog):
     # space-joined weight labels, 17 significant digits, CRLF line ends
     assert emit(run_flatness(catalog, "SU3", 1, 1e-10), "csv") == (
         "weight,q_value\r\n"
-        "0 0,0.99999999999999978\r\n"
-        "0 1,0.99999999999999956\r\n"
-        "1 0,1.0000000000000004\r\n"
-        "1 1,1.0000000000000024\r\n"
+        "0 0,1.0000000000000004\r\n"
+        "0 1,0.99999999999999967\r\n"
+        "1 0,0.99999999999999967\r\n"
+        "1 1,1.000000000000002\r\n"
     )
 
 
@@ -645,18 +655,16 @@ def test_cli_underflow_is_numerical_failure(argv, quantity, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_cli_asym_zero_closed_forms_of_b_disagree_is_numerical_failure(tmp_path):
-    # the weight form (n + rho)^2 - rho^2 of b cancels at rho = 7e9: a
-    # numerical failure, in a fresh process so a traceback would reach stderr
-    p = tmp_path / "x.txt"
-    p.write_text(HUGE_MULT_CATALOG, encoding="utf-8")
-    proc = _python_m_chamberq(["--catalog", str(p), "asym", "X", "--regime", "zero",
-                               "--weight", "1"], capture_output=True, text=True)
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: numerical failure: closed forms of b "
-                                  "disagree")
-    assert proc.stderr.count("\n") == 1
+def test_cli_asym_zero_closed_forms_of_b_disagree_is_numerical_failure(monkeypatch, capsys):
+    # both closed forms of b are now free of cancellation (at rho = 5e9 they
+    # agree, test_b_delta_weight_form_keeps_its_digits_at_large_rho), so the
+    # disagreement is the old weight form's value there, put in its place
+    monkeypatch.setattr(asymquad, "b_delta_rank1", lambda *args: (4.0, 3.99999959))
+    code, out, err = run_cli(["asym", "S2", "--regime", "zero", "--weight", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == ("error: numerical failure: closed forms of b disagree: "
+                   "4.0 against 3.99999959\n")
 
 
 @pytest.mark.parametrize("space, weight", [("SU2", str(10**400)),
@@ -669,27 +677,30 @@ def test_cli_cfun_rejects_weight_past_float_range(space, weight, capsys):
 
 
 @pytest.mark.parametrize("space, weight, code, message", [
-    # log c is finite, but cancellation leaves it too large for exp
-    ("SU2", str(10**30), 3, "numerical failure: c overflows a float"),
-    # log Gamma overflows to inf in two terms of one factor, and inf - inf is nan
+    # log c is finite, but cancellation leaves it too small for exp
+    ("SU2", str(10**30), 3, "numerical failure: c underflows a float"),
+    # log Gamma overflows to inf in two terms of one factor, and inf - inf is
+    # nan; at 10^308 the pairings 10^308 + 1/2 and 10^308 + 1 are finite
     ("SU2", str(10**306), 3, "numerical failure: log c is not finite"),
     ("CP2", str(10**306), 3, "numerical failure: log c is not finite"),
     ("SU3", f"{10**307},1", 3, "numerical failure: log c is not finite"),
-    # a pairing <weight + rho, alpha> overflows in numpy
-    ("S2", str(10**308), 2, "weight is too large"),
-    ("SU4", f"{10**308},0,0", 2, "weight is too large"),
+    ("S2", str(10**308), 3, "numerical failure: log c is not finite"),
+    ("SU4", f"{10**308},0,0", 3, "numerical failure: log c is not finite"),
+    # a pairing overflows a float: 2n + 2 on CP2
+    ("CP2", str(10**308), 2, "weight is too large: a root pairing overflows a float"),
     # the weight vector itself overflows
     ("SU3", f"{17 * 10**307},{17 * 10**307}", 2, "vector has non-finite entries"),
-    # c is finite but lost to cancellation: 1.0000000000000011 against 1.0e-36,
-    # and 5.1e-56 against 2.0e-64
+    # c is finite but lost to cancellation: 1.0 against 1.0e-36, 1.9e28
+    # against 3.0e-64, and, with every pairing exact, 12.0 and 3.0 against
+    # the closed forms 1.2e-71 and 3.0e-72
     ("SU3", f"{10**18},1", 3, "numerical failure: c = "),
     ("SU4", f"{10**16},1,1", 3, "numerical failure: c = "),
-    # a pairing that is 0 in exact arithmetic reads -38 at 10^18, inside its
-    # rounding error: the sign is lost, the weight is not shown nondominant
-    ("SU4", f"{10**18},0,0", 3, "numerical failure: root pairing -38.1 is 0 to within"),
-    ("SU4", f"{10**18},1,1", 3, "numerical failure: root pairing "),
+    ("SU4", f"{10**18},0,0", 3,
+     "numerical failure: c = 12.0 disagrees with its closed form 1.2000000000000085e-71"),
+    ("SU4", f"{10**18},1,1", 3, "numerical failure: c = "),
 ], ids=["SU2-1e30", "SU2-1e306", "CP2-1e306", "SU3-1e307", "S2-1e308", "SU4-1e308",
-        "SU3-1.7e308", "SU3-1e18", "SU4-1e16", "SU4-1e18", "SU4-1e18-1-1"])
+        "CP2-1e308", "SU3-1.7e308", "SU3-1e18", "SU4-1e16", "SU4-1e18",
+        "SU4-1e18-1-1"])
 def test_cli_cfun_huge_weight_is_one_line_error(space, weight, code, message):
     # in a fresh process, so a numpy warning would reach stderr
     proc = _python_m_chamberq(["cfun", space, "--weight", weight],

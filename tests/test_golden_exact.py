@@ -4,15 +4,16 @@ F factor) against golden_exact.json.
 Floats are compared through ``float.hex``, so a change to the Gamma-factor
 arithmetic that is meant to keep every value must leave this file passing
 unedited. Every weight box is small enough that each pairing
-x = <weight + rho, alpha>/<alpha, alpha> stays below 20, which the last test
+x = <weight + rho, alpha>/<alpha, alpha> stays below 20, which a test
 checks, so a large-argument log-Gamma ratio kernel that starts at x = 20
 keeps those bits. The F-factor rows reach x = 2(cz + a) = 560 and pin the
 plain log-Gamma differences of today. Every entry point forms its
-pairings as one padded product per block of weights, a single weight as a
-one-row block; the flatness sweep, whose blocks hold many weights, must
-give every weight's pinned Q bits too. The last digits of the ray probe
-``g_product_probe`` depend on how the pairings along the ray are formed, so
-its values are compared at rel 1e-12 instead of bit for bit. ``log_gamma``
+pairings exactly from the weight's lattice coordinates, x = c P + r, which
+two tests check: P is an integer matrix, and every pairing of every box
+equals rational arithmetic on the coordinates. The flatness sweep, whose
+blocks hold many weights, must give every weight's pinned Q bits too. The
+ray probe ``g_product_probe`` is compared at rel 1e-12 rather than bit for
+bit. ``log_gamma``
 itself is pinned at fixed arguments from the smallest subnormal to past its
 overflow edge, so every CPython the suite runs on checks that ``math.lgamma``
 gives the recorded bits. An intended change of values
@@ -149,6 +150,35 @@ def test_pinned_pairings_stay_below_bound(name):
     corner = sum(rs.fundamental_weights) * BOX[rs.rank]
     pairings = [float((corner + rs.rho) @ a) / float(a @ a) for a, _, _ in rs.indivisible]
     assert max(pairings) < X_BOUND
+
+
+BENCH_CATALOG = cli.load_catalog(Path(__file__).parents[1] / "bench" / "spaces.txt")
+LATTICE_SPACES = {**SPACES, **{f"bench-{e.name}": e.to_root_system
+                               for e in BENCH_CATALOG.entries}}
+
+
+@pytest.mark.parametrize("name", list(LATTICE_SPACES))
+def test_lattice_pairing_matrix_is_integer(name):
+    # <mu_j, alpha>/<alpha, alpha> from the loop oracle's fundamental weights,
+    # one dot per root: an integer to rounding, and the one the package keeps
+    rs = LATTICE_SPACES[name]()
+    data = oracles.root_data_by_loops(rs.roots, rs.mults)
+    ratios = [[float(mu @ a) / float(a @ a) for a, _, _ in data["indivisible"]]
+              for mu in data["fundamental"]]
+    nearest = [[float(round(v)) for v in row] for row in ratios]
+    assert max(abs(v - k) for row, ks in zip(ratios, nearest)
+               for v, k in zip(row, ks)) <= 1e-12
+    assert rs.lattice_pairings[0].tolist() == nearest
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+def test_box_pairings_equal_rational_arithmetic(name):
+    # every pairing of the box, one float product, against Fraction sums
+    rs = SPACES[name]()
+    coeffs = rootsys.dominant_weights(rs, BOX[rs.rank])
+    x, n_ok = hcfun._pairings(rs, coeffs)
+    assert n_ok == len(coeffs)
+    assert x.tolist() == [oracles.rational_pairings(rs, c) for c in coeffs.tolist()]
 
 
 def sweep_values(name: str) -> list[str]:

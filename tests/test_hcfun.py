@@ -130,7 +130,7 @@ def test_duplication_route_agreement(catalog):
 def test_c_rejects_nondominant():
     rs = sphere(2)
     with pytest.raises(ValueError):
-        c_function(rs, -2.0 * rs.roots[0])
+        c_function(rs, [-2])
 
 
 @pytest.mark.parametrize("fn", [q_of_weight, c_function, c_function_duplicated,
@@ -138,7 +138,7 @@ def test_c_rejects_nondominant():
 def test_exact_entry_points_reject_nondominant(fn):
     rs = sphere(2)  # a group manifold, so the closed form applies
     with pytest.raises(ValueError, match="weight is not dominant"):
-        fn(rs, -2.0 * rs.roots[0])
+        fn(rs, [-2])
 
 
 # -- Q invariant -----------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_q_projective_plane_frozen_values():
 def test_q_rejects_nondominant():
     rs = sphere(1)
     with pytest.raises(ValueError):
-        q_of_weight(rs, -rs.roots[0])
+        q_of_weight(rs, [-1])
 
 
 # -- F factor ---------------------------------------------------------------------
@@ -300,9 +300,9 @@ def test_q_invariance_empty_weights():
 ], ids=["pairing", "log-q"])
 def test_q_invariance_raises_at_first_failing_weight(second, error, message):
     # the second weight fails, and so does the third, which is not dominant
-    # (its vector is -2 times the root): the sweep raises what q_of_weight
-    # raises at the second
-    rs = sphere(1)
+    # (its pairing is -2): the sweep raises what q_of_weight raises at the
+    # second. On type BC1 the pairing is 2 n + 2, which overflows at 10^308
+    rs = build_root_system("BC", 1, {"short": 2, "long": 1})
     coeffs = [[1], [second], [-2]]
     with pytest.raises(error, match=message):
         q_of_weight(rs, spherical_weight(rs, [second]))
@@ -316,8 +316,7 @@ def test_q_invariance_raises_at_first_failing_weight(second, error, message):
 def test_q_invariance_raises_in_weight_order_when_log_gamma_rejects():
     # m = 1.7e308: Q's log is nan at the zero weight, and at 5e307 the
     # argument m/2 + x of one log Gamma overflows to inf, which log_gamma
-    # rejects; the sweep fails as q_of_weight does at the first weight. The
-    # one fundamental weight is the root, so coordinates are the vectors
+    # rejects; the sweep fails as q_of_weight does at the first weight
     rs = rootsys.RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([1.7e308]))
     zero, big = [0.0], [5e307]
     assert rs.fundamental_weights[0].tolist() == [1.0]
@@ -333,21 +332,53 @@ def test_q_invariance_raises_in_weight_order_when_log_gamma_rejects():
                                 group_c_closed_form, predicted_constants,
                                 lambda rs, w: q_invariance_test(rs, [w.coeffs], 1e-6)])
 def test_pairing_sign_lost_to_rounding_is_numerical_failure(fn):
-    # <mu_1, alpha> realizes as -8e-17 for one root of SU4, so at 10^18 that
-    # pairing reads below 0 by much less than its rounding bound
+    # Named for what float pairings did: <mu_1, alpha> realized as -8e-17
+    # for one root of SU4, so at 10^18 a pairing that is exactly 1 read
+    # -38.1, inside its rounding bound, and every entry point raised a
+    # numerical failure. Pairings formed from the lattice coordinates keep
+    # that 1, so no entry point raises a pairing error at this weight; what
+    # remains is log Gamma's cancellation, which moves c itself
     rs = build_root_system("A", 3, {"all": 2})
     w = spherical_weight(rs, [10**18, 0, 0])
-    with pytest.raises(ArithmeticError, match="to within its rounding error"):
+    try:
         fn(rs, w)
+    except (ArithmeticError, ValueError) as exc:
+        assert "pairing" not in str(exc) and "dominant" not in str(exc)
+
+
+def test_pairings_at_1e18_are_exact():
+    # 10^18 + k rounds to 10^18 for k <= 64; the rho parts 1 stay exact
+    rs = build_root_system("A", 3, {"all": 2})
+    x, n_ok = hcfun._pairings(rs, np.array([[10**18, 0, 0]]))
+    assert n_ok == 1
+    assert x.tolist() == [[1e18, 1e18, 1.0, 1e18, 1e18, 1.0]]
+    assert group_c_closed_form(rs, [10**18, 0, 0]) == pytest.approx(12e-72, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 10**3, 10**9, 10**15, 10**16, 10**18])
+def test_negative_coordinate_is_not_dominant_at_every_size(k, monkeypatch, capsys):
+    # on SU3 the row (k, -k) pairs to 1 - k with the second simple root:
+    # exact, so an input error at every size; the CLI's cfun rejects a
+    # negative coefficient before it forms a pairing, so it is handed the
+    # row itself here to show that the error is exit 2 with one line
+    rs = build_root_system("A", 2, {"all": 2})
+    for fn in (q_of_weight, c_function, c_function_duplicated, group_c_closed_form,
+               predicted_constants, lambda rs, w: q_invariance_test(rs, [w], 1e-6)):
+        with pytest.raises(ValueError, match="^nonpositive pairing: weight is not dominant$"):
+            fn(rs, [k, -k])
+    monkeypatch.setattr(rootsys, "spherical_weight", lambda rs, coeffs: coeffs)
+    assert cli.main(["cfun", "SU3", "--weight", f"{k},{-k}"]) == 2
+    assert capsys.readouterr().err == "error: nonpositive pairing: weight is not dominant\n"
 
 
 @pytest.mark.filterwarnings("error")
 def test_closed_form_pairing_overflow_is_input_error():
-    rs = build_root_system("A", 1, {"all": 2})
-    w = spherical_weight(rs, [10**308])
+    # on SU3 the pairing with the highest root is the coefficient sum 2e308
+    # (the weight's vector overflows too, so no SphericalWeight holds it)
+    rs = build_root_system("A", 2, {"all": 2})
     for fn in (c_function, group_c_closed_form):
         with pytest.raises(ValueError, match="a root pairing overflows a float"):
-            fn(rs, w)
+            fn(rs, [10**308, 10**308])
 
 
 def test_f_factors_match_f_factor_bits():
@@ -376,13 +407,13 @@ _HUGE_M = build_root_system("A", 1, {"all": 1e10})
 _HUGE_M2 = build_root_system("BC", 1, {"short": 2, "long": 5000})
 
 
-def _at(rs, *coeffs):
-    return np.array(coeffs, dtype=float) @ rs.fundamental_weights
-
-
-def _shifted_near_origin(rs, eps):
-    # a vector v whose v + rho is eps rho: every pairing eps times rho's
-    return -rs.rho * (1.0 - eps)
+def _with_log(monkeypatch, name, log_value, call):
+    # at a dominant weight c and the closed-form c are at most 1, and each
+    # root's factor of A was at least e^-0.39 on a sampled grid of
+    # multiplicities up to 1e10, so no lattice weight reaches these sites:
+    # they are reached with the log that feeds them replaced
+    monkeypatch.setattr(hcfun, name, lambda *args: log_value)
+    return call()
 
 
 def _fitted_a(monkeypatch, log_a):
@@ -405,26 +436,26 @@ _GUARDED = [
      lambda mp: q_invariance_test(_HUGE_M, [[0], [1]], 1e-6)),
     ("q_invariance_test", "overflows", "Q",
      lambda mp: q_invariance_test(_HUGE_M2, [[0], [1]], 1e-6)),
-    # on SU10, c = pi(rho)/pi(v + rho) is 1e360 when the 45 pairings of
-    # v + rho are 1e-8 times rho's (log c = 828.9); on SU3 it is 1e-1380 at
-    # (10^200, 10^200)
-    ("c_function", "underflows", "c", lambda mp: c_function(_HUGE_M, _at(_HUGE_M, 10**6))),
+    # on SU3, c = pi(rho)/pi(v + rho) is 1e-1380 at (10^200, 10^200)
+    ("c_function", "underflows", "c", lambda mp: c_function(_HUGE_M, [10**6])),
     ("c_function", "overflows", "c",
-     lambda mp: c_function(_su(10), _shifted_near_origin(_su(10), 1e-8))),
+     lambda mp: _with_log(mp, "_log_c", 1000.0, lambda: c_function(_su(3), [1, 1]))),
     ("c_function_duplicated", "underflows", "c",
-     lambda mp: c_function_duplicated(_HUGE_M, _at(_HUGE_M, 10**6))),
+     lambda mp: c_function_duplicated(_HUGE_M, [10**6])),
     ("c_function_duplicated", "overflows", "c",
-     lambda mp: c_function_duplicated(_su(10), _shifted_near_origin(_su(10), 1e-8))),
+     lambda mp: _with_log(mp, "_log_c", 1000.0,
+                          lambda: c_function_duplicated(_su(3), [1, 1]))),
     ("group_c_closed_form", "underflows", "closed-form c",
-     lambda mp: group_c_closed_form(_su(3), _at(_su(3), 1e200, 1e200))),
+     lambda mp: group_c_closed_form(_su(3), [10**200, 10**200])),
     ("group_c_closed_form", "overflows", "closed-form c",
-     lambda mp: group_c_closed_form(_su(10), _shifted_near_origin(_su(10), 1e-8))),
-    # A is c times a pairing ratio to the power m/2: log A = -837 at m = 100
-    # with v + rho = 1e-8 rho, and 306803 at 10^6 with m = 1e10
+     lambda mp: _closed_form_with_log(mp, -1000.0)),
+    # A is c times a pairing ratio to the power m/2: log A = 306803 at 10^6
+    # with m = 1e10
     ("predicted_constants", "underflows", "A",
-     lambda mp: predicted_constants(sphere(100), _shifted_near_origin(sphere(100), 1e-8))),
+     lambda mp: _with_log(mp, "_log_weyl_sum", -1000.0,
+                          lambda: predicted_constants(_su(3), [1, 1]))),
     ("predicted_constants", "overflows", "A",
-     lambda mp: predicted_constants(_HUGE_M, _at(_HUGE_M, 10**6))),
+     lambda mp: predicted_constants(_HUGE_M, [10**6])),
     ("g_product_probe", "underflows", "ray product",
      lambda mp: g_product_probe(_HUGE_M, 0, 3)),
     ("g_product_probe", "overflows", "ray product",
@@ -454,8 +485,8 @@ def test_every_gamma_product_leaves_log_space_through_the_guard(site, way, name,
 
 
 def _closed_form_with_log(monkeypatch, log_value):
-    monkeypatch.setattr(hcfun, "_log_weyl_sum", lambda *args: log_value)
-    return group_c_closed_form(_su(3), [1.0, 1.0])
+    return _with_log(monkeypatch, "_log_weyl_sum", log_value,
+                     lambda: group_c_closed_form(_su(3), [1, 1]))
 
 
 # (quantity, the rest of the message, the call): a Gamma product's log is
@@ -465,7 +496,7 @@ def _closed_form_with_log(monkeypatch, log_value):
 _NOT_FINITE = [
     # on SU2 at 10^306 log c is nan and B overflows too: the Gamma failure is named
     ("A", ": log Gamma overflows at this weight",
-     lambda mp: predicted_constants(_su(2), _at(_su(2), 1e306))),
+     lambda mp: predicted_constants(_su(2), [10**306])),
     ("closed-form c", " at this weight", lambda mp: _closed_form_with_log(mp, math.inf)),
     ("fitted A", " on this grid", lambda mp: _fitted_a(mp, math.nan)),
 ]
@@ -485,7 +516,7 @@ def test_guard_returns_subnormal_values():
         assert 0.0 < value < 2.2250738585072014e-308
         assert value == math.exp(log_value)
     # c at 1050 on multiplicity 1e10: log c = -727.8
-    c = c_function(_HUGE_M, _at(_HUGE_M, 1050))
+    c = c_function(_HUGE_M, [1050])
     assert 0.0 < c < 2.2250738585072014e-308
 
 
@@ -619,7 +650,7 @@ _PACKAGE = {
 def test_exact_side_matches_one_dot_per_root_route(k, entry):
     # golden_exact.json pins pairings below 20; these weights have
     # coefficients from 10 to 10^18, with about a quarter of them 0, so
-    # that some pairings lose their sign to rounding and raise
+    # that rows past the float product's exact range take the rational route
     rs = entry.to_root_system()
     rng = np.random.default_rng([1019, k])
     for _ in range(REFERENCE_WEIGHTS):
@@ -627,19 +658,19 @@ def test_exact_side_matches_one_dot_per_root_route(k, entry):
         zero = rng.random(rs.rank) < 0.25
         coeffs = [0 if z else int(10.0 ** e) for e, z in zip(exps, zero)]
         w = spherical_weight(rs, coeffs)
-        for name, reference in oracles.exact_by_dots(rs, w.vector).items():
+        for name, reference in oracles.exact_by_dots(rs, coeffs).items():
             got = _outcome(lambda: _PACKAGE[name](rs, w))
             assert got == _outcome(reference), (name, coeffs)
 
 
-def _s2_box(max_coeff):
-    rs = cli.default_catalog().get("S2").to_root_system()
+def _rank1_box(name, max_coeff):
+    rs = cli.default_catalog().get(name).to_root_system()
     return rs, dominant_weights(rs, max_coeff)
 
 
 def test_sweep_of_several_blocks_matches_q_of_weight():
     # S2 has one indivisible root, so its 9001 weights fill five blocks
-    rs, coeffs = _s2_box(9000)
+    rs, coeffs = _rank1_box("S2", 9000)
     assert len(coeffs) > 4 * hcfun._BLOCK_ENTRIES
     swept = q_invariance_test(rs, coeffs, 1.0).q_values
     assert [q.hex() for q in swept] == [q_of_weight(rs, spherical_weight(rs, c)).hex()
@@ -653,12 +684,12 @@ def test_sweep_of_several_blocks_matches_q_of_weight():
     (1e306, OverflowError, "log Q is not finite"),
 ], ids=["pairing-overflow", "not-dominant", "log-q"])
 def test_sweep_raises_at_failing_weight_in_second_block(bad, error, message):
-    # the bad coordinate realizes to bad * mu_1, mu_1 = sqrt(2): the vectors
-    # 1.7e308, -2.8 and 1.4e306
-    rs, coeffs = _s2_box(9000)
+    # CP2 has one indivisible root, whose pairing at coordinate n is
+    # 2n + 2: 2.4e308 (past the float range), -2 and 2e306
+    rs, coeffs = _rank1_box("CP2", 9000)
     coeffs = coeffs.astype(float)
     coeffs[hcfun._BLOCK_ENTRIES + 5] = bad
     with pytest.raises(error, match=message):
-        q_of_weight(rs, bad * rs.fundamental_weights[0])
+        q_of_weight(rs, [bad])
     with pytest.raises(error, match=message):
         q_invariance_test(rs, coeffs, 1.0)
