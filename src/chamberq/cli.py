@@ -84,7 +84,7 @@ class SpaceDescriptor:
 
     @cached_property
     def _root_system(self) -> rootsys.RootSystem:
-        return rootsys._build(self._spec, self.metric_scale)
+        return rootsys._build(self._spec)
 
     def to_root_system(self) -> rootsys.RootSystem:
         """The space's root system, built on the first call and kept."""
@@ -242,6 +242,11 @@ _KEYS = {"name": (str, None), "root_type": (str, None), "rank": (int, None),
          "dim": (int, None), "metric_scale": (float, 1.0), "source": (str, "")}
 
 
+class _NotText(str):
+    """The JSON spelling of a catalog value that is neither a string nor a
+    number: no key accepts it."""
+
+
 def _entry(fields: dict, where: str) -> SpaceDescriptor:
     """Validate one catalog entry given as ``key -> value`` text, with the
     multiplicities under ``mult.<class>``; ``where`` locates it in errors."""
@@ -251,6 +256,8 @@ def _entry(fields: dict, where: str) -> SpaceDescriptor:
         if raw is None:
             raise CatalogError(f"{where}: missing required key {key!r}")
         try:
+            if isinstance(raw, _NotText):
+                raise ValueError(raw)
             values.append(conv(raw))
         except ValueError as exc:
             raise CatalogError(f"{where}: bad value for {key!r}: {raw!r}") from exc
@@ -306,7 +313,8 @@ def _text_entries(text: str):
 
 def _json_entries(text: str):
     """(fields, where) of each entry of a JSON catalog, the shape that
-    :func:`emit` writes; non-string values keep their JSON spelling."""
+    :func:`emit` writes; a number keeps its JSON spelling, and any other
+    value that is not a string becomes :class:`_NotText`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -325,7 +333,8 @@ def _json_entries(text: str):
             if f"mult.{k}" in fields:
                 raise CatalogError(f"{where}: duplicate key {'mult.' + k!r}")
             fields[f"mult.{k}"] = v
-        yield {k: v if isinstance(v, str) else json.dumps(v)
+        yield {k: v if isinstance(v, str) else
+               (str if type(v) in (int, float) else _NotText)(json.dumps(v))
                for k, v in fields.items()}, where
 
 
@@ -340,7 +349,8 @@ def parse_catalog(text: str) -> Catalog:
 def load_catalog(path) -> Catalog:
     """Read and parse the catalog file at ``path``, a str or a Path."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that some editors write
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     return parse_catalog(text)
@@ -634,7 +644,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (CatalogError, ValueError) as exc:
+    except ValueError as exc:  # CatalogError too
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (RuntimeError, ArithmeticError) as exc:

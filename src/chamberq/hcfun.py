@@ -116,15 +116,14 @@ def _log_c_factor(x: np.ndarray, m, m2, power=0.0) -> np.ndarray:
     return g[0] + g[1] + power * log_x - g[2] - g[3]
 
 
-def _log_c_factor_raw(x: float, m: float, m2: float) -> float:
-    # unnormalized factor before applying the duplication formula: a power
-    # of two and a Gamma over two half-argument Gammas
-    return (
-        -x * math.log(2.0)
-        + log_gamma(x)
-        - log_gamma(0.25 * m + 0.5 + 0.5 * x)
-        - log_gamma(0.25 * m + 0.5 * m2 + 0.5 * x)
-    )
+def _log_c_factor_raw(x: np.ndarray, m, m2) -> np.ndarray:
+    """:func:`_log_c_factor` at power 0 before the duplication formula is
+    applied, elementwise in the same way: a power of two and a Gamma over
+    two half-argument Gammas."""
+    half = 0.5 * x
+    args = np.concatenate([x, 0.25 * m + 0.5 + half, 0.25 * m + 0.5 * m2 + half])
+    g = _log_gammas(args).reshape(3, *x.shape)
+    return -x * math.log(2.0) + g[0] - g[1] - g[2]
 
 
 def _log_q_factor(x: np.ndarray, m, m2) -> np.ndarray:
@@ -180,7 +179,7 @@ def _gamma_sums(rs: RootSystem, coeffs: np.ndarray, factor, name=None,
     rows before the first that fails in one call, _exp runs row by row, and
     then the failing row raises: each error comes where a loop over the
     rows would raise it."""
-    m, m2 = (col[on, None] for col in rs.indivisible_arrays[2:])
+    m, m2 = (col[on, None] for col in rs.indivisible_arrays[1:])
     step = max(_BLOCK_ENTRIES // len(m), 1)
     out: list = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,12 +246,7 @@ def c_function_duplicated(rs: RootSystem, weight) -> float:
     """Same value as :func:`c_function` but computed from the product form
     with half-argument Gammas, i.e. without applying the duplication
     formula. Used to cross-validate the two algebraic routes."""
-    return _exp(_log_c(rs, weight, _log_c_factors_raw), "c")
-
-
-def _log_c_factors_raw(x: np.ndarray, m: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    m, m2 = (np.broadcast_to(a, x.shape).ravel().tolist() for a in (m, m2))
-    return np.array(list(map(_log_c_factor_raw, x.ravel().tolist(), m, m2))).reshape(x.shape)
+    return _exp(_log_c(rs, weight, _log_c_factor_raw), "c")
 
 
 def group_c_closed_form(rs: RootSystem, weight) -> float:
@@ -394,7 +388,7 @@ def predicted_constants(rs: RootSystem, weight) -> tuple[float, float]:
 
 def _constants(rs: RootSystem, weight, log_c: float) -> tuple[float, float]:
     """(A, B) at the weight from its log c, which a caller may also need."""
-    m, m2 = rs.indivisible_arrays[2:]
+    m, m2 = rs.indivisible_arrays[1:]
     log_a = _log_weyl_sum(rs, weight, (0.5 * (m + m2)).tolist(), log_c)
     lam = _realize(rs.fundamental_weights, _coords(weight).astype(float))[0]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -82,7 +82,7 @@ def _match(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _integral(mults) -> bool:
-    return all(abs(m - round(m)) <= _MATCH_TOL for m in mults)
+    return all(abs(m - round(m)) <= _MATCH_TOL and round(m) >= 1 for m in mults)
 
 
 def _check_geometric(mults, has_double) -> None:
@@ -119,7 +119,10 @@ class RootSystem:
             raise ValueError("mults must align with roots")
         if not (np.isfinite(roots).all() and np.isfinite(mults).all()):
             raise ValueError("non-finite root data")
-        if (np.linalg.norm(roots, axis=1) <= _MATCH_TOL).any():
+        # the checks compare roots in units of the longest one, so that they
+        # hold at every metric scale
+        norms = np.linalg.norm(roots, axis=1)
+        if (norms <= _MATCH_TOL * norms.max()).any():
             raise ValueError("zero vector listed as a root")
         if (mults <= 0).any():
             raise ValueError("multiplicities must be positive")
@@ -129,12 +132,13 @@ class RootSystem:
         mults.flags.writeable = False
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "_unit", roots / norms.max())
         self._validate_structure()
 
     # -- structural checks -------------------------------------------------
 
     def _validate_structure(self):
-        roots, mults, n = self.roots, self.mults, len(self.roots)
+        roots, mults, n = self._unit, self.mults, len(self.roots)
         # one match: each root, its half and its double
         same, half, double = _match(roots, np.array([roots, 0.5 * roots, 2.0 * roots]))
         if (same != np.arange(n)).any():
@@ -151,7 +155,7 @@ class RootSystem:
     def _detect_simple(self) -> tuple[int, ...]:
         # simple = positive root a with no root a - b, b a positive root;
         # the differences of a block of roots are one match block
-        roots, n = self.roots, len(self.roots)
+        roots, n = self._unit, len(self.roots)
         step = max(self.rank, _MIN_BLOCK // n)
         composite = np.concatenate([
             (_match(roots, roots[s:s + step, None] - roots) >= 0).any(1)
@@ -166,7 +170,7 @@ class RootSystem:
         # root additionally has to be present (closure under the Weyl
         # group). Every root is reflected in every simple root at once, and
         # the first simple root with a failure names it.
-        roots, mults = self.roots, self.mults
+        roots, mults = self._unit, self.mults
         s = roots[list(self._simple_idx)]
         refl = roots[:, None] - (2.0 * (roots @ s.T) / (s * s).sum(1))[..., None] * s
         refl = np.array([refl, -refl])  # a negated reflection may be the root
@@ -181,11 +185,6 @@ class RootSystem:
                 raise ValueError("geometric system not closed under a simple reflection")
             raise ValueError("multiplicity is not Weyl invariant")
 
-    def _double_mult(self, i: int) -> float:
-        """Multiplicity of twice root i, or 0 when it is not a root."""
-        k = self._double[i]
-        return float(self.mults[k]) if k >= 0 else 0.0
-
     # -- derived data, computed on first use ---------------------------------
 
     @cached_property
@@ -194,23 +193,24 @@ class RootSystem:
         return as_vector(0.5 * (self.mults @ self.roots), self.rank)
 
     @cached_property
-    def indivisible(self) -> tuple[tuple[np.ndarray, float, float], ...]:
-        """Positive roots alpha with alpha/2 absent, as (alpha, m_alpha,
-        m_2alpha)."""
-        return tuple(
-            (as_vector(a, self.rank), float(self.mults[i]), self._double_mult(i))
-            for i, a in enumerate(self.roots) if self._half[i] < 0
-        )
-
-    @cached_property
-    def indivisible_arrays(self) -> tuple[np.ndarray, ...]:
-        """:attr:`indivisible` as read-only arrays: the (n, rank) roots alpha,
-        then <alpha, alpha> (one dot per root), m_alpha and m_2alpha."""
-        alphas, m, m2 = (np.array(col) for col in zip(*self.indivisible))
-        cols = (alphas, np.array([float(a @ a) for a in alphas]), m, m2)
+    def indivisible_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positive roots alpha with alpha/2 absent, as read-only arrays:
+        the (n, rank) roots alpha, m_alpha, and m_2alpha (0 where 2 alpha is
+        not a root)."""
+        keep = self._half < 0
+        double = self._double[keep]
+        cols = (self.roots[keep], self.mults[keep],
+                np.where(double >= 0, self.mults[double], 0.0))
         for col in cols:
             col.flags.writeable = False
         return cols
+
+    @cached_property
+    def indivisible(self) -> tuple[tuple[np.ndarray, float, float], ...]:
+        """:attr:`indivisible_arrays` root by root, as (alpha, m_alpha,
+        m_2alpha), each alpha a read-only row of the table."""
+        alphas, m, m2 = self.indivisible_arrays
+        return tuple(zip(alphas, m.tolist(), m2.tolist()))
 
     @cached_property
     def lattice_pairings(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -220,7 +220,9 @@ class RootSystem:
         added left to right, N the integers 2<beta, alpha>/<alpha, alpha>. For
         integer c and m with max |c| <= bound, every partial sum of c P + r is
         exact, within 2^52. ValueError where P or N is not an integer."""
-        alphas, norms = self.indivisible_arrays[:2]
+        alphas = self.indivisible_arrays[0]
+        # the ratios are rounded: the last bits of the norms reach no output
+        norms = np.einsum("ij,ij->i", alphas, alphas)
         ratios = np.concatenate([self.fundamental_weights, 2.0 * self.roots]) @ alphas.T / norms
         ints = ratios.round()
         if not np.abs(ratios - ints).max() <= _MATCH_TOL:
@@ -262,7 +264,7 @@ class RootSystem:
         mus = np.array(self.fundamental_weights)
         edges = mus / np.linalg.norm(mus, axis=1)[:, None]
         # a root on a wall pairs to rounding noise below 0
-        if np.any(self.roots @ edges.T < -_MATCH_TOL):
+        if np.any(self._unit @ edges.T < -_MATCH_TOL):
             raise ValueError("empty Weyl chamber: roots are not one sided")
         edges.flags.writeable = False
         return edges
@@ -368,6 +370,7 @@ class RootSpec:
     sizes: tuple[int, ...]
     mults: tuple[float, ...]
     geometric: bool
+    metric_scale: float
 
     @property
     def dimension(self) -> float:
@@ -400,7 +403,7 @@ def root_spec(
     if geometric:
         # only the short class of BC has its doubles in the system
         _check_geometric(mults, [t == "BC"] + [False] * (len(mults) - 1))
-    return RootSpec(t, rank, labels, sizes, tuple(mults), geometric)
+    return RootSpec(t, rank, labels, sizes, tuple(mults), geometric, metric_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +459,12 @@ def build_root_system(
     """
     spec = root_spec(type_label, rank, multiplicities,
                      metric_scale=metric_scale, geometric=geometric)
-    return _build(spec, metric_scale)
+    return _build(spec)
 
 
-def _build(spec: RootSpec, metric_scale: float) -> RootSystem:
+def _build(spec: RootSpec) -> RootSystem:
     """:func:`build_root_system` after its checks, on a spec that
-    :func:`root_spec` returned for ``metric_scale``."""
+    :func:`root_spec` returned."""
     rank = spec.rank
     roots, d = _positive_roots_standard(spec.type_label, rank)
     if d > rank:
@@ -476,13 +479,12 @@ def _build(spec: RootSpec, metric_scale: float) -> RootSystem:
             if nz.size and nz[0] < 0:
                 roots[:, k] = -col
 
-    mults = np.repeat(spec.mults, spec.sizes)
-    longest = max(float(a @ a) for a in roots)
-    roots = roots * math.sqrt(2.0 * metric_scale / longest)
-
+    # ordered before scaling, so that the order holds at every metric scale
     order = np.lexsort(np.round(roots, 9).T[::-1])  # first column first
     roots = roots[order]
-    mults = mults[order]
+    mults = np.repeat(spec.mults, spec.sizes)[order]
+    longest = max(float(a @ a) for a in roots)
+    roots = roots * math.sqrt(2.0 * spec.metric_scale / longest)
     return RootSystem(rank=rank, roots=roots, mults=mults, geometric=spec.geometric)
 
 
@@ -549,7 +551,8 @@ def rho_pairing_identity(rs: RootSystem, j: int) -> tuple[float, float]:
     i = rs._simple_idx[j]
     a = rs.roots[i]
     lhs = float(rs.rho @ a)
-    rhs = (0.5 * rs.mults[i] + rs._double_mult(i)) * float(a @ a)
+    k = rs._double[i]
+    rhs = (0.5 * rs.mults[i] + (rs.mults[k] if k >= 0 else 0.0)) * float(a @ a)
     return lhs, rhs
 
 

@@ -482,7 +482,7 @@ def exact_by_dots(rs, coeffs) -> dict:
         "c_function": lambda: hcfun._exp(
             _log_c_by_dots(rs, coeffs, hcfun._log_c_factor), "c"),
         "c_function_duplicated": lambda: hcfun._exp(
-            _log_c_by_dots(rs, coeffs, hcfun._log_c_factors_raw), "c"),
+            _log_c_by_dots(rs, coeffs, hcfun._log_c_factor_raw), "c"),
         "predicted_constants": lambda: hcfun._exp(_log_weyl_sum_by_dots(
             rs, coeffs, halves, _log_c_by_dots(rs, coeffs, hcfun._log_c_factor)), "A"),
     }

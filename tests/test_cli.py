@@ -157,6 +157,16 @@ def test_load_catalog_from_file(tmp_path):
         load_catalog(str(tmp_path / "missing.txt"))
 
 
+def test_load_catalog_skips_a_byte_order_mark(tmp_path):
+    # as a Windows editor may save them: a BOM, and CRLF line ends in text
+    want = emit(default_catalog(), "json")
+    for name, text in (("cat.txt", cli.DEFAULT_CATALOG_TEXT.replace("\n", "\r\n")),
+                       ("cat.json", want)):
+        p = tmp_path / name
+        p.write_bytes(("\ufeff" + text).encode("utf-8"))
+        assert emit(load_catalog(p), "json") == want, name
+
+
 def test_load_catalog_reads_any_str_as_a_path(tmp_path):
     # a str path with '=' in it is still a path, and text is not one
     p = tmp_path / "x=1" / "spaces.txt"
@@ -209,8 +219,12 @@ def _as_text(entry):
     {"entries": [{**_ENTRY, "rank": 1.5}]},
     {"entries": [{**_ENTRY, "color": "blue"}]},
     {"entries": [{**_ENTRY, "mult.short": 1}]},
+    {"entries": [{**_ENTRY, "name": None}]},
+    {"entries": [{**_ENTRY, "source": None}]},
+    {"entries": [{**_ENTRY, "name": True}]},
 ], ids=["non-object", "entries-5", "non-object-entry", "multiplicities-list",
-        "rank-null", "rank-1.5", "unknown-key", "multiplicity-twice"])
+        "rank-null", "rank-1.5", "unknown-key", "multiplicity-twice",
+        "name-null", "source-null", "name-true"])
 def test_cli_rejects_malformed_json_catalog(doc, tmp_path, capsys):
     p = tmp_path / "cat.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
@@ -224,7 +238,8 @@ def test_cli_rejects_malformed_json_catalog(doc, tmp_path, capsys):
     ({"color": "blue"}, "unknown keys ['color']"),
     ({"dim": None}, "missing required key 'dim'"),
     ({"rank": 1.5}, "bad value for 'rank': '1.5'"),
-], ids=["unknown-key", "missing-dim", "rank-1.5"])
+    ({"multiplicities": {"short": 1e-10}, "dim": 1}, "geometric multiplicities must be integers"),
+], ids=["unknown-key", "missing-dim", "rank-1.5", "multiplicity-1e-10"])
 def test_text_and_json_catalogs_reject_the_same_entry(change, message):
     entry = {k: v for k, v in {**_ENTRY, **change}.items() if v is not None}
     for text in (_as_text(entry), json.dumps({"entries": [entry]})):

@@ -30,6 +30,7 @@ from chamberq.rootsys import (
     root_spec,
     spherical_weight,
 )
+from chamberq.hcfun import q_of_weight
 from test_golden_exact import GEOMETRIC
 
 CATALOG = cli.default_catalog()
@@ -106,6 +107,13 @@ def test_geometric_constraint_odd_with_double():
     # allowed when the integer constraints are switched off
     rs = build_root_system("BC", 1, {"short": 3, "long": 1}, geometric=False)
     assert not rs.geometric
+
+
+def test_geometric_multiplicity_is_a_positive_integer():
+    # 1e-10 lies within the integer tolerance of 0, which is no multiplicity
+    assert not root_spec("A", 1, {"all": 1e-10}).geometric
+    with pytest.raises(ValueError, match="^geometric multiplicities must be integers$"):
+        root_spec("A", 1, {"all": 1e-10}, geometric=True)
 
 
 # every type at each rank from 1 to 12 that it has
@@ -365,6 +373,31 @@ def test_metric_scale_multiplies_pairings():
     )
 
 
+# the structure checks compare roots in units of the longest one, so no
+# scale in the float range moves a build or the bits of Q
+SWEEP_SCALES = (1e-30, 1e-19, 1e-12, 1.0, 1e6, 1e12, 1e30, 1e300)
+SWEEP_SYSTEMS = {
+    "A2": ("A", 2, {"all": 2}),
+    "A4": ("A", 4, {"all": 1}),
+    "B3": ("B", 3, {"short": 2, "long": 1}),
+    "C3": ("C", 3, {"short": 1, "long": 1}),
+    "BC2": ("BC", 2, {"short": 2, "long": 2, "double": 1}),
+    "G2": ("G2", 2, {"short": 1, "long": 1}),
+    "F4": ("F4", 4, {"short": 1, "long": 1}),
+}
+
+
+@pytest.mark.parametrize("t, r, m", SWEEP_SYSTEMS.values(), ids=SWEEP_SYSTEMS.keys())
+def test_q_keeps_its_bits_at_every_metric_scale(t, r, m):
+    weight = [1] + [2] * (r - 1)
+    want = q_of_weight(build_root_system(t, r, m), weight)
+    for scale in SWEEP_SCALES:
+        for rs in (build_root_system(t, r, m, metric_scale=scale),
+                   rescale(build_root_system(t, r, m), scale)):
+            assert rs.geometric
+            assert q_of_weight(rs, weight).hex() == want.hex(), scale
+
+
 # -- indivisible roots ---------------------------------------------------------
 
 
@@ -390,11 +423,12 @@ def test_indivisible_arrays_are_indivisible_derived_once(catalog):
         cols = rs.indivisible_arrays
         assert rs.indivisible_arrays is cols
         assert not any(col.flags.writeable for col in cols)
-        alphas, norms, m, m2 = cols
+        alphas, m, m2 = cols
         assert len(alphas) == len(rs.indivisible)
         for i, (a, ma, m2a) in enumerate(rs.indivisible):
             assert alphas[i].tolist() == a.tolist()
-            assert (norms[i], m[i], m2[i]) == (float(a @ a), ma, m2a)
+            assert (m[i], m2[i]) == (ma, m2a)
+        assert not a.flags.writeable and np.shares_memory(a, alphas)
 
 
 def test_dimension_examples():
