@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from . import asymquad, hcfun, rootsys
 from .asymquad import AsymptoticReport
 from .hcfun import QInvarianceReport
@@ -351,7 +353,7 @@ def load_catalog(path) -> Catalog:
     try:
         # utf-8-sig drops the byte-order mark that some editors write
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     return parse_catalog(text)
 
@@ -366,7 +368,7 @@ def default_catalog() -> Catalog:
 
 
 # the sweep holds every weight, its Q and the report text at once; at this
-# bound a flatness command peaks at 94 to 134 MB (max RSS of SU2, SU3 and
+# bound a flatness command peaks at 94 to 108 MB (max RSS of SU2, SU3 and
 # SU4 at their largest boxes, json and csv)
 _MAX_FLATNESS_WEIGHTS = 250_000
 # probe-F holds every row of its table at once: near 60 MB at this bound
@@ -422,19 +424,21 @@ def _fnum(x: float) -> str:
 
 
 def _json(v) -> str:
-    """Deterministic JSON: dict keys in insertion order, floats via _fnum."""
+    """Deterministic JSON: dict keys in insertion order, floats via _fnum.
+    A sequence of floats, such as Q over a sweep, is formatted in one pass.
+    An integer array is written as the repr of its nested lists, which is
+    already JSON; any other array as the lists it holds."""
     if isinstance(v, dict):
         items = (f"{json.dumps(k)}: {_json(x)}" for k, x in v.items())
         return "{" + ", ".join(items) + "}"
+    if isinstance(v, np.ndarray):
+        return str(v.tolist()) if v.dtype.kind in "iu" else _json(v.tolist())
     if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json(x) for x in v) + "]"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, str):
-        return json.dumps(v)
-    return _fnum(v)
+        each = _fnum if all(isinstance(x, float) for x in v) else _json
+        return "[" + ", ".join(map(each, v)) + "]"
+    if isinstance(v, (float, np.number)):
+        return _fnum(v)
+    return json.dumps(v)
 
 
 def _csv(header: tuple[str, ...], rows) -> str:
@@ -445,44 +449,22 @@ def _csv(header: tuple[str, ...], rows) -> str:
     return "".join(line + "\r\n" for line in lines)
 
 
-def _report_doc(r) -> dict:
-    # the report's fields in declaration order, weights as coefficient lists
-    doc = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
-    if isinstance(r, QInvarianceReport):
-        doc["weights"] = r.weights.tolist()
-    return doc
-
-
-def _catalog_doc(cat: Catalog) -> dict:
-    return {"entries": [
-        {
-            "name": e.name,
-            "root_type": e.root_type,
-            "rank": e.rank,
+def _entry_keys(e: SpaceDescriptor) -> dict:
+    """An entry's catalog keys, in the order both catalog writers print them."""
+    return {"name": e.name, "root_type": e.root_type, "rank": e.rank,
             "multiplicities": dict(sorted(e.multiplicities.items())),
-            "dim": e.dim_m,
-            "metric_scale": e.metric_scale,
-            "source": e.source,
-        }
-        for e in cat.entries
-    ]}
+            "dim": e.dim_m, "metric_scale": e.metric_scale, "source": e.source}
 
 
 def _emit_catalog_text(cat: Catalog) -> str:
     blocks = []
     for e in cat.entries:
-        lines = [
-            f"name = {e.name}",
-            f"root_type = {e.root_type}",
-            f"rank = {e.rank}",
-        ]
-        for k in sorted(e.multiplicities):
-            lines.append(f"mult.{k} = {_fnum(e.multiplicities[k])}")
-        lines.append(f"dim = {e.dim_m}")
-        if e.metric_scale != 1.0:
-            lines.append(f"metric_scale = {_fnum(e.metric_scale)}")
-        if e.source:
-            lines.append(f"source = {e.source}")
+        lines = []
+        for key, value in _entry_keys(e).items():
+            if key == "multiplicities":
+                lines += (f"mult.{k} = {_fnum(m)}" for k, m in value.items())
+            elif value != _KEYS[key][1]:  # an optional key at its default is left out
+                lines.append(f"{key} = {_fnum(value) if _KEYS[key][0] is float else value}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -502,14 +484,14 @@ def emit(report, fmt: str = "json") -> str:
         rows = zip(report.tau_grid, report.log_q, report.log_predicted)
     elif isinstance(report, Catalog):
         if fmt == "json":
-            return _json(_catalog_doc(report))
+            return _json({"entries": [_entry_keys(e) for e in report.entries]})
         if fmt == "text":
             return _emit_catalog_text(report)
         raise ValueError(f"unsupported format {fmt!r} for a catalog")
     else:
         raise TypeError(f"cannot emit object of type {type(report).__name__}")
     if fmt == "json":
-        return _json(_report_doc(report))
+        return _json({f.name: getattr(report, f.name) for f in dataclasses.fields(report)})
     if fmt == "csv":
         return _csv(header, rows)
     raise ValueError(f"unsupported format {fmt!r} for a report")

@@ -299,6 +299,9 @@ class SphericalWeight:
 # ---------------------------------------------------------------------------
 
 _TYPES = ("A", "B", "C", "D", "BC", "G2", "F4")
+# the largest metric scale: every type builds at 1e306, but from about 1e307
+# twice a squared root length, or a root times a fundamental weight, overflows
+_MAX_METRIC_SCALE = 1e300
 
 
 def _class_table(t: str, r: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -396,6 +399,8 @@ def root_spec(
         raise ValueError("rank must be a positive integer")
     if not (metric_scale > 0 and math.isfinite(metric_scale)):
         raise ValueError("metric_scale must be positive")
+    if metric_scale > _MAX_METRIC_SCALE:
+        raise ValueError(f"metric_scale must be at most {_MAX_METRIC_SCALE:g}")
     labels, sizes = _class_table(t, rank)
     mults = _resolve_mults(labels, _aliases(t, labels), multiplicities)
     if geometric is None:

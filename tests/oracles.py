@@ -12,10 +12,13 @@ arithmetic from the weight's lattice coordinates and hands it to the
 package's Gamma-factor kernel, so that a comparison with the package
 isolates how the pairings are formed. The
 chamber-weight route is the log kernel's formula evaluated at every node,
-so that a comparison isolates which nodes the kernel skips.
+so that a comparison isolates which nodes the kernel skips. The reference
+serializer writes JSON and catalog text one value at a time, with every
+catalog key spelled out per writer.
 """
 
 import functools
+import json
 import math
 from fractions import Fraction
 
@@ -516,3 +519,57 @@ def log_chamber_weight_every_node(rs, r, c, drift=0.0):
             prod = -prod
         lw += 0.5 * m * np.log(prod)
     return lw
+
+
+# -- reference serializer: one recursive call per value ------------------------
+
+
+def _reference_fnum(x) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        return f'"{x}"'
+    return format(x, ".17g")
+
+
+def reference_json(v) -> str:
+    """The JSON that cli.emit writes, one recursive call per value: dict
+    keys in insertion order, floats and numpy scalars with 17 significant
+    digits, inf and nan as quoted strings. An array must come as its
+    ``.tolist()``."""
+    if isinstance(v, dict):
+        items = (f"{json.dumps(k)}: {reference_json(x)}" for k, x in v.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(reference_json(x) for x in v) + "]"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return json.dumps(v)
+    return _reference_fnum(v)
+
+
+def reference_catalog_json(cat) -> str:
+    return reference_json({"entries": [
+        {"name": e.name, "root_type": e.root_type, "rank": e.rank,
+         "multiplicities": dict(sorted(e.multiplicities.items())),
+         "dim": e.dim_m, "metric_scale": e.metric_scale, "source": e.source}
+        for e in cat.entries]})
+
+
+def reference_catalog_text(cat) -> str:
+    """The line-oriented text of a catalog: an optional key at its default
+    (metric_scale 1, an empty source) is left out."""
+    blocks = []
+    for e in cat.entries:
+        lines = [f"name = {e.name}", f"root_type = {e.root_type}", f"rank = {e.rank}"]
+        for k in sorted(e.multiplicities):
+            lines.append(f"mult.{k} = {_reference_fnum(e.multiplicities[k])}")
+        lines.append(f"dim = {e.dim_m}")
+        if e.metric_scale != 1.0:
+            lines.append(f"metric_scale = {_reference_fnum(e.metric_scale)}")
+        if e.source:
+            lines.append(f"source = {e.source}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

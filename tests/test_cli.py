@@ -9,9 +9,11 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chamberq
+import oracles
 from chamberq import asymquad, cli, hcfun, rootsys
 from chamberq.cli import (
     Catalog,
@@ -199,6 +201,19 @@ metric_scale = 2.0
     assert b_scaled == pytest.approx(2.0 * b_base, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", ["1e307", "8e307", "1e308"])
+def test_cli_rejects_metric_scale_past_its_bound(scale, tmp_path):
+    # near the top of the float range a squared root length or a weight
+    # product overflows; in a fresh process, so a numpy warning would show
+    p = tmp_path / "y.txt"
+    p.write_text("name = Y\nroot_type = A\nrank = 2\nmult.short = 2\ndim = 8\n"
+                 f"metric_scale = {scale}\n", encoding="utf-8")
+    proc = _python_m_chamberq(["--catalog", str(p), "cfun", "Y", "--weight", "1,1"],
+                              capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: entry 'Y': metric_scale must be at most 1e+300\n"
+
+
 # one entry in both catalog syntaxes: the text block and the JSON object
 _ENTRY = {"name": "X", "root_type": "A", "rank": 1,
           "multiplicities": {"short": 2}, "dim": 3}
@@ -324,6 +339,55 @@ def test_float_formatting_17_digits(catalog):
     rep = run_flatness(catalog, "S2", 2, 1e-6)
     text = emit(rep, "json")
     assert "1.2533141373155006" in text or "1.2533141373155003" in text
+
+
+def _emit_reference_cases():
+    """(object, its JSON or text by the reference serializer) per input."""
+    rng = np.random.default_rng(2028)
+    cat = default_catalog()
+    su3 = cat.get("SU3").to_root_system()
+    # integral floats too: the JSON of 1.0 is 1
+    float_coords = np.concatenate([rng.integers(0, 4, (5, 2)).astype(float),
+                                   rng.uniform(0.0, 4.0, (5, 2))])
+    edge_floats = (-0.0, 5e-324, sys.float_info.max, math.inf, -math.inf, math.nan,
+                   np.float64(0.1), *rng.standard_normal(4).tolist())
+    edge_values = [True, False, "é ∞ \u2028 \"q\" \\ \x01", [], (), np.float64(-2.5),
+                   np.int64(-7), np.int64(2**62 + 1), 10**30, -0.0, [1, 2.5, "x"],
+                   [True, 3, -0.0], [np.int64(4), np.float64(2.5)]]
+    reports = {
+        "flatness-int-S2": run_flatness(cat, "S2", 9, 1e-6),
+        "flatness-int-SU4": run_flatness(cat, "SU4", 3, 1e-10),
+        "flatness-float": hcfun.q_invariance_test(su3, float_coords, 1e-6),
+        "asym-zero": run_asym(cat, "CP2", "zero", 2),
+        "asym-infinity": run_asym(cat, "S3", "infinity", 3),
+    }
+    base = reports["flatness-int-S2"]
+    for n, k in ((4, 1), (6, 3)):
+        reports[f"edge-values-int-{n}x{k}"] = dataclasses.replace(
+            base, weights=rng.integers(-10**9, 10**9, (n, k)), q_values=edge_floats,
+            max_rel_deviation=edge_values, tol=np.float64(1e-6), is_constant=np.int64(3))
+    cases = {}
+    for name, rep in reports.items():
+        doc = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+        if isinstance(rep, hcfun.QInvarianceReport):
+            doc["weights"] = rep.weights.tolist()
+        cases[name] = (rep, "json", oracles.reference_json(doc))
+    scaled = parse_catalog("name = Y\nroot_type = BC\nrank = 2\nmult.short = 2\n"
+                           "mult.long = 1\nmult.double = 1\ndim = 10\nmetric_scale = 0.37\n")
+    bench = load_catalog(Path(__file__).parents[1] / "bench" / "spaces.txt")
+    for name, c in (("default", cat), ("bench", bench), ("scaled", scaled)):
+        cases[f"catalog-{name}-json"] = (c, "json", oracles.reference_catalog_json(c))
+        cases[f"catalog-{name}-text"] = (c, "text", oracles.reference_catalog_text(c))
+    return cases
+
+
+EMIT_REFERENCE_CASES = _emit_reference_cases()
+
+
+@pytest.mark.parametrize("case", EMIT_REFERENCE_CASES)
+def test_emit_matches_the_reference_serializer(case):
+    obj, fmt, want = EMIT_REFERENCE_CASES[case]
+    assert emit(obj, fmt) == want
 
 
 # -- pipelines -------------------------------------------------------------------
@@ -556,6 +620,16 @@ def test_cli_catalog_path_containing_equals_sign(tmp_path, capsys):
     code, out, err = run_cli(["--catalog", str(p), "catalog", "list"], capsys)
     assert code == 0, err
     assert out == "MyS3\tA1\tdim=3\n"
+
+
+def test_cli_catalog_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes("name = X\nroot_type = A\nrank = 1\nmult.short = 2\ndim = 3\n"
+                  "source = \xff\n".encode("latin-1"))
+    code, out, err = run_cli(["--catalog", str(p), "catalog", "list"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read catalog {p}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
 
 
 def test_cli_missing_catalog_file(tmp_path, capsys):
