@@ -21,16 +21,19 @@ and of nodes. Both ranks integrate over a window of 8 Gaussian widths
 sqrt(tau) around the shifted peak tau (mu + rho), with the peak projected
 onto the closed chamber when it lies outside; both take the chamber's edge
 rays from RootSystem.chamber_edges. Rank 1 takes the
-coordinate centred at the peak, where the integrand is bounded: every tau
-of a call is one row of a stacked grid, and a row leaves the stack once it
-has converged. Rank 2 takes a tensor grid in polar coordinates over the
-part of the chamber sector that the window covers. Gauss nodes are open,
+coordinate centred at the peak, where the integrand is bounded: every
+(weight, tau) window of a call is one row of a stacked grid, so a report's
+q_n and q_0 over its whole tau grid take one adaptive pass, and a row
+leaves the stack once it has converged. Rank 2 takes a tensor grid in
+polar coordinates over the part of the chamber sector that the window
+covers. Gauss nodes are open,
 so the integrable wall zeros of the chamber weight (square-root type for
 odd multiplicities) never produce a -inf sample.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,7 +54,28 @@ __all__ = [
 ]
 
 _GAUSS_ORDER = 32
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+# numpy.polynomial.legendre.leggauss(32), written out bit for bit (each
+# literal is the value's repr) so that no process imports numpy.polynomial
+_GL_X = np.array([
+    -0.9972638618494816, -0.9856115115452684, -0.9647622555875064, -0.9349060759377397,
+    -0.8963211557660521, -0.84936761373257, -0.7944837959679424, -0.7321821187402897,
+    -0.6630442669302152, -0.5877157572407623, -0.5068999089322294, -0.42135127613063533,
+    -0.33186860228212767, -0.23928736225213706, -0.1444719615827965, -0.048307665687738324,
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816,
+])
+_GL_W = np.array([
+    0.007018610009470506, 0.016274394730905743, 0.025392065309262024, 0.034273862913021765,
+    0.042835898022226836, 0.05099805926237609, 0.058684093478535565, 0.06582222277636168,
+    0.07234579410884834, 0.07819389578707023, 0.08331192422694671, 0.08765209300440378,
+    0.09117387869576378, 0.09384439908080451, 0.09563872007927471, 0.09654008851472766,
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506,
+])
 _LOG2 = math.log(2.0)
 
 # The one quadrature policy: panel counts double from each rank's first
@@ -227,25 +251,29 @@ def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
                      _RANK2_FIRST_PANELS)[0]
 
 
-def _rank1_transformed(rs: RootSystem, mu: np.ndarray, taus: np.ndarray,
+def _rank1_transformed(rs: RootSystem, mus, taus: np.ndarray,
                        log_phi=None) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the rank-1 q(tau, phi * exp(2 mu(H))) at each tau of ``taus``,
-    one stacked window each, through the affine change of coordinates
-    centered at the shifted Gaussian peak tau * (mu + rho); and the same log
-    less its peak term tau |mu + rho|^2, formed without that term, whose
-    rounding (it reaches 4e8 at the weight bound) the first value carries.
+    """Log of the rank-1 q(tau, phi * exp(2 mu(H))) for each weight mu of
+    ``mus`` at each tau of ``taus``, shaped (len(mus), len(taus)), through
+    the affine change of coordinates centered at the shifted Gaussian peak
+    tau * (mu + rho); and the same logs less their peak terms tau |mu +
+    rho|^2, formed without them, whose rounding (it reaches 4e8 at the
+    weight bound) the first values carry.
 
+    Every (weight, tau) window is one row of a single stacked quadrature.
     The transformed integrand is bounded at every tau. The window reaches
     _SIGMA widths on each side of the peak, cut at the chamber wall; when
     the peak lies outside the chamber it runs from the wall. ``log_phi``
     takes an array of chamber coordinates of the original variable and
-    defaults to 0 (phi identically 1).
+    applies to the first weight's rows only; phi is identically 1 on the
+    other rows, and on all of them when ``log_phi`` is None.
     """
     u = rs.chamber_edges[0]
-    lr = mu + rs.rho
-    a = float(lr @ u)
-    rate = float(lr @ lr)
-    sqrt_tau = np.sqrt(taus)
+    lrs = [mu + rs.rho for mu in mus]
+    n_taus = len(taus)
+    rows_tau = np.tile(taus, len(mus))  # the first weight's rows come first
+    a = np.repeat([float(lr @ u) for lr in lrs], n_taus)
+    sqrt_tau = np.sqrt(rows_tau)
     lo = np.maximum(-sqrt_tau * a, -_SIGMA)
     hi = np.maximum(lo, 0.0) + _SIGMA
     au = rs.roots @ u
@@ -256,20 +284,22 @@ def _rank1_transformed(rs: RootSystem, mu: np.ndarray, taus: np.ndarray,
 
     def log_grid(n, rows):
         y, wts = _panel_nodes(lo[rows], hi[rows], n)
-        t = sqrt_tau[rows, None] * y + (taus[rows] * a)[:, None]  # chamber coordinate
+        t = sqrt_tau[rows, None] * y + (rows_tau[rows] * a[rows])[:, None]  # chamber coordinate
         lv = _log_chamber_weight(rs, t, au, drift) - y * y
-        if log_phi is not None:
-            lv = lv + log_phi(t)
+        k = 0 if log_phi is None else bisect.bisect_left(rows, n_taus)  # rows ascend
+        if k:
+            lv[:k] += log_phi(t[:k])
         m = np.max(lv, axis=1, keepdims=True)
         lv -= m
         np.exp(lv, out=lv)
         return [mj + math.log(w @ ej) for mj, w, ej in zip(m[:, 0].tolist(), wts, lv)]
 
     # dt = sqrt(tau) dy
-    vals = _adaptive(log_grid, len(taus), lambda n: _GAUSS_ORDER * n, _RANK1_FIRST_PANELS)
-    half_logs = [0.5 * math.log(tau) for tau in taus.tolist()]
-    return (np.array([tau * rate + h + val for tau, h, val in zip(taus.tolist(), half_logs, vals)]),
-            np.array([h + val for h, val in zip(half_logs, vals)]))
+    vals = np.reshape(_adaptive(log_grid, len(rows_tau), lambda n: _GAUSS_ORDER * n,
+                                _RANK1_FIRST_PANELS), (len(mus), n_taus))
+    half_logs = np.array([0.5 * math.log(tau) for tau in taus.tolist()])
+    rates = np.array([float(lr @ lr) for lr in lrs])
+    return taus * rates[:, None] + half_logs + vals, half_logs + vals
 
 
 def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
@@ -286,7 +316,7 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
         raise ValueError("tau must be positive and finite")
     mu = as_vector(mu, rs.rank)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val = (float(_rank1_transformed(rs, mu, np.array([tau]))[0][0]) if rs.rank == 1
+        val = (float(_rank1_transformed(rs, [mu], np.array([tau]))[0][0, 0]) if rs.rank == 1
                else _q_log_direct(rs, tau, mu))
     if not math.isfinite(val):  # rank 1's peak term tau |mu + rho|^2 can overflow
         raise OverflowError("log chamber integral is not finite at this weight")
@@ -416,16 +446,18 @@ def _rank1_params(rs: RootSystem):
     return alpha, m_a, 0.0
 
 
-def _spherical_log_integrals(rs: RootSystem, n: int,
-                             taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the chamber integral against the degree-n spherical function
-    at each tau in ``taus``, and that log less its peak term, as
-    _rank1_transformed gives them. The growth weight is n mu_1 as
-    spherical_weight realizes it, the weight that the large-tau law takes."""
-    beta, m_beta, m_half = _rank1_params(rs)
-    mu = spherical_weight(rs, [n]).vector
+def _spherical_log_integrals(rs: RootSystem, n: int, taus: np.ndarray, params,
+                             mus) -> tuple[np.ndarray, np.ndarray]:
+    """Log of the chamber integral at each tau in ``taus`` against the
+    degree-n spherical function with the first growth weight of ``mus``,
+    and against 1 with each further one, all in one stacked quadrature;
+    and those logs less their peak terms, as _rank1_transformed gives them.
+    The first weight is n mu_1 as spherical_weight realizes it, the weight
+    that the large-tau law takes; ``params`` are _rank1_params(rs)."""
     if n == 0:  # F = 1
-        return _rank1_transformed(rs, mu, taus)
+        return _rank1_transformed(rs, mus, taus)
+    beta, m_beta, m_half = params
+    mu = mus[0]
     u = rs.chamber_edges[0]
     bu = float(beta @ u)
     slope = 2.0 * float(mu @ u)
@@ -444,7 +476,7 @@ def _spherical_log_integrals(rs: RootSystem, n: int,
             log_s[i:i + step] = mx + np.log(np.sum(np.exp(mat - mx[:, None]), axis=1))
         return log_s.reshape(t.shape) - slope * t
 
-    return _rank1_transformed(rs, mu, taus, log_phi)
+    return _rank1_transformed(rs, mus, taus, log_phi)
 
 
 @dataclass(frozen=True)
@@ -483,12 +515,14 @@ _ZERO_GRID = tuple(round(0.01 * k, 10) for k in range(1, 11))
 _INF_GRID = (25.0, 50.0, 100.0, 200.0)
 
 
-def _measure(rs: RootSystem, n: int, taus: np.ndarray):
+def _measure(rs: RootSystem, n: int, taus: np.ndarray, params, mu: np.ndarray):
     """(log q_n, log q_n less its peak term, log q_0, fitted A, fitted B) on
     the grid, with A and B the least-squares fit of log(q_n / q_0) = log A
-    + B tau."""
-    log_qn, rem_n = _spherical_log_integrals(rs, n, taus)
-    log_q0 = log_qn if n == 0 else _spherical_log_integrals(rs, 0, taus)[0]
+    + B tau. q_n and q_0 come from one stacked quadrature, q_n at the growth
+    weight ``mu`` = n mu_1 and q_0 at 0; ``params`` are _rank1_params(rs)."""
+    logs, rems = _spherical_log_integrals(rs, n, taus, params,
+                                          [mu] if n == 0 else [mu, np.zeros_like(mu)])
+    log_qn, rem_n, log_q0 = logs[0], rems[0], logs[-1]
     design = np.vstack([np.ones_like(taus), taus]).T
     (log_a, b), *_ = np.linalg.lstsq(design, log_qn - log_q0, rcond=None)
     fitted_a = hcfun._exp(log_a, "fitted A", "on this grid", gamma=False)
@@ -504,14 +538,16 @@ def verify_tau_zero(space, n: int) -> AsymptoticReport:
     tau_k = 0.01 k shrinks by 5/B, keeping B tau at most 0.5.
     """
     rs, name = _coerce_rank1(space, n)
-    beta, m_beta, m_half = _rank1_params(rs)
+    params = _rank1_params(rs)
+    beta, m_beta, m_half = params
     series, weight_form = b_delta_rank1(m_beta, m_half, n, float(beta @ beta))
     if abs(series - weight_form) > 1e-12 * max(1.0, abs(weight_form)):
         raise ArithmeticError(f"closed forms of b disagree: {series!r} against {weight_form!r}")
     a_pred, b_pred = 1.0, 0.5 * dimension(rs) * series  # series is 0 at n = 0
     taus = np.array(_ZERO_GRID) * (5.0 / b_pred if b_pred > 5.0 else 1.0)
 
-    log_qn, _, log_q0, fitted_a, fitted_b = _measure(rs, n, taus)
+    log_qn, _, log_q0, fitted_a, fitted_b = _measure(rs, n, taus, params,
+                                                     spherical_weight(rs, [n]).vector)
     log_pred = log_q0 + b_pred * taus  # log A = 0
     b_ok = (abs(fitted_b) <= 1e-8 if n == 0
             else abs(fitted_b - b_pred) <= 0.02 * abs(b_pred))
@@ -536,7 +572,7 @@ def verify_tau_infinity(space, n: int) -> AsymptoticReport:
     c_val = hcfun._exp(log_c, "c")
     log_coeff, power, rate = leading_infinity(rs, w.vector)
 
-    log_qn, rem_n, _, fitted_a, fitted_b = _measure(rs, n, taus)
+    log_qn, rem_n, _, fitted_a, fitted_b = _measure(rs, n, taus, _rank1_params(rs), w.vector)
     rem_pred = math.log(c_val) + log_coeff + power * np.log(taus)
     log_pred = rem_pred + rate * taus
     gaps = np.abs(rem_n - rem_pred)

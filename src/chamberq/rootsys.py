@@ -565,5 +565,9 @@ def rescale(rs: RootSystem, c: float) -> RootSystem:
     """Rescale the metric so every pairing <x, y> is multiplied by c."""
     if not (c > 0 and math.isfinite(c)):
         raise ValueError("scale factor must be positive")
+    # the metric scale is half the longest squared root length; a build's is
+    # its metric_scale to within a few ulps, which the bound lets pass
+    if c * 0.5 * max(float(a @ a) for a in rs.roots) > _MAX_METRIC_SCALE * (1.0 + 1e-12):
+        raise ValueError(f"rescaled metric scale must be at most {_MAX_METRIC_SCALE:g}")
     return RootSystem(rank=rs.rank, roots=rs.roots * math.sqrt(c), mults=rs.mults,
                       geometric=rs.geometric)

@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,14 @@ ABSTRACT = RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([2.0]))
 
 def unit_chamber_dir(rs):
     return rs.rho / np.linalg.norm(rs.rho)
+
+
+def _spherical_logs(rs, n, taus, families=1):
+    # (log q, log q less its peak term), one row per family in one stack:
+    # q_n, then q_0 as a report stacks them
+    mu = spherical_weight(rs, [n]).vector
+    return aq._spherical_log_integrals(rs, n, taus, aq._rank1_params(rs),
+                                       [mu, np.zeros_like(mu)][:families])
 
 
 # -- chamber weight -----------------------------------------------------------
@@ -224,11 +235,28 @@ def test_panel_nodes_keep_the_bits_of_linspace_edges(monkeypatch):
         for mu in (0 * mu1, mu1, -3.0 * mu1):
             for tau in (0.01, 2.0, 800.0):
                 log_I_mu(rs, mu, tau)
-    aq._spherical_log_integrals(CP2, 3, np.array(aq._ZERO_GRID + aq._INF_GRID))
+    _spherical_logs(CP2, 3, np.array(aq._ZERO_GRID + aq._INF_GRID), 2)
     assert any(np.ndim(lo) == 0 and lo > 0 for lo, _, _ in windows)  # an annulus
     for lo, hi, n in windows:
         for got, want in zip(panel_nodes(lo, hi, n), _linspace_panel_nodes(lo, hi, n)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (lo, hi, n)
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(aq._GAUSS_ORDER)
+    assert aq._GL_X.tobytes() == x.tobytes()
+    assert aq._GL_W.tobytes() == w.tobytes()
+
+
+def test_importing_asymquad_leaves_numpy_polynomial_out():
+    # numpy itself loads numpy.lib._polynomial_impl, so the exact name is tested
+    src = str(Path(aq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, chamberq.asymquad; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_quadrature_stops_at_first_comparison(monkeypatch):
@@ -709,7 +737,7 @@ def test_spherical_log_integrals_match_oracle(rs, n, tau):
     i = int(np.argmax(np.abs(rs.roots[:, 0])))
     beta, m_beta = rs.roots[i], float(rs.mults[i])
     m_half = float(np.sum(rs.mults)) - m_beta
-    got = aq._spherical_log_integrals(rs, n, np.array([tau]))[0]
+    got = _spherical_logs(rs, n, np.array([tau]))[0][0, 0]
     radius = tau * np.linalg.norm(n * beta + rs.rho) + 10.0 * math.sqrt(tau)
     want = oracles.rank1_chamber_log_integral(
         rs,
@@ -1018,7 +1046,7 @@ def test_asymptotic_report_validation():
 # -- the stacked rank-1 quadrature at the CLI's weight bound ----------------------
 
 
-@pytest.mark.parametrize("n", [0, 5, aq._MAX_WEIGHT_COEFF])
+@pytest.mark.parametrize("n", [0, 1, 5, aq._MAX_WEIGHT_COEFF])
 @pytest.mark.parametrize("entry", RANK1_SPACES, ids=lambda e: e.name)
 def test_stacked_spherical_integrals_keep_every_bit(entry, n):
     # every tau of both verification grids in one stack against one call
@@ -1026,12 +1054,40 @@ def test_stacked_spherical_integrals_keep_every_bit(entry, n):
     # stacked 256-node grid spans several blocks and cuts rows across them
     rs = entry.to_root_system()
     taus = np.array(aq._ZERO_GRID + aq._INF_GRID)
-    stacked = aq._spherical_log_integrals(rs, n, taus)
+    stacked = _spherical_logs(rs, n, taus)
     for k, tau in enumerate(taus):
         # both the log values and the same logs less their peak terms
-        alone = aq._spherical_log_integrals(rs, n, np.array([tau]))
+        alone = _spherical_logs(rs, n, np.array([tau]))
         for got, want in zip(stacked, alone, strict=True):
-            assert float(got[k]).hex() == float(want[0]).hex(), (entry.name, n, tau)
+            assert float(got[0, k]).hex() == float(want[0, 0]).hex(), (entry.name, n, tau)
+    if n:
+        # a report's q_n and q_0 in one two-family stack, whose q_n rows take
+        # the spherical factor and whose q_0 rows do not, against one family
+        # each
+        both = _spherical_logs(rs, n, taus, 2)
+        q0 = _spherical_logs(rs, 0, taus)
+        for got, qn_want, q0_want in zip(both, stacked, q0, strict=True):
+            assert got.shape == (2, len(taus))
+            assert got[0].tobytes() == qn_want[0].tobytes(), (entry.name, n)
+            assert got[1].tobytes() == q0_want[0].tobytes(), (entry.name, n)
+
+
+@pytest.mark.parametrize("verify", [verify_tau_zero, verify_tau_infinity])
+@pytest.mark.parametrize("entry", RANK1_SPACES, ids=lambda e: e.name)
+def test_rank1_report_takes_one_adaptive_pass(monkeypatch, entry, verify):
+    # q_n and q_0 over the report's whole tau grid are rows of one stack
+    rows = []
+    adaptive = aq._adaptive
+
+    def counting(log_grid, n_rows, grid_nodes, n):
+        rows.append(n_rows)
+        return adaptive(log_grid, n_rows, grid_nodes, n)
+
+    monkeypatch.setattr(aq, "_adaptive", counting)
+    for n in (0, 1, 5):
+        rows.clear()
+        rep = verify(entry, n)
+        assert rows == [len(rep.tau_grid) * (1 if n == 0 else 2)], (entry.name, n)
 
 
 @pytest.mark.parametrize("verify", [verify_tau_zero, verify_tau_infinity])

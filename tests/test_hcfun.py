@@ -417,11 +417,14 @@ def _with_log(monkeypatch, name, log_value, call):
 
 
 def _fitted_a(monkeypatch, log_a):
-    # log(q_n / q_0) = log_a + tau on the grid, which _measure fits
-    taus = np.array([1.0, 2.0, 3.0])
+    # log(q_n / q_0) = log_a + tau on the grid, which _measure fits; its one
+    # stacked call returns the q_n row, then the q_0 row
+    rs, taus = sphere(2), np.array([1.0, 2.0, 3.0])
     monkeypatch.setattr(asymquad, "_spherical_log_integrals",
-                        lambda rs, n, t: (log_a * (n > 0) + n * t, t))
-    return asymquad._measure(sphere(2), 1, taus)[3]
+                        lambda rs, n, t, params, mus: (np.stack([log_a + n * t, 0.0 * t]),
+                                                       np.stack([t, t])))
+    return asymquad._measure(rs, 1, taus, asymquad._rank1_params(rs),
+                             rootsys.spherical_weight(rs, [1]).vector)[3]
 
 
 def _su(n):

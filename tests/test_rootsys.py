@@ -398,6 +398,16 @@ def test_q_keeps_its_bits_at_every_metric_scale(t, r, m):
             assert q_of_weight(rs, weight).hex() == want.hex(), scale
 
 
+def test_rescale_rejects_a_metric_scale_past_the_bound():
+    # past the bound a pairing overflows: on A2, 8e307 failed the integer
+    # pairing check and 1e308 warned twice and then found a zero root
+    rs = build_root_system("A", 2, {"all": 2})
+    for c in (8e307, 1e308):
+        with pytest.raises(ValueError, match=r"^rescaled metric scale must be at most 1e\+300$"):
+            rescale(rs, c)
+    assert rescale(rescale(rs, 1e150), 1e150).geometric  # 1e300, as rounded
+
+
 # -- indivisible roots ---------------------------------------------------------
 
 
