@@ -519,9 +519,12 @@ def _measure(rs: RootSystem, n: int, taus: np.ndarray, params, mu: np.ndarray):
     """(log q_n, log q_n less its peak term, log q_0, fitted A, fitted B) on
     the grid, with A and B the least-squares fit of log(q_n / q_0) = log A
     + B tau. q_n and q_0 come from one stacked quadrature, q_n at the growth
-    weight ``mu`` = n mu_1 and q_0 at 0; ``params`` are _rank1_params(rs)."""
-    logs, rems = _spherical_log_integrals(rs, n, taus, params,
-                                          [mu] if n == 0 else [mu, np.zeros_like(mu)])
+    weight ``mu`` = n mu_1 and q_0 at 0; ``params`` are _rank1_params(rs).
+    Under log_I_mu's float policy: a non-finite log value raises
+    OverflowError, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logs, rems = _spherical_log_integrals(rs, n, taus, params,
+                                              [mu] if n == 0 else [mu, np.zeros_like(mu)])
     log_qn, rem_n, log_q0 = logs[0], rems[0], logs[-1]
     design = np.vstack([np.ones_like(taus), taus]).T
     (log_a, b), *_ = np.linalg.lstsq(design, log_qn - log_q0, rcond=None)

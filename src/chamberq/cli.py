@@ -368,7 +368,7 @@ def default_catalog() -> Catalog:
 
 
 # the sweep holds every weight, its Q and the report text at once; at this
-# bound a flatness command peaks at 94 to 108 MB (max RSS of SU2, SU3 and
+# bound a flatness command peaks at 88 to 108 MB (max RSS of SU2, SU3 and
 # SU4 at their largest boxes, json and csv)
 _MAX_FLATNESS_WEIGHTS = 250_000
 # probe-F holds every row of its table at once: near 60 MB at this bound
@@ -441,12 +441,12 @@ def _json(v) -> str:
     return json.dumps(v)
 
 
-def _csv(header: tuple[str, ...], rows) -> str:
-    """CSV with CRLF line ends; str cells as they are, numbers via _fnum."""
-    lines = [",".join(header)]
-    lines += [",".join(v if isinstance(v, str) else _fnum(v) for v in row)
-              for row in rows]
-    return "".join(line + "\r\n" for line in lines)
+def _csv(columns: dict) -> str:
+    """CSV with CRLF line ends from header -> column: a column of str cells
+    as they are, any other formatted with one pass of _fnum."""
+    cells = [col if isinstance(next(iter(col), ""), str) else map(_fnum, col)
+             for col in columns.values()]
+    return "\r\n".join([",".join(columns), *map(",".join, zip(*cells)), ""])
 
 
 def _entry_keys(e: SpaceDescriptor) -> dict:
@@ -477,11 +477,11 @@ def emit(report, fmt: str = "json") -> str:
     byte-identical output.
     """
     if isinstance(report, QInvarianceReport):
-        labels = (" ".join(map(str, c)) for c in report.weights.tolist())
-        header, rows = ("weight", "q_value"), zip(labels, report.q_values)
+        columns = {"weight": [" ".join(map(str, c)) for c in report.weights.tolist()],
+                   "q_value": report.q_values}
     elif isinstance(report, AsymptoticReport):
-        header = ("tau", "log_q", "log_predicted")
-        rows = zip(report.tau_grid, report.log_q, report.log_predicted)
+        columns = {"tau": report.tau_grid, "log_q": report.log_q,
+                   "log_predicted": report.log_predicted}
     elif isinstance(report, Catalog):
         if fmt == "json":
             return _json({"entries": [_entry_keys(e) for e in report.entries]})
@@ -493,7 +493,7 @@ def emit(report, fmt: str = "json") -> str:
     if fmt == "json":
         return _json({f.name: getattr(report, f.name) for f in dataclasses.fields(report)})
     if fmt == "csv":
-        return _csv(header, rows)
+        return _csv(columns)
     raise ValueError(f"unsupported format {fmt!r} for a report")
 
 
@@ -559,8 +559,8 @@ def _cmd_probe_f(catalog, args, out) -> int:
         scale = 2.0 ** args.d
     except OverflowError:
         raise OverflowError(f"2**d overflows a float at d = {args.d:g}") from None
-    rows = ((str(z), v, v / scale) for z, v in zip(zs, vals))
-    out.write(_csv(("z", "F", "F_over_2_pow_d"), rows))
+    out.write(_csv({"z": list(map(str, zs)), "F": vals,
+                    "F_over_2_pow_d": [v / scale for v in vals]}))
     return 0
 
 

@@ -66,6 +66,11 @@ def log_gamma(x: float) -> float:
     where log Gamma exceeds the float range."""
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"log_gamma requires a positive argument, got {x}")
+    return _lgamma(x)
+
+
+def _lgamma(x: float) -> float:
+    """``math.lgamma``, but ``inf`` where log Gamma exceeds the float range."""
     try:
         return math.lgamma(x)
     except OverflowError:
@@ -83,18 +88,15 @@ _BLOCK_ENTRIES = 2048
 
 
 def _log_gammas(args: np.ndarray) -> np.ndarray:
-    """:func:`log_gamma` element by element, flattened: ``math.lgamma``
-    mapped over the floats, so each value has its scalar bits (numpy has no
-    log Gamma, and its SIMD ``log`` and ``exp`` do not match libm's bits)."""
+    """log Gamma element by element, flattened: ``math.lgamma`` mapped over
+    the floats, so each value has its scalar bits (numpy has no log Gamma,
+    and its SIMD ``log`` and ``exp`` do not match libm's bits). An argument
+    past about 2.55e305, infinite ones too, gives ``inf``."""
     vals = args.ravel().tolist()
     try:
-        out = np.array(list(map(math.lgamma, vals)))
-        # lgamma gives inf only at an infinite argument, which log_gamma rejects
-        if not np.isinf(out).any():
-            return out
-    except (OverflowError, ValueError):  # past ~2.55e305, where log_gamma gives inf
-        pass
-    return np.array([log_gamma(v) for v in vals])
+        return np.array(list(map(math.lgamma, vals)))
+    except OverflowError:  # lgamma raises where its value, not its argument, overflows
+        return np.array(list(map(_lgamma, vals)))
 
 
 def _log_c_factor(x: np.ndarray, m, m2, power=0.0) -> np.ndarray:
@@ -105,8 +107,8 @@ def _log_c_factor(x: np.ndarray, m, m2, power=0.0) -> np.ndarray:
     c-function 0. The one Gamma-factor kernel of Q, c, A and F.
 
     Callers ignore numpy's overflow and invalid warnings: an argument that
-    overflows is log_gamma's error; past ~2.55e305 two log Gammas are inf
-    and their difference nan, which the callers report."""
+    overflows, or one past ~2.55e305, makes two log Gammas inf and their
+    difference nan, which the callers report through :func:`_exp`."""
     log_x = np.array(list(map(math.log, x.ravel().tolist()))).reshape(x.shape)
     # the last argument is x/2 + m/4 + m2/2 added left to right, and
     # m/4 + x/2 has the bits of x/2 + m/4: IEEE addition commutes
@@ -176,8 +178,8 @@ def _gamma_sums(rs: RootSystem, coeffs: np.ndarray, factor, name=None,
     indivisible roots that on selects, added left to right from 0.0; given
     a name, the quantity itself, through :func:`_exp`. Per block of at most
     _BLOCK_ENTRIES pairings, factor takes the (roots x rows) pairings of the
-    rows before the first that fails in one call, _exp runs row by row, and
-    then the failing row raises: each error comes where a loop over the
+    rows before the first whose pairings fail in one call, _exp runs row by
+    row, and then that row raises: each error comes where a loop over the
     rows would raise it."""
     m, m2 = (col[on, None] for col in rs.indivisible_arrays[1:])
     step = max(_BLOCK_ENTRIES // len(m), 1)
@@ -185,15 +187,7 @@ def _gamma_sums(rs: RootSystem, coeffs: np.ndarray, factor, name=None,
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(coeffs), step):
             x, n_ok = _pairings(rs, coeffs[start:start + step])
-            xt = x[:n_ok, on].T
-            try:
-                logs = _add(factor(xt, m, m2), np.zeros(n_ok)).tolist()
-            except ValueError:
-                # log_gamma rejected an argument, which only a multiplicity
-                # past 1e290 can overflow: redo the rows in order, so that an
-                # earlier row's failure comes first
-                logs = (_add(factor(xt[:, i], m[:, 0], m2[:, 0]).tolist())
-                        for i in range(n_ok))
+            logs = _add(factor(x[:n_ok, on].T, m, m2), np.zeros(n_ok)).tolist()
             out += logs if name is None else [_exp(log, name) for log in logs]
             if n_ok < len(x):
                 _check_pairings(x[n_ok].tolist())
@@ -299,12 +293,9 @@ def f_factors(zs, a: float, b: float, c: float, d: float) -> list[float]:
         raise ValueError("z must be nonnegative")
     m, m2 = 4.0 * b, 2.0 * d
     with np.errstate(over="ignore", invalid="ignore"):
-        x = 2.0 * (c * zs + a)
-        # log Gamma overflows past ~2.5e305, so an infinite argument and an
-        # infinite log F are the same failure
-        finite = np.isfinite(x + m + m2)
-        n = len(zs) if finite.all() else int(finite.argmin())
-        logs = _log_c_factor(x[:n], m, m2, 2.0 * b + d).tolist() + [math.inf] * (len(zs) - n)
+        # an argument that overflows, like one past ~2.55e305, gives a log F
+        # that is not finite, which _exp reports at its z
+        logs = _log_c_factor(2.0 * (c * zs + a), m, m2, 2.0 * b + d).tolist()
     return [_exp(val, "F", f"at z = {z:g}") for val, z in zip(logs, zs.tolist())]
 
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,16 @@ def test_q_tau_rank2_narrow_sector_against_oracle():
     tau = 0.3
     want = oracles.rank2_chamber_integral(G2_SO4, np.zeros(2), tau, 200)
     assert log_q(G2_SO4, tau) == pytest.approx(math.log(want), abs=5e-5)
+
+
+@pytest.mark.parametrize("mu, message", [
+    ([[1.0]], "expected a 1-D coordinate vector, got shape (1, 1)"),
+    ([1.0, 2.0], "vector has length 2, expected rank 1"),
+    ([math.nan], "vector has non-finite entries"),
+], ids=["2-D", "length", "nan"])
+def test_log_I_mu_rejects_a_malformed_weight(mu, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        log_I_mu(S2, mu, 1.0)
 
 
 def test_q_tau_rejects_rank3_and_bad_tau():
@@ -756,6 +767,8 @@ def test_b_delta_examples():
     s, w = b_delta_rank1(1, 0, 1, 2.0)
     assert s == pytest.approx(4.0, rel=1e-14)
     assert w == pytest.approx(4.0, rel=1e-14)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        b_delta_rank1(1.0, 0.0, -1, 2.0)
 
 
 @pytest.mark.parametrize("m_beta", range(1, 9))
@@ -1041,6 +1054,30 @@ def test_asymptotic_report_validation():
             fitted_A=1.0, fitted_B=0.0, predicted_A=1.0, predicted_B=0.0,
             passed=True,
         )
+
+    report = dict(regime="zero", space="x", weight_coeff=0, tau_grid=(1.0, 2.0),
+                  log_q=(0.0, 0.0), log_predicted=(0.0, 0.0), fitted_A=1.0,
+                  fitted_B=0.0, predicted_A=1.0, predicted_B=0.0, passed=True)
+    with pytest.raises(ValueError, match="^log_q values must be finite$"):
+        AsymptoticReport(**{**report, "log_q": (0.0, math.nan)})
+    with pytest.raises(ValueError, match="^fitted_A must be positive$"):
+        AsymptoticReport(**{**report, "fitted_A": 0.0})
+
+
+@pytest.mark.parametrize("verify", [verify_tau_zero, verify_tau_infinity])
+def test_verifiers_reject_bad_arguments_with_one_line(verify):
+    with pytest.raises(TypeError,
+                       match="^expected a RootSystem or a catalog space descriptor$"):
+        verify("S2", 1)
+    with pytest.raises(ValueError, match="^weight coefficient must be nonnegative$"):
+        verify(S2, -1)
+
+
+def test_verify_tau_zero_rejects_two_indivisible_roots():
+    # (1) and (3) at rank 1: neither is the other's double
+    rs = RootSystem(rank=1, roots=np.array([[1.0], [3.0]]), mults=np.ones(2))
+    with pytest.raises(ValueError, match="^rank-1 system must have a single indivisible root$"):
+        verify_tau_zero(rs, 1)
 
 
 # -- the stacked rank-1 quadrature at the CLI's weight bound ----------------------

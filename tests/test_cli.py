@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -559,6 +560,38 @@ def test_cli_asym_weight_bound(regime, capsys):
     assert err == "error: weight coefficient must be at most 1000\n"
 
 
+@pytest.mark.parametrize("regime", ["zero", "infinity"])
+def test_cli_asym_rejects_negative_weight(regime, capsys):
+    assert run_cli(["asym", "S2", "--regime", regime, "--weight", "-1"], capsys) == (
+        2, "", "error: weight coefficient must be nonnegative\n")
+
+
+@pytest.mark.parametrize("verify, scale, n", [
+    (asymquad.verify_tau_zero, "1e-30", 1),
+    (asymquad.verify_tau_infinity, "1e300", 1000),
+], ids=["zero-1e-30", "infinity-1e300"])
+@pytest.mark.parametrize("block", [
+    "root_type = A\nrank = 1\nmult.short = 1\ndim = 2\n",
+    "root_type = BC\nrank = 1\nmult.short = 2\nmult.long = 1\ndim = 4\n",
+], ids=["A1", "BC1"])
+def test_asym_at_extreme_metric_scales_fails_with_one_line(verify, scale, n, block, tmp_path):
+    # log sinh is -inf at the wall end of a 1e-30 chamber, and the spherical
+    # expansion's terms overflow at 1e300: the log integral is not finite,
+    # which the verifier raises with no numpy warning before it (the test
+    # settings turn one into an exception), and the CLI writes one line
+    text = f"name = X\n{block}metric_scale = {scale}\n"
+    message = "log chamber integral is not finite on 64 nodes"
+    with pytest.raises(OverflowError, match=f"^{message}$"):
+        verify(parse_catalog(text).get("X"), n)
+    p = tmp_path / "x.txt"
+    p.write_text(text, encoding="utf-8")
+    regime = "zero" if verify is asymquad.verify_tau_zero else "infinity"
+    proc = _python_m_chamberq(["--catalog", str(p), "asym", "X", "--regime", regime,
+                               "--weight", str(n)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: numerical failure: {message}\n"
+
+
 def test_cli_unknown_space(capsys):
     code, _, err = run_cli(["flatness", "Nope"], capsys)
     assert code == 2
@@ -599,6 +632,22 @@ def test_cli_custom_catalog_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["group_manifold_predicted"] is True
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name =\nroot_type = A\nrank = 1\nmult.short = 1\ndim = 2\n",
+     "space entry is missing a name"),
+    ("name = X\nroot_type = A\nrank = 1\nmult.short = x\ndim = 2\n",
+     "block at line 1: bad multiplicity 'mult.short'"),
+    ("{", "bad JSON catalog: line 1: Expecting property name enclosed in double quotes"),
+], ids=["empty-name", "bad-multiplicity", "truncated-json"])
+def test_catalog_errors_are_one_line_input_errors(text, message, tmp_path, capsys):
+    with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+        parse_catalog(text)
+    p = tmp_path / "bad.txt"
+    p.write_text(text, encoding="utf-8")
+    assert run_cli(["--catalog", str(p), "catalog", "list"], capsys) == (
+        2, "", f"error: {message}\n")
 
 
 def test_cli_bad_catalog_file(tmp_path, capsys):
@@ -798,6 +847,22 @@ def test_cli_cfun_huge_weight_is_one_line_error(space, weight, code, message):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: " + message)
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("weight", ["1", str(5 * 10**307)], ids=["1", "5e307"])
+def test_cli_cfun_overflowing_gamma_argument_is_numerical_failure(weight, tmp_path):
+    # multiplicity 1.7e308: at weight 1 log Gamma overflows past ~2.55e305,
+    # and at 5e307 the argument m/2 + x itself overflows to inf, where log
+    # Gamma is inf too: one numerical failure, in a fresh process, so a
+    # numpy warning would reach stderr
+    p = tmp_path / "x.txt"
+    p.write_text("name = X\nroot_type = A\nrank = 1\nmult.short = 1.7e308\n"
+                 f"dim = {17 * 10**307}\n", encoding="utf-8")
+    proc = _python_m_chamberq(["--catalog", str(p), "cfun", "X", "--weight", weight],
+                              capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("error: numerical failure: log c is not finite: "
+                           "log Gamma overflows at this weight\n")
 
 
 def test_cli_cfun_prints_c_next_to_a_closed_form_it_agrees_with(capsys):

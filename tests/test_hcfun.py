@@ -313,19 +313,23 @@ def test_q_invariance_raises_at_first_failing_weight(second, error, message):
 
 
 @pytest.mark.filterwarnings("error")
-def test_q_invariance_raises_in_weight_order_when_log_gamma_rejects():
+def test_q_invariance_overflowing_gamma_argument_fails_in_weight_order():
     # m = 1.7e308: Q's log is nan at the zero weight, and at 5e307 the
-    # argument m/2 + x of one log Gamma overflows to inf, which log_gamma
-    # rejects; the sweep fails as q_of_weight does at the first weight
+    # argument m/2 + x of one log Gamma overflows to inf, whose log Gamma is
+    # inf as it is past ~2.55e305: the same numerical failure. At 1.7e308
+    # the pairing itself overflows, an input error. The sweep fails as
+    # q_of_weight does at the first row that fails
     rs = rootsys.RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([1.7e308]))
-    zero, big = [0.0], [5e307]
+    zero, big, past = [0.0], [5e307], [1.7e308]
     assert rs.fundamental_weights[0].tolist() == [1.0]
-    with pytest.raises(ValueError, match="log_gamma requires a positive argument, got inf"):
+    log_q = "^log Q is not finite: log Gamma overflows at this weight$"
+    with pytest.raises(OverflowError, match=log_q):
         q_of_weight(rs, big)
-    with pytest.raises(OverflowError, match="log Q is not finite"):
-        q_invariance_test(rs, [zero, big], 1e-6)
-    with pytest.raises(ValueError, match="log_gamma requires a positive argument, got inf"):
-        q_invariance_test(rs, [big, zero], 1e-6)
+    for rows in ([zero, big], [big, zero], [big, past]):
+        with pytest.raises(OverflowError, match=log_q):
+            q_invariance_test(rs, rows, 1e-6)
+    with pytest.raises(ValueError, match="^weight is too large: a root pairing overflows a float$"):
+        q_invariance_test(rs, [past, big], 1e-6)
 
 
 @pytest.mark.parametrize("fn", [q_of_weight, c_function, c_function_duplicated,
@@ -379,6 +383,17 @@ def test_closed_form_pairing_overflow_is_input_error():
     for fn in (c_function, group_c_closed_form):
         with pytest.raises(ValueError, match="a root pairing overflows a float"):
             fn(rs, [10**308, 10**308])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hcfun.f_factors([1.0], 1.0, -0.5, 1.0, 0.0),
+     "parameters b, c, d must be nonnegative"),
+    (lambda: g_product_probe(sphere(1), 0, 0), "n_max must be a positive integer"),
+    (lambda: q_invariance_test(sphere(1), [[1]], 0.0), "tolerance must be positive"),
+], ids=["f-negative-b", "probe-n_max-0", "q-tol-0"])
+def test_input_checks_raise_their_one_line(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_f_factors_match_f_factor_bits():

@@ -11,6 +11,8 @@ realizations re-records it with
 import hashlib
 import itertools
 import json
+import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import oracles
 from chamberq import cli
 from chamberq.rootsys import (
     RootSystem,
+    SphericalWeight,
     build_root_system,
     dimension,
     dominant_weights,
@@ -180,6 +183,29 @@ def test_direct_constructor_validation():
     # abstract data with real multiplicities is fine
     rs = RootSystem(rank=1, roots=np.array([[1.0]]), mults=np.array([0.7]))
     assert dimension(rs) == pytest.approx(1.7)
+
+
+@pytest.mark.parametrize("rank, roots, mults, message", [
+    (0, [[1.0]], [1.0], "rank must be a positive integer"),
+    (2, [[1.0]], [1.0], "roots must be a nonempty (n, rank) array"),
+    (1, np.zeros((0, 1)), [], "roots must be a nonempty (n, rank) array"),
+    (1, [[1.0]], [1.0, 2.0], "mults must align with roots"),
+    (1, [[math.inf]], [1.0], "non-finite root data"),
+    (1, [[1.0]], [math.nan], "non-finite root data"),
+], ids=["rank-0", "roots-shape", "no-roots", "mults-align", "root-inf", "mult-nan"])
+def test_direct_constructor_rejects_malformed_data(rank, roots, mults, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RootSystem(rank=rank, roots=np.array(roots), mults=np.array(mults))
+
+
+def test_weight_and_scale_arguments_raise_their_one_line():
+    rs = build_root_system("A", 1, {"all": 2})
+    with pytest.raises(ValueError, match="^weight coefficients must be nonnegative$"):
+        SphericalWeight(coeffs=(-1,), vector=np.array([-1.0]))
+    with pytest.raises(ValueError, match="^max_coeff must be nonnegative$"):
+        dominant_weights(rs, -1)
+    with pytest.raises(ValueError, match="^scale factor must be positive$"):
+        rescale(rs, 0)
 
 
 # -- rho and the pairing identity ---------------------------------------------
@@ -406,6 +432,12 @@ def test_rescale_rejects_a_metric_scale_past_the_bound():
         with pytest.raises(ValueError, match=r"^rescaled metric scale must be at most 1e\+300$"):
             rescale(rs, c)
     assert rescale(rescale(rs, 1e150), 1e150).geometric  # 1e300, as rounded
+    # built directly, past the bound, the fundamental-weight products
+    # overflow and the lattice pairings are no longer integers
+    big = RootSystem(rank=2, roots=rs.roots * math.sqrt(8e307), mults=rs.mults)
+    with pytest.raises(ValueError, match="^root pairings are not integers: "
+                                         "the roots are not crystallographic$"):
+        q_of_weight(big, [1, 1])
 
 
 # -- indivisible roots ---------------------------------------------------------
@@ -455,7 +487,13 @@ def test_fundamental_weights_degenerate_basis():
         roots=np.array([[1.0, 0.0], [2.0, 0.0]]),
         mults=np.array([1.5, 0.5]),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^simple roots do not form a basis of the ambient space$"):
+        rs.fundamental_weights
+    # (1, 0) and (3, 0): neither is the other's double, so both are simple,
+    # and the two simple roots are linearly dependent
+    rs = RootSystem(rank=2, roots=np.array([[1.0, 0.0], [3.0, 0.0]]), mults=np.ones(2))
+    with pytest.raises(ValueError, match="^singular Gram matrix: degenerate root basis$"):
         rs.fundamental_weights
 
 
