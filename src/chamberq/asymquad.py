@@ -339,7 +339,9 @@ def leading_infinity(rs: RootSystem, mu) -> tuple[float, float, float]:
     mu = as_vector(mu, rs.rank)
     lr = mu + rs.rho
     pair = rs.roots @ lr
-    if np.any(pair <= 1e-12 * np.linalg.norm(lr)):
+    # a cosine test: pair and |alpha| |mu + rho| both scale as the metric
+    # scale, so the bound holds at every metric scale
+    if np.any(pair <= 1e-12 * np.linalg.norm(rs.roots, axis=1) * np.linalg.norm(lr)):
         raise ValueError("mu + rho is not strictly inside the chamber")
     m = dimension(rs)
     log_coeff = 0.5 * (rs.rank - m) * _LOG2 + 0.5 * rs.rank * math.log(math.pi)

@@ -17,6 +17,12 @@ Default normalization: the standard coordinate realizations produced by
 root has squared length 2. All quantities of the form <v, alpha_0> with
 alpha_0 = alpha/<alpha,alpha> are invariant under this choice; callers who
 care about absolute norms can pass ``metric_scale``.
+
+Structure: a system built from a spec takes its half and double roots and
+its simple roots from the class table, in closed form; its duplicates,
+geometric rule and Weyl closure hold by construction. Only a system given
+as raw roots to :class:`RootSystem` is matched, root against root, and the
+tests hold the closed form to that matcher.
 """
 
 from __future__ import annotations
@@ -109,6 +115,11 @@ class RootSystem:
     geometric: bool = False
 
     def __post_init__(self):
+        self._take_arrays()
+        self._validate_structure()
+
+    def _take_arrays(self):
+        # the checks that every construction makes, matching or not
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
         roots = np.asarray(self.roots, dtype=float)
@@ -133,7 +144,17 @@ class RootSystem:
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "mults", mults)
         object.__setattr__(self, "_unit", roots / norms.max())
-        self._validate_structure()
+
+    @classmethod
+    def _standard(cls, rank, roots, mults, geometric, half, double, simple) -> RootSystem:
+        """A system whose structure is known in closed form: the checks of
+        :meth:`_take_arrays`, then the given half and double indices and
+        simple roots, with no matching."""
+        rs = object.__new__(cls)
+        vars(rs).update(rank=rank, roots=roots, mults=mults, geometric=geometric)
+        rs._take_arrays()
+        rs._set_structure(half, double, simple)
+        return rs
 
     # -- structural checks -------------------------------------------------
 
@@ -147,12 +168,19 @@ class RootSystem:
             raise ValueError("root has both its half and its double in the system")
         if self.geometric:
             _check_geometric(mults.tolist(), (double >= 0).tolist())
-        object.__setattr__(self, "_half", half)
-        object.__setattr__(self, "_double", double)
-        object.__setattr__(self, "_simple_idx", self._detect_simple())
+        self._set_structure(half, double, self._detect_simple())
         self._check_weyl_invariance()
 
-    def _detect_simple(self) -> tuple[int, ...]:
+    def _set_structure(self, half, double, simple):
+        # deterministic simple root order: lexicographic on rounded unit
+        # coordinates, which fixes the fundamental weights' order
+        keys = np.round(self._unit[simple], 9).tolist()
+        object.__setattr__(self, "_half", half)
+        object.__setattr__(self, "_double", double)
+        object.__setattr__(self, "_simple_idx", tuple(
+            simple[k] for k in sorted(range(len(simple)), key=keys.__getitem__)))
+
+    def _detect_simple(self) -> list[int]:
         # simple = positive root a with no root a - b, b a positive root;
         # the differences of a block of roots are one match block
         roots, n = self._unit, len(self.roots)
@@ -160,10 +188,7 @@ class RootSystem:
         composite = np.concatenate([
             (_match(roots, roots[s:s + step, None] - roots) >= 0).any(1)
             for s in range(0, n, step)])
-        simple = np.flatnonzero(~composite).tolist()
-        # deterministic order: lexicographic on rounded coordinates
-        simple.sort(key=lambda i: tuple(np.round(roots[i], 9)))
-        return tuple(simple)
+        return np.flatnonzero(~composite).tolist()
 
     def _check_weyl_invariance(self):
         # m must be constant on orbits; for geometric systems the reflected
@@ -443,6 +468,26 @@ def _positive_roots_standard(t: str, r: int) -> tuple[np.ndarray, int]:
     return np.concatenate(families), d
 
 
+def _simple_standard(t: str, r: int) -> list[int]:
+    """Rows of the simple roots among :func:`_positive_roots_standard`'s, as
+    Bourbaki's plates give them: e_i - e_{i+1}, then the type's last ones."""
+    if t == "G2":
+        return [0, 3]  # a1 and a2
+    d = r + 1 if t == "A" else r
+    # the row of e_i - e_{i+1} among the pairs i < j, row by row
+    steps = [i * (2 * d - i - 1) // 2 for i in range(d - 1)]
+    pairs = d * (d - 1) // 2
+    if t == "A":
+        return steps
+    if t == "C":  # 2 e_r, after the e_i +- e_j
+        return steps + [2 * pairs + r - 1]
+    if t == "D":  # e_{r-1} + e_r
+        return steps + [pairs + steps[-1]]
+    if t == "F4":  # e2 - e3, e3 - e4, e4 and (e1 - e2 - e3 - e4)/2, after the e_i and halves
+        return [12 + steps[1], 12 + steps[2], 3, 11]
+    return [r + k for k in steps] + [r - 1]  # B and BC: e_r, before the e_i +- e_j
+
+
 def build_root_system(
     type_label: str,
     rank: int,
@@ -469,7 +514,11 @@ def build_root_system(
 
 def _build(spec: RootSpec) -> RootSystem:
     """:func:`build_root_system` after its checks, on a spec that
-    :func:`root_spec` returned."""
+    :func:`root_spec` returned. The structure comes from the class table,
+    not from matching: a standard realization with one multiplicity per
+    length class has no duplicate root, is closed under its Weyl group and
+    has Weyl invariant multiplicities, and :func:`root_spec` has checked
+    the geometric rule."""
     rank = spec.rank
     roots, d = _positive_roots_standard(spec.type_label, rank)
     if d > rank:
@@ -490,7 +539,17 @@ def _build(spec: RootSpec) -> RootSystem:
     mults = np.repeat(spec.mults, spec.sizes)[order]
     longest = max(float(a @ a) for a in roots)
     roots = roots * math.sqrt(2.0 * spec.metric_scale / longest)
-    return RootSystem(rank=rank, roots=roots, mults=mults, geometric=spec.geometric)
+    # class table rows, carried through the sort: only BC has doubles, the
+    # 2 e_i of its last block for the e_i of its first
+    n = len(roots)
+    at = np.empty_like(order)
+    at[order] = np.arange(n)
+    half, double = np.full((2, n), -1, dtype=np.intp)
+    if spec.type_label == "BC":
+        double[at[:rank]] = at[n - rank:]
+        half[at[n - rank:]] = at[:rank]
+    simple = at[_simple_standard(spec.type_label, rank)].tolist()
+    return RootSystem._standard(rank, roots, mults, spec.geometric, half, double, simple)
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,25 @@ def test_space_builds_its_root_system_once(built):
     assert len(built) == 1
 
 
+def test_commands_build_their_root_system_without_matching(monkeypatch, capsys):
+    # a space's system takes its structure from the class table; only a
+    # system given as raw roots is matched, in three passes
+    calls = []
+    match = rootsys._match
+    monkeypatch.setattr(rootsys, "_match", lambda *a: calls.append(a) or match(*a))
+    bench = str(Path(__file__).parents[1] / "bench" / "spaces.txt")
+    for prefix, cat in (([], default_catalog()), (["--catalog", bench], load_catalog(bench))):
+        for e in cat.entries:
+            weight = ",".join(["1"] * e.rank)
+            for argv in (["flatness", e.name, "--max-coeff", "1"], ["cfun", e.name, "--weight", weight]):
+                assert run_cli(prefix + argv, capsys)[0] == 0, argv
+    assert run_cli(["asym", "S3", "--regime", "infinity", "--weight", "1"], capsys)[0] == 0
+    assert calls == []
+    rs = rootsys.build_root_system("A", 2, {"all": 1})
+    rootsys.RootSystem(rank=2, roots=rs.roots, mults=rs.mults)
+    assert len(calls) == 3
+
+
 def test_cli_catalog_list(capsys):
     code, out, err = run_cli(["catalog", "list"], capsys)
     assert code == 0
@@ -590,6 +609,20 @@ def test_asym_at_extreme_metric_scales_fails_with_one_line(verify, scale, n, blo
                                "--weight", str(n)], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == f"error: numerical failure: {message}\n"
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_asym_infinity_chamber_check_holds_at_a_tiny_metric_scale(n, tmp_path):
+    # mu + rho lies inside the chamber at every metric scale: the check
+    # compares cosines, so 1e-30 is no input error (exit 2), whatever the
+    # quadrature then makes of it
+    p = tmp_path / "x.txt"
+    p.write_text("name = X\nroot_type = A\nrank = 1\nmult.short = 2\ndim = 3\n"
+                 "metric_scale = 1e-30\n", encoding="utf-8")
+    proc = _python_m_chamberq(["--catalog", str(p), "asym", "X", "--regime", "infinity",
+                               "--weight", str(n)], capture_output=True, text=True)
+    assert proc.returncode in (0, 1, 3), proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1 and "Traceback" not in proc.stderr
 
 
 def test_cli_unknown_space(capsys):

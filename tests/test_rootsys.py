@@ -165,6 +165,28 @@ def test_closed_form_classes_match_built_system(label, rank):
         assert _realization_digest(scaled) == golden[repr(scale)], scale
 
 
+STRUCTURE_SYSTEMS = [
+    *[(t, r, _class_mults(t, r), None, scale) for t, r in TYPE_RANKS for scale in METRIC_SCALES],
+    ("BC", 2, {"short": 2.5, "long": 1.5, "double": 0.5}, None, 1.0),
+    ("B", 3, {"short": 2, "long": 1}, False, 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "label,rank,mults,geometric,scale", STRUCTURE_SYSTEMS,
+    ids=[f"{t}{r}-{sorted(m.values())}-{g}-{s}" for t, r, m, g, s in STRUCTURE_SYSTEMS],
+)
+def test_closed_form_structure_matches_the_matcher(label, rank, mults, geometric, scale):
+    # the half and double roots and the simple roots in their order, taken
+    # from the class table, are what matching the built roots finds; and
+    # the constructor's duplicate, geometric and Weyl checks pass on them
+    rs = build_root_system(label, rank, mults, metric_scale=scale, geometric=geometric)
+    matched = RootSystem(rank, rs.roots, rs.mults, rs.geometric)
+    np.testing.assert_array_equal(rs._half, matched._half)
+    np.testing.assert_array_equal(rs._double, matched._double)
+    assert rs._simple_idx == matched._simple_idx
+
+
 def test_direct_constructor_validation():
     with pytest.raises(ValueError):
         RootSystem(rank=1, roots=np.array([[0.0]]), mults=np.array([1.0]))
@@ -602,12 +624,13 @@ def test_weyl_check_names_the_first_failing_simple_root(third, message):
 def test_build_holds_no_more_memory_than_two_whole_vector_differences():
     # a whole-vector match of A12's 78 roots held an (n, n, rank) float
     # difference and its absolute value at once; matching one coordinate
-    # at a time in blocks of n * rank queries stays below that
+    # at a time in blocks of n * rank queries stays below that. The roots
+    # are given raw: a system built from a spec is not matched
     rs = build_root_system("A", 12, {"all": 2})
     n, rank = rs.roots.shape
     tracemalloc.start()
     try:
-        build_root_system("A", 12, {"all": 2})
+        RootSystem(rank=12, roots=rs.roots, mults=rs.mults)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
