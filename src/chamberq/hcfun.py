@@ -1,18 +1,24 @@
 """Gamma-function products on root data: c-function, Q invariant, F factor.
 
-Everything here reduces to sums of log-Gamma values over the indivisible
-positive roots, exponentiated once at the end by :func:`_exp`: a Q, c, A
-or F outside the float range, on either side, is an OverflowError, never
-0.0 or inf. Products of Gamma values at arguments of even moderate size
-overflow double precision, so no routine in this module ever multiplies
-Gamma values directly. Every such sum and
+Everything here reduces to sums of logs over the indivisible positive
+roots, exponentiated once at the end through :func:`_exp`: a Q, c, A or F
+outside the float range, on either side, is an OverflowError, never 0.0 or
+inf. Products of Gamma values at arguments of even moderate size overflow
+double precision, so no routine in this module ever multiplies Gamma
+values directly. Every such sum and
 every sum of Weyl ratios is added left to right from a fixed start:
 ``sum()`` compensates its rounding from CPython 3.12 on, which would move
 the last bits between interpreters.
 
 One per-root factor, :func:`_log_c_factor`, forms every Gamma ratio of Q,
 c, A and F, elementwise over an array: F(z; a, b, c, d) is Q's factor at
-x = 2(cz + a), m = 4b, m2 = 2d and power 2b + d. One function,
+x = 2(cz + a), m = 4b, m2 = 2d. Each root's two ratios Gamma(b)/Gamma(b + s)
+have the shifts s = m/2 and m2/2; every catalog shift is whole or a
+half-integer. A whole shift up to :data:`_MAX_LOG_SUM_SHIFT` is the sum of
+-log(b + i) over i < s, from one ``math.log`` map; any other is
+the difference of two ``math.lgamma`` values, whose digits cancel where b
+is large. On a group manifold each root's Q factor is log x - log x, which
+the kernel skips, so Q is 1.0 bit for bit. One function,
 :func:`_pairings`, forms every root pairing from a weight's lattice
 coordinates c as x = c P + r, with the integer matrix P and the
 half-integers r that :attr:`RootSystem.lattice_pairings` derives once: one
@@ -24,7 +30,8 @@ and each block's pairings reach the kernel in one call; ``probe-F`` passes
 its whole column of z. Entry points take a :class:`SphericalWeight` or a
 sequence of lattice coordinates. Two routes that check the kernel stay
 independent of it: :func:`_log_c_factor_raw` (before the duplication
-formula) and the group manifolds' closed form :func:`group_c_closed_form`.
+formula, every ratio from ``math.lgamma``) and the group manifolds' closed
+form :func:`group_c_closed_form` (logs of pairing ratios).
 
 Normalization of the c-function is enforced numerically: the product
 formula is evaluated at the weight and at zero, and the ratio is returned,
@@ -86,57 +93,149 @@ def _lgamma(x: float) -> float:
 # 4 x 1331, while a block's fixed cost is a few dozen small numpy calls
 _BLOCK_ENTRIES = 2048
 
+# a whole-number shift s of a ratio Gamma(b)/Gamma(b + s) up to this bound
+# is summed as -sum_{i<s} log(b + i), which cancels nowhere; past it, or off
+# the integers, it is two math.lgamma values, whose difference loses digits
+# like b log b. Every catalog shift is at most 4 (OP2's m = 8). The sum costs
+# s logs against two lgammas, so the bound keeps that cost small while a
+# multiplicity of 1e10 (shift 5e9) still costs two lgammas, not 5e9 logs.
+_MAX_LOG_SUM_SHIFT = 16
 
-def _log_gammas(args: np.ndarray) -> np.ndarray:
-    """log Gamma element by element, flattened: ``math.lgamma`` mapped over
-    the floats, so each value has its scalar bits (numpy has no log Gamma,
-    and its SIMD ``log`` and ``exp`` do not match libm's bits). An argument
-    past about 2.55e305, infinite ones too, gives ``inf``."""
-    vals = args.ravel().tolist()
+
+def _logs(vals: list) -> list:
+    return list(map(math.log, vals))
+
+
+def _log_gammas(vals: list) -> list:
+    """``math.lgamma`` mapped over the floats, so each value has its scalar
+    bits (numpy has no log Gamma, and its SIMD ``log`` and ``exp`` do not
+    match libm's bits). An argument past about 2.55e305, infinite ones too,
+    gives ``inf``."""
     try:
-        return np.array(list(map(math.lgamma, vals)))
+        return list(map(math.lgamma, vals))
     except OverflowError:  # lgamma raises where its value, not its argument, overflows
-        return np.array(list(map(_lgamma, vals)))
+        return list(map(_lgamma, vals))
 
 
-def _log_c_factor(x: np.ndarray, m, m2, power=0.0) -> np.ndarray:
+def _mapped(f, arrays: list) -> list:
+    """f, which maps a list of floats to a list, over every float of the
+    arrays in one call: their value arrays, shaped alike."""
+    flat: list = []
+    for a in arrays:
+        flat += a.ravel().tolist()
+    vals = np.array(f(flat))
+    out, end = [], 0
+    for a in arrays:
+        out.append(vals[end:end + a.size].reshape(a.shape))
+        end += a.size
+    return out
+
+
+# 0, 1, 2, ... down the first axis, to add to a (roots x rows) array
+_STEPS = np.arange(float(_MAX_LOG_SUM_SHIFT))[:, None, None]
+
+
+def _whole(s: float) -> bool:
+    return 0 < s <= _MAX_LOG_SUM_SHIFT and s.is_integer()
+
+
+def _log_c_factor(x: np.ndarray, classes, q: bool = False) -> np.ndarray:
     """Unnormalized Gindikin-Karpelevic factor, duplication formula
-    applied, times x**power, elementwise over a float array x, such as the
-    (roots x rows) pairings of a block (m, m2 and power scalars or arrays
-    that broadcast to x's shape); Q takes power (m + m2)/2, F 2b + d, the
-    c-function 0. The one Gamma-factor kernel of Q, c, A and F.
+    applied, elementwise over the (roots x rows) float array x, such as the
+    pairings of a block; with q, times x^((m + m2)/2): Q's factor, and F's
+    at m = 4b, m2 = 2d. classes holds (rows, m, m2), rows indexing x's first
+    axis, like :attr:`RootSystem.shift_classes`; a row in no class gives 0.0.
+    The one Gamma-factor kernel of Q, c, A and F.
+
+    The factor is log Gamma(x)/Gamma(x + k) + log Gamma(y)/Gamma(y + h), with
+    k = m/2, h = m2/2 and y = m/4 + x/2, plus (k + h) log x with q. A ratio
+    whose shift s is whole, up to :data:`_MAX_LOG_SUM_SHIFT`, is the sum of
+    -log(b + i) over i < s; with q each term takes one log x, as
+    log x - log(b + i), which is 0 at b + i = x and is dropped there. Each
+    other ratio is a difference of two ``math.lgamma`` values, followed with
+    q by s log x. A class whose factor is 0 at every x (h = 0, and k = 0 or,
+    with q, k = 1: every root of a group manifold under Q) makes no term, so
+    Q is 1.0 there bit for bit. A block maps ``math.log`` once and
+    ``math.lgamma`` at most once.
 
     Callers ignore numpy's overflow and invalid warnings: an argument that
-    overflows, or one past ~2.55e305, makes two log Gammas inf and their
-    difference nan, which the callers report through :func:`_exp`."""
-    log_x = np.array(list(map(math.log, x.ravel().tolist()))).reshape(x.shape)
-    # the last argument is x/2 + m/4 + m2/2 added left to right, and
-    # m/4 + x/2 has the bits of x/2 + m/4: IEEE addition commutes
-    first = 0.25 * m + 0.5 * x
-    args = np.concatenate([first, x, 0.5 * m + x, first + 0.5 * m2])
-    g = _log_gammas(args).reshape(4, *x.shape)
-    return g[0] + g[1] + power * log_x - g[2] - g[3]
+    overflows, or one past ~2.55e305, makes two logs or log Gammas inf and
+    their difference nan, which the callers report through :func:`_exp`."""
+    logs, gammas, plans = [], [], []
+    for rows, m, m2 in classes:
+        k, h = 0.5 * m, 0.5 * m2
+        if not h and (not k or q and k == 1.0):
+            continue
+        b = x if len(rows) == len(x) else x[rows]
+        # y + h has the bits of x/2 + m/4 + m2/2 added left to right: IEEE
+        # addition commutes
+        y = 0.25 * m + 0.5 * b if h else None
+        # log arguments as (terms, roots, rows) arrays: x + i for i < k, or
+        # x alone for q's log x, and y + i for i < h
+        on_x = on_y = None
+        if _whole(k) or q:
+            on_x = len(logs)
+            logs.append(b + _STEPS[:int(k) if _whole(k) else 1])
+        if _whole(h):
+            on_y = len(logs)
+            logs.append(y + _STEPS[:int(h)])
+        # the other ratios' Gammas as y, x over x + k, y + h, the order of the
+        # plain log-Gamma kernel: a class with no whole shift keeps its bits
+        split = [(base, s) for base, s in ((y, h), (b, k)) if s and not _whole(s)]
+        plans.append((rows, on_x, on_y, len(gammas), [s for _, s in split]))
+        gammas += [base for base, _ in split] + [base + s for base, s in split[::-1]]
+    log_vals = _mapped(_logs, logs)
+    gamma_vals = _mapped(_log_gammas, gammas)
+    out = np.zeros(x.shape)
+    for rows, on_x, on_y, at, shifts in plans:
+        parts = []
+        if on_x is not None:
+            # with q log x is the power's, and the i = 0 term log x - log x is 0
+            log_x = log_vals[on_x][0]
+            parts.append(log_vals[on_x][1:] if q else log_vals[on_x])
+        if on_y is not None:
+            parts.append(log_vals[on_y])
+        terms = [t for part in parts for t in (log_x - part if q else part)]
+        value = None
+        if shifts:
+            n = len(shifts)
+            value = _add(gamma_vals[at + 1:at + n], gamma_vals[at])
+            if q:
+                value = value + _add(shifts[1:], shifts[0]) * log_x
+            for g in gamma_vals[at + n:at + 2 * n]:
+                value = value - g
+        if terms:
+            total = _add(terms[1:], terms[0])
+            total = total if q else -total
+            value = total if value is None else value + total
+        if len(rows) == len(x):
+            return value  # the one class
+        out[rows] = value
+    return out
 
 
-def _log_c_factor_raw(x: np.ndarray, m, m2) -> np.ndarray:
-    """:func:`_log_c_factor` at power 0 before the duplication formula is
-    applied, elementwise in the same way: a power of two and a Gamma over
-    two half-argument Gammas."""
+def _log_c_factor_raw(x: np.ndarray, classes) -> np.ndarray:
+    """:func:`_log_c_factor` without q before the duplication formula is
+    applied, on the same arguments: a power of two and a Gamma over two
+    half-argument Gammas, each a ``math.lgamma`` value."""
+    m, m2 = np.zeros((2, len(x), 1))
+    for rows, m_c, m2_c in classes:
+        m[rows], m2[rows] = m_c, m2_c
     half = 0.5 * x
-    args = np.concatenate([x, 0.25 * m + 0.5 + half, 0.25 * m + 0.5 * m2 + half])
-    g = _log_gammas(args).reshape(3, *x.shape)
+    g = _mapped(_log_gammas, [x, 0.25 * m + 0.5 + half, 0.25 * m + 0.5 * m2 + half])
     return -x * math.log(2.0) + g[0] - g[1] - g[2]
 
 
-def _log_q_factor(x: np.ndarray, m, m2) -> np.ndarray:
-    return _log_c_factor(x, m, m2, 0.5 * (m + m2))
+def _log_q_factor(x: np.ndarray, classes) -> np.ndarray:
+    return _log_c_factor(x, classes, True)
 
 
 def _add(terms, start: float = 0.0) -> float:
-    """start plus the terms, left to right, one float addition at a time."""
+    """start plus the terms, left to right, one float addition at a time;
+    an array start is not written to."""
     total = start
     for t in terms:
-        total += t
+        total = total + t
     return total
 
 
@@ -172,23 +271,34 @@ def _coords(weight) -> np.ndarray:
     return np.asarray([weight.coeffs if isinstance(weight, SphericalWeight) else weight])
 
 
-def _gamma_sums(rs: RootSystem, coeffs: np.ndarray, factor, name=None,
-                on=slice(None)) -> list:
-    """At each row of coordinates, the log sum of factor(x, m, m2) over the
-    indivisible roots that on selects, added left to right from 0.0; given
-    a name, the quantity itself, through :func:`_exp`. Per block of at most
-    _BLOCK_ENTRIES pairings, factor takes the (roots x rows) pairings of the
-    rows before the first whose pairings fail in one call, _exp runs row by
-    row, and then that row raises: each error comes where a loop over the
-    rows would raise it."""
-    m, m2 = (col[on, None] for col in rs.indivisible_arrays[1:])
-    step = max(_BLOCK_ENTRIES // len(m), 1)
+def _gamma_sums(rs: RootSystem, coeffs: np.ndarray, factor, name=None, on=None) -> list:
+    """At each row of coordinates, the log sum of factor(x, classes) over the
+    indivisible roots (those where the boolean mask on is true, if given),
+    added left to right from 0.0; given a name, the quantity itself. Per
+    block of at most _BLOCK_ENTRIES pairings, factor takes the (roots x rows)
+    pairings of the rows before the first whose pairings fail in one call,
+    their logs go through one ``math.exp`` pass, or through :func:`_exp` row
+    by row where a log is not finite or a value leaves the float range, and
+    then that row raises: each error comes where a loop over the rows would
+    raise it."""
+    classes = rs.shift_classes
+    if on is not None:
+        classes = [(rows[on[rows]], m, m2) for rows, m, m2 in classes if on[rows].any()]
+    step = max(_BLOCK_ENTRIES // len(rs.indivisible), 1)
     out: list = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(coeffs), step):
             x, n_ok = _pairings(rs, coeffs[start:start + step])
-            logs = _add(factor(x[:n_ok, on].T, m, m2), np.zeros(n_ok)).tolist()
-            out += logs if name is None else [_exp(log, name) for log in logs]
+            logs = _add(factor(x[:n_ok].T, classes), np.zeros(n_ok)).tolist()
+            if name is not None:
+                try:
+                    vals = list(map(math.exp, logs))
+                    # a log that is not finite gives inf, nan or 0.0
+                    in_range = 0.0 not in vals and all(map(math.isfinite, vals))
+                except OverflowError:
+                    in_range = False
+                logs = vals if in_range else [_exp(log, name) for log in logs]
+            out += logs
             if n_ok < len(x):
                 _check_pairings(x[n_ok].tolist())
     return out
@@ -295,7 +405,7 @@ def f_factors(zs, a: float, b: float, c: float, d: float) -> list[float]:
     with np.errstate(over="ignore", invalid="ignore"):
         # an argument that overflows, like one past ~2.55e305, gives a log F
         # that is not finite, which _exp reports at its z
-        logs = _log_c_factor(2.0 * (c * zs + a), m, m2, 2.0 * b + d).tolist()
+        logs = _log_c_factor((2.0 * (c * zs + a))[None], (([0], m, m2),), True)[0].tolist()
     return [_exp(val, "F", f"at z = {z:g}") for val, z in zip(logs, zs.tolist())]
 
 
@@ -313,8 +423,7 @@ def g_product_probe(rs: RootSystem, j: int, n_max: int) -> list[float]:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     rays = np.outer(np.arange(n_max + 1), np.eye(rs.rank, dtype=int)[j])
-    on_ray = np.flatnonzero(rs.lattice_pairings[0][j] > 0)
-    return _gamma_sums(rs, rays, _log_q_factor, "ray product", on_ray)
+    return _gamma_sums(rs, rays, _log_q_factor, "ray product", rs.lattice_pairings[0][j] > 0)
 
 
 # ---------------------------------------------------------------------------

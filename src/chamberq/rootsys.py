@@ -238,6 +238,17 @@ class RootSystem:
         return tuple(zip(alphas, m.tolist(), m2.tolist()))
 
     @cached_property
+    def shift_classes(self) -> tuple[tuple[np.ndarray, float, float], ...]:
+        """The indivisible roots grouped by their pair (m_alpha, m_2alpha),
+        which fixes the shifts m/2 and m2/2 of the Gamma ratios in Q and c:
+        per class, (the indices of its roots in :attr:`indivisible_arrays`,
+        m, m2), in the order of each class's first root."""
+        _, m, m2 = self.indivisible_arrays
+        pairs = list(zip(m.tolist(), m2.tolist()))
+        return tuple((np.flatnonzero([p == key for p in pairs]), *key)
+                     for key in dict.fromkeys(pairs))
+
+    @cached_property
     def lattice_pairings(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(P, r, bound): at lattice coordinates c the pairings
         <mu + rho, alpha>/<alpha, alpha> of the indivisible roots are c P + r;
@@ -537,7 +548,7 @@ def _build(spec: RootSpec) -> RootSystem:
     order = np.lexsort(np.round(roots, 9).T[::-1])  # first column first
     roots = roots[order]
     mults = np.repeat(spec.mults, spec.sizes)[order]
-    longest = max(float(a @ a) for a in roots)
+    longest = float(np.einsum("ij,ij->i", roots, roots).max())
     roots = roots * math.sqrt(2.0 * spec.metric_scale / longest)
     # class table rows, carried through the sort: only BC has doubles, the
     # 2 e_i of its last block for the e_i of its first
@@ -626,7 +637,8 @@ def rescale(rs: RootSystem, c: float) -> RootSystem:
         raise ValueError("scale factor must be positive")
     # the metric scale is half the longest squared root length; a build's is
     # its metric_scale to within a few ulps, which the bound lets pass
-    if c * 0.5 * max(float(a @ a) for a in rs.roots) > _MAX_METRIC_SCALE * (1.0 + 1e-12):
+    longest = float(np.einsum("ij,ij->i", rs.roots, rs.roots).max())
+    if c * 0.5 * longest > _MAX_METRIC_SCALE * (1.0 + 1e-12):
         raise ValueError(f"rescaled metric scale must be at most {_MAX_METRIC_SCALE:g}")
     return RootSystem(rank=rs.rank, roots=rs.roots * math.sqrt(c), mults=rs.mults,
                       geometric=rs.geometric)

@@ -444,14 +444,13 @@ def _checked_pairings(rs, coeffs):
 
 
 def _gamma_sums_by_dots(rs, weights, factor):
-    """Per row of lattice coordinates, the sum of factor(x, m, m2) over the
+    """Per row of lattice coordinates, the sum of factor(x, classes) over the
     indivisible roots, added left to right from 0.0, with the pairings x of
-    :func:`rational_pairings`: no matrix product, no blocks. The kernel and
-    the finishers are the package's."""
+    :func:`rational_pairings`: no matrix product, no blocks. The kernel, the
+    shift classes and the finishers are the package's."""
     with np.errstate(over="ignore", invalid="ignore"):
         rows = [_checked_pairings(rs, coeffs) for coeffs in weights]
-        m, m2 = (np.array([[r[k]] for r in rs.indivisible]) for k in (1, 2))
-        terms = factor(np.array(rows).T, m, m2)
+        terms = factor(np.array(rows).T, rs.shift_classes)
     return [_left_to_right(col) for col in terms.T.tolist()]
 
 
@@ -493,6 +492,61 @@ def exact_by_dots(rs, coeffs) -> dict:
         out["group_c_closed_form"] = lambda: math.exp(
             -_log_weyl_sum_by_dots(rs, coeffs, [1.0] * len(halves)))
     return out
+
+
+# -- Gamma products in mpmath at 40 digits ------------------------------------------
+
+
+def _dps(size) -> int:
+    # 40 digits past those that log Gamma at arguments up to size cancels:
+    # log Gamma(y) is about y log y
+    return 45 + max(0, math.ceil(math.log10(float(size) + 1.0)))
+
+
+def log_gamma_ratio(y: float, k: int) -> float:
+    """log Gamma(y) - log Gamma(y + k) by mpmath's loggamma to 40 digits, the
+    value that -sum_{i<k} log(y + i) must give."""
+    import mpmath  # a test dependency
+
+    with mpmath.workdps(_dps(y)):
+        y = mpmath.mpf(y)
+        return float(mpmath.loggamma(y) - mpmath.loggamma(y + k))
+
+
+def _mp_log_factor(mpmath, x, m, m2, q):
+    # Q's per-root factor, or with q false the c-function's, on loggamma
+    lg = mpmath.loggamma
+    m, m2 = mpmath.mpf(m), mpmath.mpf(m2)
+    log_f = lg(m / 4 + x / 2) + lg(x) - lg(m / 2 + x) - lg(m / 4 + m2 / 2 + x / 2)
+    return log_f + (m + m2) / 2 * mpmath.log(x) if q else log_f
+
+
+def c_by_mpmath(rs, coeffs) -> float:
+    """c at the weight with lattice coordinates coeffs: the Gamma product to
+    40 digits, on pairings formed in exact rational arithmetic, over the same
+    product at the zero weight. Independent of hcfun."""
+    import mpmath  # a test dependency
+
+    def log_product(cs):
+        total = 0
+        for (two_r, ps), (_, m, m2) in zip(_lattice_by_dots(rs), rs.indivisible):
+            x = Fraction(two_r, 2) + sum(Fraction(c) * p for c, p in zip(cs, ps))
+            total += _mp_log_factor(mpmath, mpmath.mpf(x.numerator) / x.denominator,
+                                    m, m2, False)
+        return total
+
+    with mpmath.workdps(_dps(max(map(abs, coeffs), default=0))):
+        return float(mpmath.exp(log_product(coeffs) - log_product([0] * rs.rank)))
+
+
+def f_by_mpmath(z, a, b, c, d) -> float:
+    """The F factor at z, as Q's factor at x = 2(cz + a), m = 4b, m2 = 2d, to
+    40 digits. Independent of hcfun."""
+    import mpmath  # a test dependency
+
+    with mpmath.workdps(_dps(2.0 * (c * z + a))):
+        x = 2 * (mpmath.mpf(c) * z + mpmath.mpf(a))
+        return float(mpmath.exp(_mp_log_factor(mpmath, x, 4 * b, 2 * d, True)))
 
 
 # -- reference chamber-weight route: the class term at every node ----------------

@@ -306,13 +306,21 @@ def test_emit_q_report_schema(catalog):
 
 
 def test_emit_q_report_csv_bytes(catalog):
-    # space-joined weight labels, 17 significant digits, CRLF line ends
+    # space-joined weight labels, 17 significant digits, CRLF line ends; Q
+    # on a group manifold is 1.0 bit for bit, which prints as 1
     assert emit(run_flatness(catalog, "SU3", 1, 1e-10), "csv") == (
         "weight,q_value\r\n"
-        "0 0,1.0000000000000004\r\n"
-        "0 1,0.99999999999999967\r\n"
-        "1 0,0.99999999999999967\r\n"
-        "1 1,1.000000000000002\r\n"
+        "0 0,1\r\n"
+        "0 1,1\r\n"
+        "1 0,1\r\n"
+        "1 1,1\r\n"
+    )
+    assert emit(run_flatness(catalog, "SU3_SO3", 1, 1e-10), "csv") == (
+        "weight,q_value\r\n"
+        "0 0,1.7724538509055177\r\n"
+        "0 1,1.4472025091165348\r\n"
+        "1 0,1.4472025091165348\r\n"
+        "1 1,1.2279920495357859\r\n"
     )
 
 
@@ -339,7 +347,7 @@ def test_emit_rejects_unknown_formats(catalog):
 def test_float_formatting_17_digits(catalog):
     rep = run_flatness(catalog, "S2", 2, 1e-6)
     text = emit(rep, "json")
-    assert "1.2533141373155006" in text or "1.2533141373155003" in text
+    assert "1.2533141373155008" in text or "1.2533141373155003" in text
 
 
 def _emit_reference_cases():
@@ -848,38 +856,48 @@ def test_cli_cfun_rejects_weight_past_float_range(space, weight, capsys):
 
 
 @pytest.mark.parametrize("space, weight, code, message", [
-    # log c is finite, but cancellation leaves it too small for exp
-    ("SU2", str(10**30), 3, "numerical failure: c underflows a float"),
-    # log Gamma overflows to inf in two terms of one factor, and inf - inf is
-    # nan; at 10^308 the pairings 10^308 + 1/2 and 10^308 + 1 are finite
-    ("SU2", str(10**306), 3, "numerical failure: log c is not finite"),
+    # each shift of a group manifold is 1, so its c is a sum of logs: from
+    # 1e-30 down to 1e-306 it is in range and equals its closed form
+    ("SU2", str(10**30), 0, None),
+    ("SU2", str(10**306), 0, None),
+    # log Gamma overflows to inf in two terms of CP2's half-integer shift,
+    # and inf - inf is nan; at 10^308 the pairings 10^308 + 1/2 and
+    # 10^308 + 1 are finite
     ("CP2", str(10**306), 3, "numerical failure: log c is not finite"),
-    ("SU3", f"{10**307},1", 3, "numerical failure: log c is not finite"),
+    ("SU3", f"{10**307},1", 3, "numerical failure: c underflows a float"),
     ("S2", str(10**308), 3, "numerical failure: log c is not finite"),
-    ("SU4", f"{10**308},0,0", 3, "numerical failure: log c is not finite"),
+    ("SU4", f"{10**308},0,0", 3, "numerical failure: c underflows a float"),
     # a pairing overflows a float: 2n + 2 on CP2
     ("CP2", str(10**308), 2, "weight is too large: a root pairing overflows a float"),
     # the weight vector itself overflows
     ("SU3", f"{17 * 10**307},{17 * 10**307}", 2, "vector has non-finite entries"),
-    # c is finite but lost to cancellation: 1.0 against 1.0e-36, 1.9e28
-    # against 3.0e-64, and, with every pairing exact, 12.0 and 3.0 against
-    # the closed forms 1.2e-71 and 3.0e-72
-    ("SU3", f"{10**18},1", 3, "numerical failure: c = "),
-    ("SU4", f"{10**16},1,1", 3, "numerical failure: c = "),
-    ("SU4", f"{10**18},0,0", 3,
-     "numerical failure: c = 12.0 disagrees with its closed form 1.2000000000000085e-71"),
-    ("SU4", f"{10**18},1,1", 3, "numerical failure: c = "),
+    # the closed forms 1.0e-36, 3.0e-64, 1.2e-71 and 3.0e-72, which two
+    # log Gammas per factor lost to cancellation
+    ("SU3", f"{10**18},1", 0, None),
+    ("SU4", f"{10**16},1,1", 0, None),
+    ("SU4", f"{10**18},0,0", 0, None),
+    ("SU4", f"{10**18},1,1", 0, None),
 ], ids=["SU2-1e30", "SU2-1e306", "CP2-1e306", "SU3-1e307", "S2-1e308", "SU4-1e308",
         "CP2-1e308", "SU3-1.7e308", "SU3-1e18", "SU4-1e16", "SU4-1e18",
         "SU4-1e18-1-1"])
-def test_cli_cfun_huge_weight_is_one_line_error(space, weight, code, message):
-    # in a fresh process, so a numpy warning would reach stderr
+def test_cli_cfun_huge_weight_is_one_line_error(space, weight, code, message, catalog):
+    # one line, in a fresh process, so a numpy warning would reach stderr:
+    # the error, or c next to its closed form, both within 1e-12 of the
+    # Gamma product in mpmath
     proc = _python_m_chamberq(["cfun", space, "--weight", weight],
                               capture_output=True, text=True)
     assert proc.returncode == code
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: " + message)
-    assert proc.stderr.count("\n") == 1
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: " + message)
+        assert proc.stderr.count("\n") == 1
+        return
+    assert proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    doc = json.loads(proc.stdout)
+    want = oracles.c_by_mpmath(catalog.get(space).to_root_system(), doc["weight"])
+    assert doc["c"] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert doc["c_closed_form"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("weight", ["1", str(5 * 10**307)], ids=["1", "5e307"])
@@ -907,6 +925,19 @@ def test_cli_cfun_prints_c_next_to_a_closed_form_it_agrees_with(capsys):
     assert doc["c"] == pytest.approx(doc["c_closed_form"], rel=1e-8)
 
 
+@pytest.mark.parametrize("space, max_coeff, tol", [
+    ("SU3", "5", "1e-15"), ("SU4", "4", "1e-15"), ("SU2", "1000", "1e-13"),
+    ("SU2", "20000", "1e-10")])
+def test_cli_flatness_group_manifold_spread_is_zero(space, max_coeff, tol, capsys):
+    # Q is 1.0 bit for bit at every weight, so the verdict holds at any tol
+    code, out, err = run_cli(["flatness", space, "--max-coeff", max_coeff, "--tol", tol],
+                             capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["max_rel_deviation"] == 0.0
+    assert set(doc["q_values"]) == {1.0}
+
+
 @pytest.mark.parametrize("space, max_coeff", [("SU2", "250000"), ("SU4", "1000")])
 def test_cli_flatness_rejects_box_past_weight_bound(space, max_coeff, capsys):
     code, out, err = run_cli(["flatness", space, "--max-coeff", max_coeff], capsys)
@@ -919,15 +950,56 @@ def test_cli_flatness_rejects_box_past_weight_bound(space, max_coeff, capsys):
 @pytest.mark.parametrize("a, c", [("1e308", "1e308"), ("1e307", "0")],
                          ids=["gamma-argument", "log-gamma"])
 def test_cli_probe_f_huge_finite_inputs_are_numerical_failures(a, c, capsys):
-    # 2w = 2e308 overflows before log_gamma sees it; log_gamma(1e307) is inf
+    # 2w = 2e308 overflows before log_gamma sees it; log_gamma(1e307) is inf;
+    # b = 1/4 is a half-integer shift, which takes two log Gammas
     code, out, err = run_cli(
-        ["probe-F", "--a", a, "--b", "0", "--c", c, "--d", "0", "--zmax", "2"],
+        ["probe-F", "--a", a, "--b", "0.25", "--c", c, "--d", "0", "--zmax", "2"],
         capsys,
     )
     assert code == 3
     assert out == ""
     assert err == ("error: numerical failure: log F is not finite: "
                    "log Gamma overflows at z = 0\n")
+
+
+@pytest.mark.parametrize("b", ["0", "0.5"])
+def test_cli_probe_f_is_one_where_its_factor_is_identically_one(b, capsys):
+    # F = Gamma(w + b) Gamma(2w) (2w)^2b / [Gamma(2w + 2b) Gamma(w + b)] is 1
+    # at b = 0 and b = 1/2 with d = 0, even where 2w overflows a float
+    code, out, err = run_cli(
+        ["probe-F", "--a", "1e308", "--b", b, "--c", "1e308", "--d", "0", "--zmax", "2"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out == "z,F,F_over_2_pow_d\r\n0,1,1\r\n1,1,1\r\n2,1,1\r\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cfun", "S5", "--weight", str(10**100)],
+    ["cfun", "SU6_Sp3", "--weight", f"{10**18},{10**18}"],
+], ids=["S5-1e100", "SU6_Sp3-1e18"])
+def test_cli_cfun_at_huge_weights_matches_mpmath(argv, catalog, capsys):
+    # 6.0e-200 and 1.8e-106: the whole shifts of S5 and SU6_Sp3 are sums of
+    # logs, where two log Gammas per factor cancelled
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    want = oracles.c_by_mpmath(catalog.get(argv[1]).to_root_system(), doc["weight"])
+    assert doc["c"] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_cli_probe_f_past_the_lgamma_range_matches_mpmath(capsys):
+    # b = 2 and d = 1 are whole shifts: at x = 2e300 F is 2 to within a few
+    # ulps of log x, where two log Gammas cancelled to F = 0 (mpmath: 0.0889, 2, 2)
+    code, out, err = run_cli(
+        ["probe-F", "--a", "1", "--b", "2", "--c", "1e300", "--d", "1", "--zmax", "2"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.split("\r\n")[1:-1]]
+    for z, f, _ in rows:
+        assert float(f) == pytest.approx(oracles.f_by_mpmath(int(z), 1.0, 2.0, 1e300, 1.0),
+                                         rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("flag", ["--a", "--b", "--c", "--d"])

@@ -6,8 +6,9 @@ arithmetic that is meant to keep every value must leave this file passing
 unedited. Every weight box is small enough that each pairing
 x = <weight + rho, alpha>/<alpha, alpha> stays below 20, which a test
 checks, so a large-argument log-Gamma ratio kernel that starts at x = 20
-keeps those bits. The F-factor rows reach x = 2(cz + a) = 560 and pin the
-plain log-Gamma differences of today. Every entry point forms its
+keeps those bits. The F-factor rows reach x = 2(cz + a) = 560; none of
+their shifts 2b and d is whole, so they pin the plain log-Gamma
+differences. Every entry point forms its
 pairings exactly from the weight's lattice coordinates, x = c P + r, which
 two tests check: P is an integer matrix, and every pairing of every box
 equals rational arithmetic on the coordinates. The flatness sweep, whose

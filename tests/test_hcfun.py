@@ -512,9 +512,11 @@ def _closed_form_with_log(monkeypatch, log_value):
 # pairing logs and the fitted A's a least-squares intercept, so their
 # messages name no Gamma
 _NOT_FINITE = [
-    # on SU2 at 10^306 log c is nan and B overflows too: the Gamma failure is named
+    # on CP2 at 10^306 log c is nan (two log Gammas of its half-integer
+    # shift are inf) and B overflows too: the Gamma failure is named
     ("A", ": log Gamma overflows at this weight",
-     lambda mp: predicted_constants(_su(2), [10**306])),
+     lambda mp: predicted_constants(build_root_system("BC", 1, {"short": 2, "long": 1}),
+                                    [10**306])),
     ("closed-form c", " at this weight", lambda mp: _closed_form_with_log(mp, math.inf)),
     ("fitted A", " on this grid", lambda mp: _fitted_a(mp, math.nan)),
 ]
@@ -572,12 +574,45 @@ def test_predicted_constants_sphere2():
     assert a == pytest.approx(ratio, rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [10**200, 10**300], ids=["1e200", "1e300"])
+@pytest.mark.parametrize("n", [10**200, 10**300, 10**306], ids=["1e200", "1e300", "1e306"])
 def test_predicted_constants_b_overflow_is_named(n):
-    # |weight + rho|^2 overflows in numpy; the suite turns warnings into errors
+    # |weight + rho|^2 overflows in numpy; the suite turns warnings into errors.
+    # At 10^306 A is finite: its Gamma ratios are sums of logs
     rs = sphere(2)
     with pytest.raises(OverflowError, match="^B overflows a float at this weight$"):
         predicted_constants(rs, spherical_weight(rs, [n]))
+
+
+# y log-spaced over [1/4, 1e300], and the small whole numbers, where a sum
+# of logs of both signs cancels most
+_RATIO_ARGS = sorted({*np.geomspace(0.25, 1e300, 37).tolist(), 0.5, 1.0, 2.0, 3.0})
+
+
+@pytest.mark.parametrize("k", range(1, hcfun._MAX_LOG_SUM_SHIFT + 1))
+def test_whole_shift_log_sum_matches_mpmath(k):
+    # the kernel's c factor at m = 2k, m2 = 0 is log Gamma(x)/Gamma(x + k),
+    # a sum of k logs: within a few ulps of each log, against loggamma to 40
+    # digits
+    ys = np.array(_RATIO_ARGS)
+    got = hcfun._log_c_factor(ys[None], (([0], 2.0 * k, 0.0),))[0].tolist()
+    for y, g in zip(_RATIO_ARGS, got):
+        want = oracles.log_gamma_ratio(y, k)
+        scale = sum(abs(math.log(y + i)) for i in range(k)) + k
+        assert abs(g - want) <= 2.0 * k * 2.0**-52 * scale, (y, g, want)
+
+
+_GROUP_BOXES = {1: 20000, 2: 60, 3: 12, 4: 5}
+
+
+@pytest.mark.parametrize("name", ["S3", "SU2", "SU3", "SU4", "SO9", "G2"])
+def test_q_is_exactly_one_on_group_manifolds(name, catalog):
+    # every root of a group manifold has Q factor log x - log x: no term
+    bench = cli.load_catalog(Path(__file__).parents[1] / "bench" / "spaces.txt")
+    rs = (catalog if name in catalog.names() else bench).get(name).to_root_system()
+    assert classify_group_manifold(rs)
+    rep = q_invariance_test(rs, dominant_weights(rs, _GROUP_BOXES[rs.rank]), 1e-300)
+    assert set(rep.q_values) == {1.0}
+    assert rep.max_rel_deviation == 0.0 and rep.is_constant
 
 
 def test_a_equals_q_ratio_randomized(catalog):
