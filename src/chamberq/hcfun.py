@@ -8,17 +8,19 @@ double precision, so no routine in this module ever multiplies Gamma
 values directly. Every such sum and
 every sum of Weyl ratios is added left to right from a fixed start:
 ``sum()`` compensates its rounding from CPython 3.12 on, which would move
-the last bits between interpreters.
+the last bits between interpreters, and numpy's reduction over a contiguous
+axis adds pairwise from 8 terms on.
 
 One per-root factor, :func:`_log_c_factor`, forms every Gamma ratio of Q,
 c, A and F, elementwise over an array: F(z; a, b, c, d) is Q's factor at
 x = 2(cz + a), m = 4b, m2 = 2d. Each root's two ratios Gamma(b)/Gamma(b + s)
 have the shifts s = m/2 and m2/2; every catalog shift is whole or a
 half-integer. A whole shift up to :data:`_MAX_LOG_SUM_SHIFT` is the sum of
--log(b + i) over i < s, from one ``math.log`` map; any other is
-the difference of two ``math.lgamma`` values, whose digits cancel where b
-is large. On a group manifold each root's Q factor is log x - log x, which
-the kernel skips, so Q is 1.0 bit for bit. One function,
+-log(b + i) over i < s; any other is the difference of two ``math.lgamma``
+values, whose digits cancel where b is large. Each class of roots with one
+pair (m, m2) carries its own arguments to a block's one ``math.log`` map and
+at most one ``math.lgamma`` map. On a group manifold each root's Q factor
+is log x - log x, which the kernel skips, so Q is 1.0 bit for bit. One function,
 :func:`_pairings`, forms every root pairing from a weight's lattice
 coordinates c as x = c P + r, with the integer matrix P and the
 half-integers r that :attr:`RootSystem.lattice_pairings` derives once: one
@@ -44,6 +46,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 import numpy as np
@@ -117,17 +120,20 @@ def _log_gammas(vals: list) -> list:
         return list(map(_lgamma, vals))
 
 
-def _mapped(f, arrays: list) -> list:
+def _mapped(f, groups: list) -> list:
     """f, which maps a list of floats to a list, over every float of the
-    arrays in one call: their value arrays, shaped alike."""
+    groups of arrays in one call: per group, its arrays' values, shaped alike."""
     flat: list = []
-    for a in arrays:
-        flat += a.ravel().tolist()
+    for group in groups:
+        for a in group:
+            flat += a.ravel().tolist()
     vals = np.array(f(flat))
     out, end = [], 0
-    for a in arrays:
-        out.append(vals[end:end + a.size].reshape(a.shape))
-        end += a.size
+    for group in groups:
+        out.append([])
+        for a in group:
+            out[-1].append(vals[end:end + a.size].reshape(a.shape))
+            end += a.size
     return out
 
 
@@ -148,20 +154,22 @@ def _log_c_factor(x: np.ndarray, classes, q: bool = False) -> np.ndarray:
     The one Gamma-factor kernel of Q, c, A and F.
 
     The factor is log Gamma(x)/Gamma(x + k) + log Gamma(y)/Gamma(y + h), with
-    k = m/2, h = m2/2 and y = m/4 + x/2, plus (k + h) log x with q. A ratio
-    whose shift s is whole, up to :data:`_MAX_LOG_SUM_SHIFT`, is the sum of
-    -log(b + i) over i < s; with q each term takes one log x, as
-    log x - log(b + i), which is 0 at b + i = x and is dropped there. Each
-    other ratio is a difference of two ``math.lgamma`` values, followed with
-    q by s log x. A class whose factor is 0 at every x (h = 0, and k = 0 or,
-    with q, k = 1: every root of a group manifold under Q) makes no term, so
-    Q is 1.0 there bit for bit. A block maps ``math.log`` once and
-    ``math.lgamma`` at most once.
+    k = m/2, h = m2/2 and y = m/4 + x/2, plus (k + h) log x with q. Each
+    class carries its own log arguments: x + i for i < k if k is whole (up
+    to :data:`_MAX_LOG_SUM_SHIFT`), else x alone for q's log x, then y + i
+    for i < h if h is whole. With q its terms are the first log minus each
+    later one; without q, the logs, whose sum is negated. Each other ratio
+    is two ``math.lgamma`` values, taken as y, x over x + k, y + h, and
+    followed with q by the sum of its shifts times log x. The lgamma sum
+    comes first, then the terms', each added left to right. A class whose
+    factor is 0 at every x (h = 0, and k = 0 or, with q, k = 1: every root of
+    a group manifold under Q) is dropped, so Q is 1.0 there bit for bit. A
+    block maps ``math.log`` once and ``math.lgamma`` at most once.
 
     Callers ignore numpy's overflow and invalid warnings: an argument that
     overflows, or one past ~2.55e305, makes two logs or log Gammas inf and
     their difference nan, which the callers report through :func:`_exp`."""
-    logs, gammas, plans = [], [], []
+    kept, log_args, gamma_args = [], [], []
     for rows, m, m2 in classes:
         k, h = 0.5 * m, 0.5 * m2
         if not h and (not k or q and k == 1.0):
@@ -170,41 +178,26 @@ def _log_c_factor(x: np.ndarray, classes, q: bool = False) -> np.ndarray:
         # y + h has the bits of x/2 + m/4 + m2/2 added left to right: IEEE
         # addition commutes
         y = 0.25 * m + 0.5 * b if h else None
-        # log arguments as (terms, roots, rows) arrays: x + i for i < k, or
-        # x alone for q's log x, and y + i for i < h
-        on_x = on_y = None
-        if _whole(k) or q:
-            on_x = len(logs)
-            logs.append(b + _STEPS[:int(k) if _whole(k) else 1])
+        logs = [b + _STEPS[:int(k)]] if _whole(k) else [b[None]] if q else []
         if _whole(h):
-            on_y = len(logs)
             logs.append(y + _STEPS[:int(h)])
-        # the other ratios' Gammas as y, x over x + k, y + h, the order of the
-        # plain log-Gamma kernel: a class with no whole shift keeps its bits
+        log_args.append([np.concatenate(logs)] if len(logs) > 1 else logs)  # one array or none
+        # the plain log-Gamma kernel's order: a class with no whole shift keeps its bits
         split = [(base, s) for base, s in ((y, h), (b, k)) if s and not _whole(s)]
-        plans.append((rows, on_x, on_y, len(gammas), [s for _, s in split]))
-        gammas += [base for base, _ in split] + [base + s for base, s in split[::-1]]
-    log_vals = _mapped(_logs, logs)
-    gamma_vals = _mapped(_log_gammas, gammas)
+        gamma_args.append([base for base, _ in split] + [base + s for base, s in split[::-1]])
+        kept.append((rows, [s for _, s in split]))
     out = np.zeros(x.shape)
-    for rows, on_x, on_y, at, shifts in plans:
-        parts = []
-        if on_x is not None:
-            # with q log x is the power's, and the i = 0 term log x - log x is 0
-            log_x = log_vals[on_x][0]
-            parts.append(log_vals[on_x][1:] if q else log_vals[on_x])
-        if on_y is not None:
-            parts.append(log_vals[on_y])
-        terms = [t for part in parts for t in (log_x - part if q else part)]
-        value = None
+    for (rows, shifts), logs, gammas in zip(kept, _mapped(_logs, log_args),
+                                            _mapped(_log_gammas, gamma_args)):
+        logs, value = logs[0] if logs else (), None
         if shifts:
-            n = len(shifts)
-            value = _add(gamma_vals[at + 1:at + n], gamma_vals[at])
+            value = _add(gammas[1:len(shifts)], gammas[0])
             if q:
-                value = value + _add(shifts[1:], shifts[0]) * log_x
-            for g in gamma_vals[at + n:at + 2 * n]:
+                value = value + _add(shifts[1:], shifts[0]) * logs[0]
+            for g in gammas[len(shifts):]:
                 value = value - g
-        if terms:
+        if len(logs) > q:
+            terms = list(logs[0] - logs[1:] if q else logs)
             total = _add(terms[1:], terms[0])
             total = total if q else -total
             value = total if value is None else value + total
@@ -222,12 +215,11 @@ def _log_c_factor_raw(x: np.ndarray, classes) -> np.ndarray:
     for rows, m_c, m2_c in classes:
         m[rows], m2[rows] = m_c, m2_c
     half = 0.5 * x
-    g = _mapped(_log_gammas, [x, 0.25 * m + 0.5 + half, 0.25 * m + 0.5 * m2 + half])
+    g = _mapped(_log_gammas, [[x, 0.25 * m + 0.5 + half, 0.25 * m + 0.5 * m2 + half]])[0]
     return -x * math.log(2.0) + g[0] - g[1] - g[2]
 
 
-def _log_q_factor(x: np.ndarray, classes) -> np.ndarray:
-    return _log_c_factor(x, classes, True)
+_log_q_factor = partial(_log_c_factor, q=True)
 
 
 def _add(terms, start: float = 0.0) -> float:

@@ -640,5 +640,6 @@ def rescale(rs: RootSystem, c: float) -> RootSystem:
     longest = float(np.einsum("ij,ij->i", rs.roots, rs.roots).max())
     if c * 0.5 * longest > _MAX_METRIC_SCALE * (1.0 + 1e-12):
         raise ValueError(f"rescaled metric scale must be at most {_MAX_METRIC_SCALE:g}")
-    return RootSystem(rank=rs.rank, roots=rs.roots * math.sqrt(c), mults=rs.mults,
-                      geometric=rs.geometric)
+    # scaling moves no half, double or simple root: no matching
+    return RootSystem._standard(rs.rank, rs.roots * math.sqrt(c), rs.mults, rs.geometric,
+                                rs._half, rs._double, list(rs._simple_idx))

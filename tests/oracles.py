@@ -513,6 +513,46 @@ def log_gamma_ratio(y: float, k: int) -> float:
         return float(mpmath.loggamma(y) - mpmath.loggamma(y + k))
 
 
+# -- reference Gamma-factor order: one pairing, in plain floats -------------------
+
+
+def log_c_factor_by_floats(x: float, m: float, m2: float, q: bool = False) -> float:
+    """hcfun._log_c_factor at one pairing x of one root, in Python floats
+    with math.log and math.lgamma, added in the order the kernel documents.
+    First the ratios whose shift is not whole (up to the kernel's bound):
+    the log Gammas of y then x, plus with q the sum of their shifts times
+    log x, minus those of x + k, then y + h. Then the log terms of x + i for
+    i < k and y + i for i < h where those shifts are whole: with q each is
+    log x - log(b + i), leaving out log x - log x; without q each is
+    log(b + i), and their sum is negated. So the two agree bit for bit
+    exactly when the kernel keeps that order."""
+    k, h = 0.5 * m, 0.5 * m2
+    if not h and (not k or q and k == 1.0):
+        return 0.0
+    whole_k, whole_h = (0 < s <= hcfun._MAX_LOG_SUM_SHIFT and s.is_integer() for s in (k, h))
+    y = 0.25 * m + 0.5 * x
+    value = None
+    split = [(base, s) for base, s, whole in ((y, h, whole_h), (x, k, whole_k)) if s and not whole]
+    if split:
+        value = _left_to_right([math.lgamma(base) for base, _ in split[1:]],
+                               math.lgamma(split[0][0]))
+        if q:
+            value += _left_to_right([s for _, s in split[1:]], split[0][1]) * math.log(x)
+        for base, s in split[::-1]:
+            value -= math.lgamma(base + s)
+    args = [x + i for i in range(int(k) if whole_k else 0)]
+    args += [y + i for i in range(int(h) if whole_h else 0)]
+    if q:
+        terms = [math.log(x) - math.log(a) for a in args[1 if whole_k else 0:]]
+    else:
+        terms = [math.log(a) for a in args]
+    if terms:
+        total = _left_to_right(terms[1:], terms[0])
+        total = total if q else -total
+        value = total if value is None else value + total
+    return value
+
+
 def _mp_log_factor(mpmath, x, m, m2, q):
     # Q's per-root factor, or with q false the c-function's, on loggamma
     lg = mpmath.loggamma

@@ -601,6 +601,33 @@ def test_whole_shift_log_sum_matches_mpmath(k):
         assert abs(g - want) <= 2.0 * k * 2.0**-52 * scale, (y, g, want)
 
 
+# pairings from below 1, where logs change sign, to 1e8; the ratio shapes:
+# every pair of whole shifts up to the bound (sums of up to 32 terms), whole
+# k with a half-integer h (OP2's class) and the reverse, and two lgamma
+# ratios in one class (F's rows)
+_ORDER_XS = (0.5, 1.0, 2.5, 3.75, 17.25, 1000.5, 1e8)
+_WHOLE_SHIFTS = range(hcfun._MAX_LOG_SUM_SHIFT + 1)
+_ORDER_CLASSES = {
+    "whole": [(2.0 * k, 2.0 * h) for k in _WHOLE_SHIFTS for h in _WHOLE_SHIFTS],
+    "mixed": [(m, m2) for k in range(1, hcfun._MAX_LOG_SUM_SHIFT + 2) for h in (0.5, 1.5, 3.5)
+              for m, m2 in ((2.0 * k, 2.0 * h), (2.0 * h, 2.0 * k))],
+    "two_lgamma": [(4.0 * b, 2.0 * d) for b in (1.7, 0.2, 3.3, 0.6)
+                   for d in (0.35, 2.9, 1.1, 0.45)],
+}
+
+
+@pytest.mark.parametrize("q", [False, True])
+@pytest.mark.parametrize("shape", list(_ORDER_CLASSES))
+def test_kernel_adds_in_its_documented_order(shape, q):
+    # a one-row, one-root block against the plain-float reference, bit for
+    # bit: a numpy reduction, pairwise from 8 terms, would move the sums
+    for m, m2 in _ORDER_CLASSES[shape]:
+        for x in _ORDER_XS:
+            got = hcfun._log_c_factor(np.array([[x]]), (([0], m, m2),), q)[0, 0]
+            want = oracles.log_c_factor_by_floats(x, m, m2, q)
+            assert float(got).hex() == want.hex(), (x, m, m2)
+
+
 _GROUP_BOXES = {1: 20000, 2: 60, 3: 12, 4: 5}
 
 

@@ -187,6 +187,21 @@ def test_closed_form_structure_matches_the_matcher(label, rank, mults, geometric
     assert rs._simple_idx == matched._simple_idx
 
 
+@pytest.mark.parametrize("label,rank", TYPE_RANKS,
+                         ids=[f"{t}{r}" for t, r in TYPE_RANKS])
+def test_rescale_keeps_the_structure_the_matcher_derives(label, rank):
+    # rescale carries the half, double and simple indices over unmatched;
+    # matching the rescaled roots must find the same ones at every scale
+    rs = build_root_system(label, rank, _class_mults(label, rank))
+    for scale in (1e-6, 2.0, 1e6):
+        scaled = rescale(rs, scale)
+        matched = RootSystem(rank, scaled.roots, scaled.mults, scaled.geometric)
+        np.testing.assert_array_equal(scaled._half, matched._half)
+        np.testing.assert_array_equal(scaled._double, matched._double)
+        assert scaled._simple_idx == matched._simple_idx, scale
+        np.testing.assert_array_equal(scaled.roots, rs.roots * math.sqrt(scale))
+
+
 def test_direct_constructor_validation():
     with pytest.raises(ValueError):
         RootSystem(rank=1, roots=np.array([[0.0]]), mults=np.array([1.0]))
