@@ -18,9 +18,10 @@ have the shifts s = m/2 and m2/2; every catalog shift is whole or a
 half-integer. A whole shift up to :data:`_MAX_LOG_SUM_SHIFT` is the sum of
 -log(b + i) over i < s; any other is the difference of two ``math.lgamma``
 values, whose digits cancel where b is large. Each class of roots with one
-pair (m, m2) carries its own arguments to a block's one ``math.log`` map and
-at most one ``math.lgamma`` map. On a group manifold each root's Q factor
-is log x - log x, which the kernel skips, so Q is 1.0 bit for bit. One function,
+pair (m, m2) maps its own arguments through one ``math.log`` map and at
+most one ``math.lgamma`` map, then forms its factor. On a group manifold
+each root's Q factor is log x - log x, which the kernel skips, so Q is 1.0
+bit for bit. One function,
 :func:`_pairings`, forms every root pairing from a weight's lattice
 coordinates c as x = c P + r, with the integer matrix P and the
 half-integers r that :attr:`RootSystem.lattice_pairings` derives once: one
@@ -120,21 +121,9 @@ def _log_gammas(vals: list) -> list:
         return list(map(_lgamma, vals))
 
 
-def _mapped(f, groups: list) -> list:
-    """f, which maps a list of floats to a list, over every float of the
-    groups of arrays in one call: per group, its arrays' values, shaped alike."""
-    flat: list = []
-    for group in groups:
-        for a in group:
-            flat += a.ravel().tolist()
-    vals = np.array(f(flat))
-    out, end = [], 0
-    for group in groups:
-        out.append([])
-        for a in group:
-            out[-1].append(vals[end:end + a.size].reshape(a.shape))
-            end += a.size
-    return out
+def _mapped(f, a: np.ndarray) -> np.ndarray:
+    """f, which maps a list of floats to a list, over the floats of a, shaped like a."""
+    return np.array(f(a.ravel().tolist())).reshape(a.shape)
 
 
 # 0, 1, 2, ... down the first axis, to add to a (roots x rows) array
@@ -163,13 +152,14 @@ def _log_c_factor(x: np.ndarray, classes, q: bool = False) -> np.ndarray:
     followed with q by the sum of its shifts times log x. The lgamma sum
     comes first, then the terms', each added left to right. A class whose
     factor is 0 at every x (h = 0, and k = 0 or, with q, k = 1: every root of
-    a group manifold under Q) is dropped, so Q is 1.0 there bit for bit. A
-    block maps ``math.log`` once and ``math.lgamma`` at most once.
+    a group manifold under Q) is dropped, so Q is 1.0 there bit for bit.
+    Each class maps its log arguments once and its lgamma arguments at most
+    once, each as one array, and forms its factor before the next class.
 
     Callers ignore numpy's overflow and invalid warnings: an argument that
     overflows, or one past ~2.55e305, makes two logs or log Gammas inf and
     their difference nan, which the callers report through :func:`_exp`."""
-    kept, log_args, gamma_args = [], [], []
+    out = np.zeros(x.shape)
     for rows, m, m2 in classes:
         k, h = 0.5 * m, 0.5 * m2
         if not h and (not k or q and k == 1.0):
@@ -180,21 +170,17 @@ def _log_c_factor(x: np.ndarray, classes, q: bool = False) -> np.ndarray:
         y = 0.25 * m + 0.5 * b if h else None
         logs = [b + _STEPS[:int(k)]] if _whole(k) else [b[None]] if q else []
         if _whole(h):
-            logs.append(y + _STEPS[:int(h)])
-        log_args.append([np.concatenate(logs)] if len(logs) > 1 else logs)  # one array or none
+            logs = [np.concatenate(logs + [y + _STEPS[:int(h)]])]
+        logs, value = _mapped(_logs, logs[0]) if logs else (), None
         # the plain log-Gamma kernel's order: a class with no whole shift keeps its bits
         split = [(base, s) for base, s in ((y, h), (b, k)) if s and not _whole(s)]
-        gamma_args.append([base for base, _ in split] + [base + s for base, s in split[::-1]])
-        kept.append((rows, [s for _, s in split]))
-    out = np.zeros(x.shape)
-    for (rows, shifts), logs, gammas in zip(kept, _mapped(_logs, log_args),
-                                            _mapped(_log_gammas, gamma_args)):
-        logs, value = logs[0] if logs else (), None
-        if shifts:
-            value = _add(gammas[1:len(shifts)], gammas[0])
+        if split:
+            args = [base for base, _ in split] + [base + s for base, s in split[::-1]]
+            gammas = _mapped(_log_gammas, np.array(args))
+            value = _add(gammas[1:len(split)], gammas[0])
             if q:
-                value = value + _add(shifts[1:], shifts[0]) * logs[0]
-            for g in gammas[len(shifts):]:
+                value = value + _add([s for _, s in split[1:]], split[0][1]) * logs[0]
+            for g in gammas[len(split):]:
                 value = value - g
         if len(logs) > q:
             terms = list(logs[0] - logs[1:] if q else logs)
@@ -215,7 +201,7 @@ def _log_c_factor_raw(x: np.ndarray, classes) -> np.ndarray:
     for rows, m_c, m2_c in classes:
         m[rows], m2[rows] = m_c, m2_c
     half = 0.5 * x
-    g = _mapped(_log_gammas, [[x, 0.25 * m + 0.5 + half, 0.25 * m + 0.5 * m2 + half]])[0]
+    g = _mapped(_log_gammas, np.array([x, 0.25 * m + 0.5 + half, 0.25 * m + 0.5 * m2 + half]))
     return -x * math.log(2.0) + g[0] - g[1] - g[2]
 
 
@@ -385,12 +371,17 @@ def f_factor(z: float, a: float, b: float, c: float, d: float) -> float:
 
 def f_factors(zs, a: float, b: float, c: float, d: float) -> list[float]:
     """:func:`f_factor` at each z of zs, with one kernel call; the first z
-    at which F fails raises."""
+    at which F fails raises. A parameter or z that is nan or infinite is an
+    input error, raised before any Gamma is formed."""
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise ValueError("parameters a, b, c, d must be finite")
     if a <= 0:
         raise ValueError("parameter a must be positive")
     if min(b, c, d) < 0:
         raise ValueError("parameters b, c, d must be nonnegative")
     zs = np.array(zs, dtype=float)
+    if not np.isfinite(zs).all():
+        raise ValueError("z must be finite")
     if np.any(zs < 0):
         raise ValueError("z must be nonnegative")
     m, m2 = 4.0 * b, 2.0 * d

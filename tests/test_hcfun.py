@@ -388,9 +388,22 @@ def test_closed_form_pairing_overflow_is_input_error():
 @pytest.mark.parametrize("call, message", [
     (lambda: hcfun.f_factors([1.0], 1.0, -0.5, 1.0, 0.0),
      "parameters b, c, d must be nonnegative"),
+    # bad input, not a log Gamma overflow: raised before any Gamma is formed
+    # (a finite z whose argument overflows stays an OverflowError)
+    (lambda: hcfun.f_factors([1.0], math.nan, 0.5, 1.0, 0.0),
+     "parameters a, b, c, d must be finite"),
+    (lambda: hcfun.f_factors([1.0], 1.0, math.inf, 1.0, 0.0),
+     "parameters a, b, c, d must be finite"),
+    (lambda: hcfun.f_factors([1.0], 1.0, 0.5, math.nan, 0.0),
+     "parameters a, b, c, d must be finite"),
+    (lambda: hcfun.f_factors([1.0], 1.0, 0.5, 1.0, math.inf),
+     "parameters a, b, c, d must be finite"),
+    (lambda: hcfun.f_factors([0.0, math.inf], 1.0, 0.5, 1.0, 0.0), "z must be finite"),
+    (lambda: hcfun.f_factors([math.nan, 1.0], 1.0, 0.5, 1.0, 0.0), "z must be finite"),
     (lambda: g_product_probe(sphere(1), 0, 0), "n_max must be a positive integer"),
     (lambda: q_invariance_test(sphere(1), [[1]], 0.0), "tolerance must be positive"),
-], ids=["f-negative-b", "probe-n_max-0", "q-tol-0"])
+], ids=["f-negative-b", "f-a-nan", "f-b-inf", "f-c-nan", "f-d-inf", "f-z-inf", "f-z-nan",
+        "probe-n_max-0", "q-tol-0"])
 def test_input_checks_raise_their_one_line(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -626,6 +639,79 @@ def test_kernel_adds_in_its_documented_order(shape, q):
             got = hcfun._log_c_factor(np.array([[x]]), (([0], m, m2),), q)[0, 0]
             want = oracles.log_c_factor_by_floats(x, m, m2, q)
             assert float(got).hex() == want.hex(), (x, m, m2)
+
+
+def _beside(first, second):
+    # each class of first with second's classes in turn
+    return [(a, second[i % len(second)]) for i, a in enumerate(first)]
+
+
+# two classes per block: the order table's shapes side by side, and the two
+# catalog spaces with two classes (EII, SU5_SU2xU3)
+_TWO_CLASS_BLOCKS = {
+    "whole+mixed": _beside(_ORDER_CLASSES["whole"], _ORDER_CLASSES["mixed"]),
+    "mixed+two_lgamma": _beside(_ORDER_CLASSES["mixed"], _ORDER_CLASSES["two_lgamma"]),
+    "EII": [((2.0, 0.0), (1.0, 0.0))],
+    "SU5_SU2xU3": [((2.0, 1.0), (2.0, 0.0))],
+}
+
+
+@pytest.mark.parametrize("q", [False, True])
+@pytest.mark.parametrize("pairs", list(_TWO_CLASS_BLOCKS))
+def test_two_class_blocks_keep_the_one_root_bits(pairs, q):
+    # a 5-root block of several rows, one class on roots 0 and 2 and one on
+    # roots 1 and 3: every entry has the plain-float reference's bits, and
+    # root 4, in no class, reads 0.0
+    n = len(_ORDER_XS)
+    x = np.array([[_ORDER_XS[(j + r) % n] for j in range(n)] for r in range(5)])
+    for first, second in _TWO_CLASS_BLOCKS[pairs]:
+        classes = ((np.array([0, 2]), *first), (np.array([1, 3]), *second))
+        got = hcfun._log_c_factor(x, classes, q)
+        for r, (m, m2) in enumerate((first, second, first, second)):
+            want = [oracles.log_c_factor_by_floats(v, m, m2, q).hex() for v in x[r].tolist()]
+            assert [v.hex() for v in got[r].tolist()] == want, (r, m, m2)
+        assert [v.hex() for v in got[4].tolist()] == [(0.0).hex()] * n
+
+
+_TRANSCENDENTALS = ("log", "log1p", "exp", "expm1", "sqrt", "power")
+
+
+def _exact_side(rs):
+    # every exact entry point on the system, at small weights
+    ones = [1] * rs.rank
+    q_invariance_test(rs, dominant_weights(rs, 2), 1e-9)
+    q_of_weight(rs, ones)
+    c_function(rs, ones)
+    c_function_duplicated(rs, ones)
+    predicted_constants(rs, ones)
+    for j in range(rs.rank):
+        g_product_probe(rs, j, 3)
+    if classify_group_manifold(rs):
+        group_c_closed_form(rs, ones)
+    for _, m, m2 in rs.shift_classes:
+        hcfun.f_factors([0.0, 1.0, 7.0], 0.5, 0.25 * m, 1.0, 0.5 * m2)
+
+
+def test_exact_side_makes_no_numpy_transcendental_call(catalog, monkeypatch):
+    # CI runs the exact goldens on numpy's baseline loops on the premise that
+    # the exact side's only numpy arithmetic is +, - and *: once each
+    # system's derived data is warm, no numpy log, exp, sqrt or power runs
+    bench = cli.load_catalog(Path(__file__).parents[1] / "bench" / "spaces.txt")
+    systems = [e.to_root_system() for cat in (catalog, bench) for e in cat.entries]
+    for rs in systems:
+        _exact_side(rs)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.{name} called on the exact side")
+        return call
+
+    for name in _TRANSCENDENTALS:
+        monkeypatch.setattr(np, name, refuse(name))
+    for rs in systems:
+        _exact_side(rs)
+    monkeypatch.undo()
+    assert all(isinstance(getattr(np, name), np.ufunc) for name in _TRANSCENDENTALS)
 
 
 _GROUP_BOXES = {1: 20000, 2: 60, 3: 12, 4: 5}
