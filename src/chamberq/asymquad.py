@@ -20,15 +20,16 @@ value to one fixed tolerance, on grids of at most a fixed number of panels
 and of nodes. Both ranks integrate over a window of 8 Gaussian widths
 sqrt(tau) around the shifted peak tau (mu + rho), with the peak projected
 onto the closed chamber when it lies outside; both take the chamber's edge
-rays from RootSystem.chamber_edges. Rank 1 takes the
-coordinate centred at the peak, where the integrand is bounded: every
-(weight, tau) window of a call is one row of a stacked grid, so a report's
-q_n and q_0 over its whole tau grid take one adaptive pass, and a row
-leaves the stack once it has converged. Rank 2 takes a tensor grid in
-polar coordinates over the part of the chamber sector that the window
-covers. Gauss nodes are open,
-so the integrable wall zeros of the chamber weight (square-root type for
-odd multiplicities) never produce a -inf sample.
+rays from RootSystem.chamber_edges. One function forms every rank-1
+chamber integral, against the degree-n spherical function or against 1:
+log_I_mu's is its n = 0 case. It takes the coordinate centred at the peak,
+where the integrand is bounded: every (weight, tau) window of a call is one
+row of a stacked grid, so a report's q_n and q_0 over its whole tau grid
+take one adaptive pass, and a row leaves the stack once it has converged.
+Rank 2 takes a tensor grid in polar coordinates over the part of the
+chamber sector that the window covers. Gauss nodes are open, so the
+integrable wall zeros of the chamber weight (square-root type for odd
+multiplicities) never produce a -inf sample.
 """
 
 from __future__ import annotations
@@ -251,22 +252,25 @@ def _q_log_direct(rs: RootSystem, tau: float, growth: np.ndarray) -> float:
                      _RANK2_FIRST_PANELS)[0]
 
 
-def _rank1_transformed(rs: RootSystem, mus, taus: np.ndarray,
-                       log_phi=None) -> tuple[np.ndarray, np.ndarray]:
+def _spherical_log_integrals(rs: RootSystem, n: int, taus: np.ndarray, params,
+                             mus) -> tuple[np.ndarray, np.ndarray]:
     """Log of the rank-1 q(tau, phi * exp(2 mu(H))) for each weight mu of
     ``mus`` at each tau of ``taus``, shaped (len(mus), len(taus)), through
     the affine change of coordinates centered at the shifted Gaussian peak
     tau * (mu + rho); and the same logs less their peak terms tau |mu +
     rho|^2, formed without them, whose rounding (it reaches 4e8 at the
-    weight bound) the first values carry.
+    weight bound) the first values carry. This is every rank-1 chamber
+    integral: log_I_mu's is the one-row case at n = 0.
+
+    phi is the degree-n spherical function on the first weight's rows, whose
+    weight is then n mu_1 as spherical_weight realizes it, the weight that
+    the large-tau law takes; it is 1 on the other rows, and on all of them
+    at n = 0. ``params`` are _rank1_params(rs), read only when n > 0.
 
     Every (weight, tau) window is one row of a single stacked quadrature.
     The transformed integrand is bounded at every tau. The window reaches
     _SIGMA widths on each side of the peak, cut at the chamber wall; when
-    the peak lies outside the chamber it runs from the wall. ``log_phi``
-    takes an array of chamber coordinates of the original variable and
-    applies to the first weight's rows only; phi is identically 1 on the
-    other rows, and on all of them when ``log_phi`` is None.
+    the peak lies outside the chamber it runs from the wall.
     """
     u = rs.chamber_edges[0]
     lrs = [mu + rs.rho for mu in mus]
@@ -281,21 +285,36 @@ def _rank1_transformed(rs: RootSystem, mus, taus: np.ndarray,
     # to 2 a t, and t = sqrt(tau) y + tau a turns -t^2/tau + 2 a t into
     # tau a^2 - y^2; so drift cancels the kernel's linear part exactly
     drift = -(rs.mults @ au)
+    if n:
+        beta, m_beta, m_half = params
+        bu = float(beta @ u)
+        slope = 2.0 * float(mus[0] @ u)
+        log_ck = _spherical_log_coeffs(m_beta, m_half, n)
+        ks = np.arange(len(log_ck), dtype=float)
 
-    def log_grid(n, rows):
-        y, wts = _panel_nodes(lo[rows], hi[rows], n)
+    def log_grid(panels, rows):
+        y, wts = _panel_nodes(lo[rows], hi[rows], panels)
         t = sqrt_tau[rows, None] * y + (rows_tau[rows] * a[rows])[:, None]  # chamber coordinate
         lv = _log_chamber_weight(rs, t, au, drift) - y * y
-        k = 0 if log_phi is None else bisect.bisect_left(rows, n_taus)  # rows ascend
+        k = bisect.bisect_left(rows, n_taus) if n else 0  # rows ascend
         if k:
-            lv[:k] += log_phi(t[:k])
+            # log F(-sinh^2(beta(H))) via the positive coefficient expansion,
+            # less the growth 2 mu(H) that the peak centring takes out;
+            # stable for arbitrarily large t
+            log_s = 2.0 * _log_sinh(bu * t[:k].ravel())  # overwritten block by block
+            step = _EXPANSION_BLOCK // len(ks)
+            for i in range(0, len(log_s), step):
+                mat = log_ck + ks * log_s[i:i + step, None]
+                mx = np.max(mat, axis=1)
+                log_s[i:i + step] = mx + np.log(np.sum(np.exp(mat - mx[:, None]), axis=1))
+            lv[:k] += log_s.reshape(k, -1) - slope * t[:k]
         m = np.max(lv, axis=1, keepdims=True)
         lv -= m
         np.exp(lv, out=lv)
         return [mj + math.log(w @ ej) for mj, w, ej in zip(m[:, 0].tolist(), wts, lv)]
 
     # dt = sqrt(tau) dy
-    vals = np.reshape(_adaptive(log_grid, len(rows_tau), lambda n: _GAUSS_ORDER * n,
+    vals = np.reshape(_adaptive(log_grid, len(rows_tau), lambda panels: _GAUSS_ORDER * panels,
                                 _RANK1_FIRST_PANELS), (len(mus), n_taus))
     half_logs = np.array([0.5 * math.log(tau) for tau in taus.tolist()])
     rates = np.array([float(lr @ lr) for lr in lrs])
@@ -308,7 +327,9 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
     Both ranks integrate over 8 Gaussian widths around the shifted peak, or
     its nearest point of the chamber: rank 1 in the coordinate centred at
     the peak, where the integrand stays bounded at any tau; rank 2 in polar
-    coordinates. A non-finite log value raises OverflowError, not a warning.
+    coordinates. The rank-1 value is the one row of the n = 0 stack that
+    forms every rank-1 chamber integral. A non-finite log value raises
+    OverflowError, not a warning.
     """
     if rs.rank > 2:
         raise ValueError("chamber quadrature is implemented for rank <= 2")
@@ -316,8 +337,8 @@ def log_I_mu(rs: RootSystem, mu, tau: float) -> float:
         raise ValueError("tau must be positive and finite")
     mu = as_vector(mu, rs.rank)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val = (float(_rank1_transformed(rs, [mu], np.array([tau]))[0][0, 0]) if rs.rank == 1
-               else _q_log_direct(rs, tau, mu))
+        val = (float(_spherical_log_integrals(rs, 0, np.array([tau]), None, [mu])[0][0, 0])
+               if rs.rank == 1 else _q_log_direct(rs, tau, mu))
     if not math.isfinite(val):  # rank 1's peak term tau |mu + rho|^2 can overflow
         raise OverflowError("log chamber integral is not finite at this weight")
     return val
@@ -446,39 +467,6 @@ def _rank1_params(rs: RootSystem):
     if m_2a > 0:
         return 2.0 * alpha, m_2a, m_a
     return alpha, m_a, 0.0
-
-
-def _spherical_log_integrals(rs: RootSystem, n: int, taus: np.ndarray, params,
-                             mus) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the chamber integral at each tau in ``taus`` against the
-    degree-n spherical function with the first growth weight of ``mus``,
-    and against 1 with each further one, all in one stacked quadrature;
-    and those logs less their peak terms, as _rank1_transformed gives them.
-    The first weight is n mu_1 as spherical_weight realizes it, the weight
-    that the large-tau law takes; ``params`` are _rank1_params(rs)."""
-    if n == 0:  # F = 1
-        return _rank1_transformed(rs, mus, taus)
-    beta, m_beta, m_half = params
-    mu = mus[0]
-    u = rs.chamber_edges[0]
-    bu = float(beta @ u)
-    slope = 2.0 * float(mu @ u)
-    log_ck = _spherical_log_coeffs(m_beta, m_half, n)
-    ks = np.arange(len(log_ck), dtype=float)
-
-    def log_phi(t):
-        # log F(-sinh^2(beta(H))) at chamber coordinates t, via the positive
-        # coefficient expansion, less the growth 2 mu(H) that the peak
-        # centring takes out; stable for arbitrarily large t
-        log_s = 2.0 * _log_sinh(bu * t.ravel())  # overwritten block by block
-        step = _EXPANSION_BLOCK // len(ks)
-        for i in range(0, len(log_s), step):
-            mat = log_ck + ks * log_s[i:i + step, None]
-            mx = np.max(mat, axis=1)
-            log_s[i:i + step] = mx + np.log(np.sum(np.exp(mat - mx[:, None]), axis=1))
-        return log_s.reshape(t.shape) - slope * t
-
-    return _rank1_transformed(rs, mus, taus, log_phi)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,14 @@ isolates how the pairings are formed. The
 chamber-weight route is the log kernel's formula evaluated at every node,
 so that a comparison isolates which nodes the kernel skips. The reference
 serializer writes JSON and catalog text one value at a time, with every
-catalog key spelled out per writer.
+catalog key spelled out per writer. The last section holds the rank-1 rows
+of Helgason's classification of compact symmetric spaces, as data.
 """
 
 import functools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -667,3 +669,47 @@ def reference_catalog_text(cat) -> str:
             lines.append(f"source = {e.source}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
+
+
+# -- Helgason's Table VI: the compact rank-1 symmetric spaces ----------------------
+
+
+def _dim_so(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def _dim_su(n: int) -> int:
+    return n * n - 1
+
+
+def _dim_sp(n: int) -> int:
+    return n * (2 * n + 1)
+
+
+@dataclass(frozen=True)
+class TableRow:
+    """One space of Helgason, Differential Geometry, Lie Groups, and
+    Symmetric Spaces (1978), Ch. X, Table VI: the restricted root type, its
+    multiplicities by root_spec's class labels, dim G - dim K, and whether
+    the space is a compact group manifold."""
+
+    name: str
+    root_type: str
+    mults: dict
+    dim: int
+    group_manifold: bool
+
+
+# The rank-1 rows: S^q = SO(q+1)/SO(q), CP^q = SU(q+1)/S(U(q) x U(1)),
+# HP^q = Sp(q+1)/Sp(q) x Sp(1) and OP^2 = F4/Spin(9). Each dimension is
+# dim G - dim K, not rank + the sum of the multiplicities; S^3 = SU(2) is
+# the one group manifold among them.
+TABLE_VI_RANK1 = (
+    [TableRow(f"S{q}", "A", {"all": q - 1}, _dim_so(q + 1) - _dim_so(q), q == 3)
+     for q in range(2, 11)]
+    + [TableRow(f"CP{q}", "BC", {"short": 2 * (q - 1), "long": 1},
+                _dim_su(q + 1) - (_dim_su(q) + 1), False) for q in range(2, 7)]
+    + [TableRow(f"HP{q}", "BC", {"short": 4 * (q - 1), "long": 3},
+                _dim_sp(q + 1) - (_dim_sp(q) + _dim_sp(1)), False) for q in range(2, 7)]
+    + [TableRow("OP2", "BC", {"short": 8, "long": 7}, 52 - 36, False)]
+)

@@ -1032,6 +1032,16 @@ def test_verify_tau_infinity_verdict_holds_from_either_first_grid(monkeypatch, e
         assert verify_tau_infinity(entry, n).passed, (entry.name, n)
 
 
+@pytest.mark.parametrize("row", oracles.TABLE_VI_RANK1, ids=lambda r: r.name)
+def test_table_vi_rank1_verdicts_pass(row):
+    # both laws on every rank-1 space of Helgason's Table VI up to S^10, CP^6
+    # and HP^6, most of them on multiplicities that no catalog holds
+    rs = build_root_system(row.root_type, 1, row.mults)
+    for n in (0, 1, 5):
+        for verify in (verify_tau_zero, verify_tau_infinity):
+            assert verify(rs, n).passed, (row.name, n, verify.__name__)
+
+
 def test_highest_weight_dominance():
     lam = spherical_weight(S2, [1]).vector
     for tau in (25.0, 50.0):
@@ -1107,6 +1117,16 @@ def test_stacked_spherical_integrals_keep_every_bit(entry, n):
             assert got.shape == (2, len(taus))
             assert got[0].tobytes() == qn_want[0].tobytes(), (entry.name, n)
             assert got[1].tobytes() == q0_want[0].tobytes(), (entry.name, n)
+    else:
+        # log_I_mu's rank-1 value is the one-row case of the n = 0 stack: at
+        # the zero weight, at mu_1, and at -mu_1, where mu + rho lies outside
+        # the chamber or on its wall on S2, S3, CP2 and SU2
+        mu1 = spherical_weight(rs, [1]).vector
+        for mu in (np.zeros_like(mu1), mu1, -mu1):
+            logs = aq._spherical_log_integrals(rs, 0, taus, None, [mu])[0]
+            for k, tau in enumerate(taus.tolist()):
+                assert float(log_I_mu(rs, mu, tau)).hex() == float(logs[0, k]).hex(), (
+                    entry.name, mu.tolist(), tau)
 
 
 @pytest.mark.parametrize("verify", [verify_tau_zero, verify_tau_infinity])

@@ -1002,6 +1002,48 @@ def test_cli_probe_f_past_the_lgamma_range_matches_mpmath(capsys):
                                          rel=1e-12, abs=0.0)
 
 
+# -- each command's domain on whole shifts: every m/2 and m2/2 a whole number -----
+
+_BENCH_CATALOG = str(Path(__file__).parents[1] / "bench" / "spaces.txt")
+
+
+@pytest.mark.parametrize("prefix, space", [
+    *(([], name) for name in ("S3", "S5", "SU2", "SU3", "SU4", "SU4_Sp2", "SU6_Sp3")),
+    *((["--catalog", _BENCH_CATALOG], name) for name in ("SO9", "G2")),
+], ids=lambda v: v if isinstance(v, str) else "bench" if v else "builtin")
+def test_cli_cfun_whole_shift_row_matches_mpmath(prefix, space, capsys):
+    # 10^p for p = 0, 3, ..., 18 on every coordinate, on the first only and
+    # on the last only, each within 1e-12 of the Gamma product in mpmath
+    cat = load_catalog(prefix[1]) if prefix else default_catalog()
+    rs = cat.get(space).to_root_system()
+    zeros = [0] * (rs.rank - 1)
+    for p in range(0, 19, 3):
+        x = 10**p
+        for coords in ([x] * rs.rank, [x] + zeros, zeros + [x]):
+            argv = prefix + ["cfun", space, "--weight", ",".join(map(str, coords))]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, ""), argv
+            assert json.loads(out)["c"] == pytest.approx(
+                oracles.c_by_mpmath(rs, coords), rel=1e-12, abs=0.0), argv
+
+
+@pytest.mark.parametrize("b", ["0.5", "1", "1.5", "2"])
+@pytest.mark.parametrize("d", ["0", "1", "2"])
+def test_cli_probe_f_whole_shift_row_matches_mpmath(b, d, capsys):
+    # shifts 2b and d whole, at a from 1/4 to 1e10 and slopes c from 1/2 to
+    # 1e300: F and F / 2^d within 1e-12 of the factor in mpmath
+    for a, c in itertools.product(("0.25", "1", "1e10"), ("0.5", "1", "1e10", "1e300")):
+        argv = ["probe-F", "--a", a, "--b", b, "--c", c, "--d", d, "--zmax", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        rows = [line.split(",") for line in out.split("\r\n")[1:-1]]
+        assert [z for z, _, _ in rows] == ["0", "1", "2"], argv
+        for z, f, f_over in rows:
+            want = oracles.f_by_mpmath(int(z), float(a), float(b), float(c), float(d))
+            assert float(f) == pytest.approx(want, rel=1e-12, abs=0.0), (argv, z)
+            assert float(f_over) == pytest.approx(want / 2.0**float(d), rel=1e-12, abs=0.0), (argv, z)
+
+
 @pytest.mark.parametrize("flag", ["--a", "--b", "--c", "--d"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_cli_probe_f_rejects_non_finite(flag, value, capsys):

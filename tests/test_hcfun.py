@@ -560,6 +560,17 @@ def test_classify_group_manifold():
         assert not classify_group_manifold(build_root_system("BC", 1, mults))
 
 
+@pytest.mark.parametrize("row", oracles.TABLE_VI_RANK1, ids=lambda r: r.name)
+def test_table_vi_rank1_exact_side(row):
+    # the table's dim G - dim K as the spec's dimension, its group flag as
+    # Q's verdict, and c against the Gamma product in mpmath; 13 of the 20
+    # rows have multiplicities that no catalog holds
+    assert rootsys.root_spec(row.root_type, 1, row.mults).dimension == row.dim
+    rs = build_root_system(row.root_type, 1, row.mults)
+    assert q_invariance_test(rs, dominant_weights(rs, 3), 1e-12).is_constant == row.group_manifold
+    assert c_function(rs, [3]) == pytest.approx(oracles.c_by_mpmath(rs, [3]), rel=1e-12, abs=0.0)
+
+
 # -- predicted constants ---------------------------------------------------------------
 
 
